@@ -70,15 +70,21 @@ let domain_count () =
   | None -> max 1 (Domain.recommended_domain_count () - 1)
 
 (* APIARY_PAR selects the conservative parallel-in-time engine:
-   [boards] partitions E12 racks one-board-per-domain (lookahead = the
-   uplink's 126 cycles), [mesh] stripes E3's standalone meshes by
-   columns (lookahead = the 1-cycle router link). Anything else — or
-   unset — runs the reference sequential engine. *)
+   [boards] partitions racks one-board-per-domain (lookahead = the
+   uplink's 126 cycles). Anything else — or unset — runs the reference
+   sequential engine. *)
 let par_mode () =
   match Sys.getenv_opt "APIARY_PAR" with
   | Some "boards" -> `Boards
-  | Some "mesh" -> `Mesh
   | _ -> `Off
+
+(* APIARY_DOMAINS caps a partitioned rack's domain fan-out below its
+   member count; the engine's busiest-first work stealing then keeps the
+   smaller domain pool fed. Unset, every member gets its own domain. *)
+let rack_domains ~members =
+  match Sys.getenv_opt "APIARY_DOMAINS" with
+  | Some s -> ( try max 1 (int_of_string s) with _ -> members)
+  | None -> members
 
 let parallel_map f items =
   let items = Array.of_list items in
@@ -117,8 +123,7 @@ let perf_enabled = ref false
 
 (* Telemetry capture (--obs): E12 attaches the span recorder and the
    metrics registry and writes Chrome-trace/metrics JSON next to
-   BENCH_perf.json. Deterministic capture needs a monolithic engine, so
-   obs runs ignore APIARY_PAR=boards. *)
+   BENCH_perf.json. *)
 let obs_enabled = ref false
 
 type perf_record = {
@@ -132,6 +137,8 @@ type perf_record = {
   pr_windows : int;  (* adaptive sync windows executed during the run *)
   pr_win_min : int;  (* narrowest/widest window width so far, process-wide *)
   pr_win_max : int;
+  pr_domains : int;  (* OS domains per Par window, mean over the run's
+                        Par windows (rounded); 1 when none ran *)
 }
 
 let perf_records : perf_record list ref = ref []
@@ -147,6 +154,7 @@ let timed id f () =
     let skipped_t0 = Sim.total_skipped_ticks () in
     let stall0 = Par_sim.total_barrier_stall_s () in
     let windows0, _, _ = Par_sim.total_window_stats () in
+    let par0, dom0 = Par_sim.total_par_windows () in
     let t0 = Unix.gettimeofday () in
     f ();
     let dt = Unix.gettimeofday () -. t0 in
@@ -155,6 +163,8 @@ let timed id f () =
        experiments included), which is all the atomic accounting can
        offer without per-instance plumbing. *)
     let windows1, win_min, win_max = Par_sim.total_window_stats () in
+    let par1, dom1 = Par_sim.total_par_windows () in
+    let par = par1 - par0 in
     perf_records :=
       {
         pr_id = id;
@@ -167,6 +177,7 @@ let timed id f () =
         pr_windows = windows1 - windows0;
         pr_win_min = win_min;
         pr_win_max = win_max;
+        pr_domains = (if par = 0 then 1 else (dom1 - dom0 + (par / 2)) / par);
       }
       :: !perf_records
   end
@@ -176,23 +187,21 @@ let write_perf_json path =
   let records = List.rev !perf_records in
   (* Honest machine context for the run: how many cores the host
      actually offers (speedup claims are meaningless without it) and
-     which parallel engine, if any, was selected. perf_guard keys on
+     which parallel engine, if any, was selected. Each record then says
+     how many domains its experiment actually ran on. perf_guard keys on
      per-experiment "id" lines and skips these. *)
-  Printf.fprintf oc "{\n  \"domains_used\": %d,\n  \"par_mode\": \"%s\",\n"
+  Printf.fprintf oc "{\n  \"host_cores\": %d,\n  \"par_mode\": \"%s\",\n"
     (Domain.recommended_domain_count ())
-    (match par_mode () with
-    | `Boards -> "boards"
-    | `Mesh -> "mesh"
-    | `Off -> "off");
+    (match par_mode () with `Boards -> "boards" | `Off -> "off");
   output_string oc "  \"experiments\": [\n";
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d%s}%s\n"
+        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"domains_used\": %d%s}%s\n"
         r.pr_id r.pr_wall_s r.pr_cycles
         (if r.pr_wall_s > 0.0 then float_of_int r.pr_cycles /. r.pr_wall_s
          else 0.0)
-        r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks
+        r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks r.pr_domains
         ((if r.pr_stall_s > 0.0 then
             Printf.sprintf ", \"barrier_stall_s\": %.3f" r.pr_stall_s
           else "")

@@ -31,21 +31,11 @@ let bytes_of n = Bytes.make n 'x'
    126-cycle latency as lookahead and executed by the parallel engine —
    byte-identical results, wall-clock spread over the domains. *)
 let with_rack ~boards ~clients ~duration body =
-  (* Deterministic telemetry capture needs a monolithic engine, so --obs
-     runs ignore APIARY_PAR=boards: the whole invocation's output is
-     then engine-independent. *)
-  match (if !obs_enabled then `Off else par_mode ()) with
+  match par_mode () with
   | `Boards ->
-    (* APIARY_DOMAINS caps the domain fan-out below the member count;
-       the engine's busiest-first work stealing then keeps the smaller
-       domain pool fed. Unset, every member gets its own domain. *)
-    let domains =
-      match Sys.getenv_opt "APIARY_DOMAINS" with
-      | Some s -> ( try max 1 (int_of_string s) with _ -> boards + 1)
-      | None -> boards + 1
-    in
     let eng =
-      Par_sim.create ~mode:Par_sim.Par ~adaptive:true ~domains
+      Par_sim.create ~mode:Par_sim.Par ~adaptive:true
+        ~domains:(rack_domains ~members:(boards + 1))
         ~lookahead:Cluster.lookahead ~n:(boards + 1) ()
     in
     let sim = Par_sim.sim eng 0 in
@@ -56,7 +46,7 @@ let with_rack ~boards ~clients ~duration body =
     Par_sim.run_until eng duration;
     Par_sim.shutdown eng;
     finish ()
-  | `Mesh | `Off ->
+  | `Off ->
     let sim = Sim.create () in
     let cluster = Cluster.create sim ~boards ~client_ports:(clients + 1) in
     let finish = body sim cluster in

@@ -5,7 +5,6 @@
    vs measurement for each. *)
 
 module Sim = Apiary_engine.Sim
-module Par_sim = Apiary_engine.Par_sim
 module Rng = Apiary_engine.Rng
 module Stats = Apiary_engine.Stats
 module Mesh = Apiary_noc.Mesh
@@ -428,71 +427,36 @@ let e2 () =
 
 let e3 () =
   header "E3" "NoC scalability: latency and saturation vs mesh size";
-  (* Under APIARY_PAR=mesh each standalone mesh is striped by columns
-     (up to 4 stripes, one Par_sim member each) with the router link's
-     one-cycle latency as lookahead; the generator is replicated per
-     stripe with an identical seed, so the injected stream — and every
-     result — is byte-identical to the monolithic run. Returns the mesh
-     plus run/stop/done hooks the measurement drives. *)
   let mk_mesh n ~seed ~rate ~pattern =
-    let cfg = { Mesh.default_config with Mesh.cols = n; rows = n } in
-    match par_mode () with
-    | `Mesh when n >= 2 ->
-      (* Column stripes only ever talk to adjacent stripes, so the mesh
-         engine synchronizes neighbor-to-neighbor instead of through a
-         global barrier. *)
-      let eng =
-        Par_sim.create ~mode:Par_sim.Par ~sync:Par_sim.Neighbor ~lookahead:1
-          ~n:(min 4 n) ()
-      in
-      let mesh : int Mesh.t = Mesh.create ~engine:eng (Par_sim.sim eng 0) cfg in
-      let gens =
-        List.init (Mesh.stripes mesh) (fun s ->
-            Traffic.start mesh ~rng:(Rng.create ~seed) ~pattern ~rate
-              ~payload_bytes:32 ~stripe:s ~payload:0 ())
-      in
-      ( mesh,
-        (fun c -> Par_sim.run_for eng c),
-        (fun () -> List.iter Traffic.stop_gen gens),
-        fun () -> Par_sim.shutdown eng )
-    | _ ->
-      let sim = Sim.create () in
-      let mesh : int Mesh.t = Mesh.create sim cfg in
-      let gen =
-        Traffic.start mesh ~rng:(Rng.create ~seed) ~pattern ~rate
-          ~payload_bytes:32 ~payload:0 ()
-      in
-      ( mesh,
-        (fun c -> Sim.run_for sim c),
-        (fun () -> Traffic.stop_gen gen),
-        fun () -> () )
+    let sim = Sim.create () in
+    let mesh : int Mesh.t =
+      Mesh.create sim { Mesh.default_config with Mesh.cols = n; rows = n }
+    in
+    let gen =
+      Traffic.start mesh ~rng:(Rng.create ~seed) ~pattern ~rate
+        ~payload_bytes:32 ~payload:0 ()
+    in
+    (sim, mesh, gen)
   in
   let low_load_latency n pattern =
-    let mesh, run, stop, finish = mk_mesh n ~seed:3 ~rate:0.002 ~pattern in
-    run 30_000;
-    stop ();
-    run 5_000;
-    finish ();
+    let sim, mesh, gen = mk_mesh n ~seed:3 ~rate:0.002 ~pattern in
+    Sim.run_for sim 30_000;
+    Traffic.stop_gen gen;
+    Sim.run_for sim 5_000;
     p50 (Mesh.latency mesh)
   in
   let saturation n pattern =
-    let mesh, run, stop, finish = mk_mesh n ~seed:4 ~rate:0.5 ~pattern in
-    run 30_000;
-    stop ();
-    finish ();
+    let sim, mesh, gen = mk_mesh n ~seed:4 ~rate:0.5 ~pattern in
+    Sim.run_for sim 30_000;
+    Traffic.stop_gen gen;
     (* Delivered flits per cycle per tile in the measured window. *)
     float_of_int (Mesh.packets_delivered mesh) *. 3.0 /. 30_000.0 /. float_of_int (n * n)
   in
   let sizes = [ 2; 4; 6; 8 ] in
   (* 12 independent sims (3 measurements x 4 mesh sizes); each task
-     returns its formatted cell, rows are assembled in order afterwards.
-     With the parallel engine inside each mesh, the sweep itself runs
-     serially — the domains are already spoken for. *)
-  let e3_map f items =
-    if par_mode () = `Mesh then List.map f items else parallel_map f items
-  in
+     returns its formatted cell, rows are assembled in order afterwards. *)
   let cells =
-    e3_map
+    parallel_map
       (fun f -> f ())
       (List.concat_map
          (fun n ->

@@ -53,15 +53,15 @@ open Bench_util
 
 let small () = Sys.getenv_opt "APIARY_E16_SMALL" <> None
 
-(* Like Cluster_exp.with_rack, but does NOT force a monolithic engine
-   when --obs is set: E16 runs with spans enabled under
-   APIARY_PAR=boards by design, and keeps its output deterministic by
-   never exporting the global span store — only agent and collector
-   state, which lives on fixed simulators.
+(* Like Cluster_exp.with_rack, but both paths run the partitioned
+   engine. E16 runs with spans enabled under APIARY_PAR=boards by
+   design, and keeps its output deterministic by never exporting the
+   global span store — only agent and collector state, which lives on
+   fixed simulators.
 
-   Both paths run the partitioned engine: Par_sim's Seq mode is the
-   reference schedule that Par is byte-identical to. A monolithic
-   Sim.create is NOT that reference — when a cross-partition frame and
+   Par_sim's Seq mode is the reference schedule that Par is
+   byte-identical to. A monolithic Sim.create is NOT that reference —
+   when a cross-partition frame and
    a locally scheduled event land on the same cycle, the global queue
    orders them by global insertion sequence, while the canonical
    windowed schedule orders flushed posts after local events armed
@@ -75,14 +75,8 @@ let small () = Sys.getenv_opt "APIARY_E16_SMALL" <> None
 let with_rack ~boards ~clients ~duration body =
   let mode, domains =
     match par_mode () with
-    | `Boards ->
-      let domains =
-        match Sys.getenv_opt "APIARY_DOMAINS" with
-        | Some s -> ( try max 1 (int_of_string s) with _ -> boards + 1)
-        | None -> boards + 1
-      in
-      (Apiary_engine.Par_sim.Par, domains)
-    | `Mesh | `Off -> (Apiary_engine.Par_sim.Seq, 1)
+    | `Boards -> (Apiary_engine.Par_sim.Par, rack_domains ~members:(boards + 1))
+    | `Off -> (Apiary_engine.Par_sim.Seq, 1)
   in
   let eng =
     Apiary_engine.Par_sim.create ~mode ~adaptive:true ~domains

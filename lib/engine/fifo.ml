@@ -17,8 +17,8 @@ type 'a t = {
   mutable n_staged : int;
   mutable dirty : bool;
   mutable commit : unit -> unit;
-  (* Consumer ticker re-armed whenever entries become visible (commit or
-     inject), so a parked consumer cannot miss a delivery. *)
+  (* Consumer ticker re-armed whenever entries become visible (at
+     commit), so a parked consumer cannot miss a delivery. *)
   mutable owner : Sim.handle;
 }
 
@@ -125,15 +125,6 @@ let iter f t =
   for i = 0 to t.len - 1 do
     f t.ring.((t.head + i) land t.mask)
   done
-
-let inject t x =
-  if is_full t then failwith (Printf.sprintf "Fifo.inject: %s full" t.name);
-  grow_ring t 1 x;
-  t.ring.((t.head + t.len) land t.mask) <- x;
-  t.len <- t.len + 1;
-  (* Injections run in the event phase: the consumer may (and under the
-     flat scheduler would) observe the entry this very cycle. *)
-  Sim.rearm t.sim t.owner
 
 let clear t =
   (* A pending dirty entry stays enlisted; its commit finds an empty

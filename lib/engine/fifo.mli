@@ -20,9 +20,9 @@ val capacity : 'a t -> int
 
 val set_owner : 'a t -> Sim.handle -> unit
 (** Register the consuming ticker's handle: it is re-armed whenever
-    entries become visible (at commit, and on {!inject}), so a parked
-    consumer is guaranteed to see every delivery. Default
-    {!Sim.no_handle} (no re-arm). *)
+    entries become visible (at commit), so a parked consumer is
+    guaranteed to see every delivery. Default {!Sim.no_handle} (no
+    re-arm). *)
 
 val push : 'a t -> 'a -> bool
 (** Stage a value for commit at end of cycle. Returns [false] (and drops
@@ -55,16 +55,6 @@ val space : 'a t -> int
 
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-
-val inject : 'a t -> 'a -> unit
-(** Insert a value directly into committed storage, bypassing the
-    staging phase. For cross-partition boundary deliveries in the
-    parallel engine: the value was staged and committed on the sending
-    partition in an earlier cycle, so re-staging it here would charge a
-    second cycle of latency. Runs in the event phase, before any ticker
-    can look, so consumers cannot distinguish it from a commit that
-    happened at the end of the previous cycle. Raises [Failure] when
-    full. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Iterate committed entries, oldest first. *)

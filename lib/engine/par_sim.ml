@@ -1,5 +1,4 @@
 type mode = Seq | Par
-type sync = Barrier | Neighbor
 
 (* A staged cross-partition event. [seq] is per-source and assigned at
    post time, so the canonical delivery order — (time, src, seq) —
@@ -15,9 +14,9 @@ let cmp_post a b =
     if c <> 0 then c else compare a.p_seq b.p_seq
 
 (* Worker handshake. Workers park in [wait] until the coordinator opens
-   an epoch by bumping [epoch]; each runs its member to [target]
-   (Barrier: one window per epoch; Neighbor: the whole run) and bumps
-   [n_done]. All fields are accessed under [lock]. *)
+   an epoch by bumping [epoch]; each pulls members off the steal queue
+   until the window's members are all taken, then bumps [n_done]. All
+   fields are accessed under [lock]. *)
 type shared = {
   lock : Mutex.t;
   cond : Condition.t;
@@ -25,7 +24,6 @@ type shared = {
   mutable target : int;
   mutable n_done : int;
   mutable quit : bool;
-  mutable aborted : bool;  (* a member failed; waiters must bail out *)
   mutable failure : exn option;
 }
 
@@ -37,33 +35,27 @@ type member = {
      insertion order of cross-partition events is a pure function of the
      inputs, identical for every window schedule and execution mode. *)
   pending : post_rec Heap.t;
-  mutable mclock : int;  (* Neighbor mode: cycles completed by this member *)
   mutable wend : int;  (* end of the window this member is executing *)
 }
 
 type t = {
   mode : mode;
-  sync : sync;
   adaptive : bool;
   lookahead : int;
   domains : int;  (* OS domains used under Par (coordinator included) *)
   members : member array;
-  (* Barrier+Par window execution: members are pulled from a shared
-     steal queue instead of being pinned one-per-domain. [steal_order]
-     lists member indices busiest-first (by armed-ticker count) and
-     [steal_next] is the pull cursor. Written by the coordinator before
-     the epoch opens; the epoch handshake publishes them. *)
+  (* Par window execution: members are pulled from a shared steal queue
+     instead of being pinned one-per-domain. [steal_order] lists member
+     indices busiest-first (by armed-ticker count) and [steal_next] is
+     the pull cursor. Written by the coordinator before the epoch opens;
+     the epoch handshake publishes them. *)
   steal_order : int array;
   steal_next : int Atomic.t;
   (* Single-producer staging: member s appends to scratch.(s).(d) during
-     its window. Barrier: the coordinator collects them at the barrier.
-     Neighbor: member s seals them into mail.(s).(d) under the lock at
-     its window end; member d drains them when it opens a window.
-     Self-posts (s = d) skip staging and go straight into the member's
-     own pending heap. *)
+     its window; the coordinator collects them at the barrier. Self-posts
+     (s = d) skip staging and go straight into the member's own pending
+     heap. *)
   scratch : post_rec list ref array array;
-  mail : post_rec list ref array array;
-  done_upto : int array;  (* Neighbor: cycles sealed per member (under lock) *)
   out_seq : int array;
   mutable clock : int;
   sh : shared;
@@ -82,11 +74,16 @@ let total_barrier_stall_s () = float_of_int (Atomic.get global_stall_us) *. 1e-6
 
 (* Window-width accounting across every instance in the process, so the
    bench harness can report adaptive-window behaviour per experiment.
-   Updated once per window; min/max via CAS (windows may be recorded
-   from a worker domain under Neighbor sync). *)
+   Updated once per window; min/max via CAS (instances may run
+   concurrently on different domains, e.g. in a parallel sweep). *)
 let global_windows = Atomic.make 0
 let global_min_window = Atomic.make max_int
 let global_max_window = Atomic.make 0
+
+(* Par windows, and the OS domains summed over them: differenced around
+   a run, their ratio is the domains its Par windows actually ran on. *)
+let global_par_windows = Atomic.make 0
+let global_domain_windows = Atomic.make 0
 
 let rec atomic_min a v =
   let cur = Atomic.get a in
@@ -102,6 +99,9 @@ let total_window_stats () =
     (if n = 0 then 0 else Atomic.get global_min_window),
     Atomic.get global_max_window )
 
+let total_par_windows () =
+  (Atomic.get global_par_windows, Atomic.get global_domain_windows)
+
 (* Which partition the calling domain is currently executing, if any.
    Member code runs with its index set; coordinator code between windows
    runs with [None]. Replica-owned state (e.g. the cluster directory's
@@ -111,27 +111,22 @@ let part_key = Domain.DLS.new_key (fun () -> None)
 let current_partition () = Domain.DLS.get part_key
 let set_part v = Domain.DLS.set part_key v
 
-let create ?(mode = Seq) ?(sync = Barrier) ?(adaptive = false) ?domains
-    ~lookahead ~n () =
+let create ?(mode = Seq) ?(adaptive = false) ?domains ~lookahead ~n () =
   if lookahead < 1 then invalid_arg "Par_sim.create: lookahead must be >= 1";
   if n < 1 then invalid_arg "Par_sim.create: n must be >= 1";
   let domains =
     match domains with None -> n | Some d -> max 1 (min d n)
   in
-  if mode = Par && sync = Neighbor && domains < n then
-    invalid_arg
-      "Par_sim.create: Neighbor sync pins one domain per member (domains = n)";
   let members =
     Array.init n (fun i ->
         let msim = Sim.create () in
         (* Member 0 is the counted sim; the others would multiply-report
            the same simulated interval. *)
         if i > 0 then Sim.set_counted msim false;
-        { msim; pending = Heap.create ~cmp:cmp_post; mclock = 0; wend = 0 })
+        { msim; pending = Heap.create ~cmp:cmp_post; wend = 0 })
   in
   {
     mode;
-    sync;
     adaptive;
     lookahead;
     domains;
@@ -139,8 +134,6 @@ let create ?(mode = Seq) ?(sync = Barrier) ?(adaptive = false) ?domains
     steal_order = Array.init n (fun i -> i);
     steal_next = Atomic.make 0;
     scratch = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
-    mail = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
-    done_upto = Array.make n 0;
     out_seq = Array.make n 0;
     clock = 0;
     sh =
@@ -151,7 +144,6 @@ let create ?(mode = Seq) ?(sync = Barrier) ?(adaptive = false) ?domains
         target = 0;
         n_done = 0;
         quit = false;
-        aborted = false;
         failure = None;
       };
     workers = [||];
@@ -162,8 +154,6 @@ let create ?(mode = Seq) ?(sync = Barrier) ?(adaptive = false) ?domains
   }
 
 let mode t = t.mode
-let sync t = t.sync
-let adaptive t = t.adaptive
 let n_domains t = Array.length t.members
 let domains_used t = t.domains
 let lookahead t = t.lookahead
@@ -193,20 +183,15 @@ let post t ~src ~dst ~time fn =
          time m.wend src);
   (* The stronger contract — delivery at least one lookahead past the
      source's own clock — is what makes the merged schedule independent
-     of window placement (adaptive widening, neighbor-only sync, random
-     window schedules). The window check above would let a post near the
-     end of a wide window slip under it. *)
+     of window placement (adaptive widening, random window schedules).
+     The window check above would let a post near the end of a wide
+     window slip under it. *)
   if n > 1 && time < Sim.now m.msim + t.lookahead then
     invalid_arg
       (Printf.sprintf
          "Par_sim.post: time %d under lookahead %d from partition %d at cycle \
           %d"
          time t.lookahead src (Sim.now m.msim));
-  if t.sync = Neighbor && abs (src - dst) > 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Par_sim.post: %d -> %d is not a neighbor edge (Neighbor sync)" src
-         dst);
   let seq = t.out_seq.(src) in
   t.out_seq.(src) <- seq + 1;
   let r = { p_time = time; p_src = src; p_seq = seq; p_fn = fn } in
@@ -217,20 +202,15 @@ let post t ~src ~dst ~time fn =
 
 (* Move every staged post into its destination's pending heap. Runs on
    the coordinating thread with all workers parked (the epoch handshake
-   provides the happens-before edge for the scratch and mail lists). *)
+   provides the happens-before edge for the scratch lists). *)
 let collect t =
   let n = Array.length t.members in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
-      (match !(t.scratch.(s).(d)) with
+      match !(t.scratch.(s).(d)) with
       | [] -> ()
       | posts ->
         t.scratch.(s).(d) := [];
-        List.iter (Heap.push t.members.(d).pending) posts);
-      match !(t.mail.(s).(d)) with
-      | [] -> ()
-      | posts ->
-        t.mail.(s).(d) := [];
         List.iter (Heap.push t.members.(d).pending) posts
     done
   done
@@ -272,101 +252,11 @@ let compute_wend t target =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Neighbor sync: members advance over the same fixed lookahead grid as
-   the Barrier reference, but each waits only for its two lattice
-   neighbors to have sealed up to its window start — no global barrier.
-   Correct because posts travel only one partition over (enforced in
-   [post]) and a post due in window [w] was staged strictly before [w]
-   opens, hence sealed once the neighbor's [done_upto] covers the window
-   start. The canonical pending heap makes delivery order identical to
-   the Barrier schedule. *)
-
-let member_loop t i target =
-  let n = Array.length t.members in
-  let m = t.members.(i) in
-  let sh = t.sh in
-  set_part (Some i);
-  (try
-     while m.mclock < target && not sh.aborted do
-       let wend = min (m.mclock + t.lookahead) target in
-       Mutex.lock sh.lock;
-       let ready () =
-         (i = 0 || t.done_upto.(i - 1) >= m.mclock)
-         && (i = n - 1 || t.done_upto.(i + 1) >= m.mclock)
-       in
-       if i = 0 && t.mode = Par && not (ready ()) then begin
-         let t0 = Profile.now_s () in
-         while not (ready ()) && not sh.aborted do
-           Condition.wait sh.cond sh.lock
-         done;
-         let stall = Profile.now_s () -. t0 in
-         t.stall_s <- t.stall_s +. stall;
-         ignore
-           (Atomic.fetch_and_add global_stall_us
-              (int_of_float (stall *. 1e6)))
-       end
-       else
-         while not (ready ()) && not sh.aborted do
-           Condition.wait sh.cond sh.lock
-         done;
-       (* Drain neighbors' sealed batches while still holding the lock. *)
-       let inbox = ref [] in
-       if i > 0 then begin
-         let q = t.mail.(i - 1).(i) in
-         inbox := !q;
-         q := []
-       end;
-       if i < n - 1 then begin
-         let q = t.mail.(i + 1).(i) in
-         inbox := List.rev_append !q !inbox;
-         q := []
-       end;
-       let bail = sh.aborted in
-       Mutex.unlock sh.lock;
-       if not bail then begin
-         List.iter (Heap.push m.pending) !inbox;
-         flush_member m wend;
-         m.wend <- wend;
-         Sim.run_until m.msim wend;
-         if i = 0 then record_window t (wend - m.mclock);
-         Mutex.lock sh.lock;
-         (if i > 0 then
-            let q = t.scratch.(i).(i - 1) in
-            match !q with
-            | [] -> ()
-            | l ->
-              q := [];
-              let mq = t.mail.(i).(i - 1) in
-              mq := List.rev_append l !mq);
-         (if i < n - 1 then
-            let q = t.scratch.(i).(i + 1) in
-            match !q with
-            | [] -> ()
-            | l ->
-              q := [];
-              let mq = t.mail.(i).(i + 1) in
-              mq := List.rev_append l !mq);
-         t.done_upto.(i) <- wend;
-         m.mclock <- wend;
-         Condition.broadcast sh.cond;
-         Mutex.unlock sh.lock
-       end
-     done
-   with e ->
-     Mutex.lock sh.lock;
-     if sh.failure = None then sh.failure <- Some e;
-     sh.aborted <- true;
-     Condition.broadcast sh.cond;
-     Mutex.unlock sh.lock);
-  set_part None
-
-(* ------------------------------------------------------------------ *)
-(* Par mode. Neighbor sync pins one persistent worker per member 1..n-1
-   (member 0 runs on the coordinator). Barrier sync spawns
-   [domains - 1] workers and every participant — coordinator included —
-   pulls members off the shared steal queue, so an imbalanced partition
-   (one busy stripe, many quiescent ones) keeps all domains fed and a
-   board count larger than the core count still runs every member. *)
+(* Par mode spawns [domains - 1] workers and every participant —
+   coordinator included — pulls members off the shared steal queue, so
+   an imbalanced partition (one busy board, many quiescent ones) keeps
+   all domains fed and a board count larger than the core count still
+   runs every member. *)
 
 let steal_loop t target =
   let n = Array.length t.members in
@@ -383,7 +273,17 @@ let steal_loop t target =
     end
   done
 
-let worker t i () =
+(* A member that raises is reported once the window's barrier is
+   reached; the first failure wins. *)
+let steal t target =
+  try steal_loop t target
+  with e ->
+    let sh = t.sh in
+    Mutex.lock sh.lock;
+    if sh.failure = None then sh.failure <- Some e;
+    Mutex.unlock sh.lock
+
+let worker t () =
   let sh = t.sh in
   let my_epoch = ref 0 in
   let rec loop () =
@@ -396,14 +296,7 @@ let worker t i () =
       my_epoch := sh.epoch;
       let target = sh.target in
       Mutex.unlock sh.lock;
-      (match t.sync with
-      | Neighbor -> member_loop t i target
-      | Barrier -> (
-        try steal_loop t target
-        with e ->
-          Mutex.lock sh.lock;
-          if sh.failure = None then sh.failure <- Some e;
-          Mutex.unlock sh.lock));
+      steal t target;
       Mutex.lock sh.lock;
       sh.n_done <- sh.n_done + 1;
       if sh.n_done = t.domains - 1 then Condition.broadcast sh.cond;
@@ -416,8 +309,7 @@ let worker t i () =
 let ensure_workers t =
   if Array.length t.workers = 0 && t.domains > 1 then begin
     t.sh.quit <- false;
-    t.workers <-
-      Array.init (t.domains - 1) (fun i -> Domain.spawn (worker t (i + 1)))
+    t.workers <- Array.init (t.domains - 1) (fun _ -> Domain.spawn (worker t))
   end
 
 let shutdown t =
@@ -490,16 +382,14 @@ let refresh_steal_order t =
   Atomic.set t.steal_next 0
 
 let run_window_par t wend =
+  Atomic.incr global_par_windows;
+  ignore (Atomic.fetch_and_add global_domain_windows t.domains);
   refresh_steal_order t;
   open_epoch t wend;
-  (try steal_loop t wend
-   with e ->
-     Mutex.lock t.sh.lock;
-     if t.sh.failure = None then t.sh.failure <- Some e;
-     Mutex.unlock t.sh.lock);
+  steal t wend;
   wait_workers t
 
-let run_barrier t time =
+let run_until t time =
   while t.clock < time do
     collect t;
     let wend = compute_wend t time in
@@ -514,60 +404,5 @@ let run_barrier t time =
     | Par -> run_window_par t wend);
     t.clock <- wend
   done
-
-let run_neighbor t time =
-  collect t;
-  Array.iteri
-    (fun i m ->
-      t.done_upto.(i) <- t.clock;
-      m.mclock <- t.clock)
-    t.members;
-  t.sh.aborted <- false;
-  (match t.mode with
-  | Seq ->
-    (* The sequential reference: same windows, same flush boundaries,
-       one domain. *)
-    while t.clock < time do
-      let wend = min (t.clock + t.lookahead) time in
-      record_window t (wend - t.clock);
-      collect t;
-      Fun.protect
-        ~finally:(fun () -> set_part None)
-        (fun () ->
-          Array.iteri
-            (fun i m ->
-              flush_member m wend;
-              m.wend <- wend;
-              set_part (Some i);
-              Sim.run_until m.msim wend;
-              m.mclock <- wend)
-            t.members);
-      t.clock <- wend
-    done
-  | Par ->
-    open_epoch t time;
-    member_loop t 0 time;
-    wait_workers t;
-    (match t.sh.failure with
-    | None -> ()
-    | Some e ->
-      t.sh.failure <- None;
-      raise e);
-    t.clock <- time)
-
-let run_until t time =
-  if Array.length t.members = 1 then begin
-    (* One partition: no boundaries, no windows. *)
-    let m = t.members.(0) in
-    m.wend <- time;
-    Sim.run_until m.msim time;
-    collect t;
-    flush_member m max_int;
-    t.clock <- max t.clock time
-  end
-  else if time > t.clock then
-    match t.sync with
-    | Barrier -> run_barrier t time
-    | Neighbor -> run_neighbor t time
 
 let run_for t n = run_until t (t.clock + n)

@@ -22,25 +22,18 @@
 
     - {b Seq} runs the members round-robin on the calling domain — the
       reference engine;
-    - {b Par} runs each member on its own OCaml domain.
+    - {b Par} runs each window's members on a pool of OCaml domains.
 
-    Synchronization disciplines ({!sync}):
-
-    - {b Barrier}: a global barrier per window. With [~adaptive:true]
-      the coordinator widens each window to [earliest + lookahead],
-      where [earliest] is the soonest any member can next do work
-      ({!Sim.next_activity} or its earliest pending post) — sparse
-      boundary traffic then costs few barriers, while bursts fall back
-      to lookahead-width windows.
-    - {b Neighbor}: members advance over the fixed lookahead grid but
-      wait only for lattice neighbors [i-1] and [i+1] to have sealed up
-      to the window start — no global barrier. Posts are restricted to
-      neighbor edges (checked at run time); right for column-striped
-      meshes and other line topologies.
+    Every window ends at a global barrier. With [~adaptive:true] the
+    coordinator widens each window to [earliest + lookahead], where
+    [earliest] is the soonest any member can next do work
+    ({!Sim.next_activity} or its earliest pending post) — sparse boundary
+    traffic then costs few barriers, while bursts fall back to
+    lookahead-width windows.
 
     Because members are isolated within a window and delivery order is
-    canonical, Par is byte-identical to Seq for fixed seeds under every
-    discipline; the cross-check and qcheck property tests in
+    canonical, Par is byte-identical to Seq for fixed seeds, adaptive or
+    not; the cross-check and qcheck property tests in
     [test/test_par.ml] enforce this.
 
     {!Sim.stop} is not honoured across windows — partitioned runs have
@@ -52,34 +45,26 @@ type t
 
 type mode =
   | Seq  (** windowed, single OS thread — the reference schedule *)
-  | Par  (** one OCaml domain per member *)
-
-type sync =
-  | Barrier  (** global barrier per window (optionally adaptive) *)
-  | Neighbor  (** neighbor-only waits on the fixed lookahead grid *)
+  | Par  (** members spread over up to [domains] OCaml domains *)
 
 val create :
-  ?mode:mode -> ?sync:sync -> ?adaptive:bool -> ?domains:int ->
-  lookahead:int -> n:int -> unit -> t
-(** [create ~mode ~sync ~adaptive ~lookahead ~n ()] makes [n] member
+  ?mode:mode -> ?adaptive:bool -> ?domains:int -> lookahead:int -> n:int ->
+  unit -> t
+(** [create ~mode ~adaptive ~lookahead ~n ()] makes [n] member
     simulators (accessible via {!sim}). [lookahead >= 1]; [n >= 1].
-    Defaults: [Seq], [Barrier], non-adaptive. [adaptive] only affects
-    [Barrier] sync. Member 0 is the {e counted} simulator: only its
-    cycles feed {!Sim.total_cycles}, so a partitioned simulation reports
-    its simulated time once.
+    Defaults: [Seq], non-adaptive. Member 0 is the {e counted}
+    simulator: only its cycles feed {!Sim.total_cycles}, so a
+    partitioned simulation reports its simulated time once.
 
     [domains] caps the OS domains used under [Par] (default [n], clamped
-    to [1..n]). Under [Barrier] sync each window's members are pulled
-    from a shared work-stealing queue ordered busiest-first (by
+    to [1..n]). Each window's members are pulled from a shared
+    work-stealing queue ordered busiest-first (by
     {!Sim.active_tickers}), the coordinator stealing alongside the
     workers — so imbalanced partitions keep every domain fed and [n]
     may exceed the machine's core count. Results are byte-identical for
-    every [domains] value. [Neighbor] sync pins one domain per member;
-    [Par] + [Neighbor] with [domains < n] raises [Invalid_argument]. *)
+    every [domains] value. *)
 
 val mode : t -> mode
-val sync : t -> sync
-val adaptive : t -> bool
 val n_domains : t -> int
 
 val domains_used : t -> int
@@ -99,8 +84,7 @@ val post : t -> src:int -> dst:int -> time:int -> (unit -> unit) -> unit
     staging queue is single-producer), or from the coordinating thread
     between runs. Raises [Invalid_argument] when [time] lands inside the
     poster's open window or under one lookahead of the poster's own
-    clock — a lookahead violation — or, under [Neighbor] sync, when
-    [dst] is not a lattice neighbor of [src]. *)
+    clock — a lookahead violation. *)
 
 val run_until : t -> int -> unit
 (** Advance every member to the target cycle, window by window. *)
@@ -129,6 +113,12 @@ val total_window_stats : unit -> int * int * int
 (** [(count, min_width, max_width)] across all instances in the process
     (atomic) — lets the bench harness attribute adaptive-window widths
     per experiment by differencing the count around a run. *)
+
+val total_par_windows : unit -> int * int
+(** [(windows, domain_windows)] across all instances in the process
+    (atomic): the windows run under [Par], and the OS domains summed
+    over those windows. Differenced around a run, their ratio is the
+    number of domains its [Par] windows ran on. *)
 
 val shutdown : t -> unit
 (** Join the worker domains (Par mode). Idempotent; workers are

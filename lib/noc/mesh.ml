@@ -1,5 +1,4 @@
 module Sim = Apiary_engine.Sim
-module Par_sim = Apiary_engine.Par_sim
 module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
@@ -25,33 +24,24 @@ let default_config =
     qos = false;
   }
 
-(* One mesh, possibly split into vertical stripes of columns, one
-   Par_sim member per stripe. Stripe-indexed stats keep every hot-path
-   write single-writer; public accessors aggregate on read (reads happen
-   between runs, on the coordinating thread). *)
 type 'a t = {
-  engine : Par_sim.t option;
-  sims : Sim.t array;  (* per stripe; length 1 when monolithic *)
+  sim : Sim.t;
   cfg : config;
-  stripe_of_tile : int array;
   routers : 'a Router.t array;
   nics : 'a Nic.t array;
   rx_cbs : ('a Packet.t -> unit) array;
-  lat_all : Stats.Histogram.t array;  (* per stripe *)
-  lat_cls : Stats.Histogram.t array array;  (* [stripe].(cls) *)
-  hops : Stats.Histogram.t array;
-  sent : int array;  (* per stripe *)
-  delivered : int array;
+  lat_all : Stats.Histogram.t;
+  lat_cls : Stats.Histogram.t array;  (* per class *)
+  hops : Stats.Histogram.t;
+  mutable sent : int;
+  mutable delivered : int;
   col_regions : int array;  (* activity subregion id per mesh column *)
   mutable obs_board : int;  (* board id stamped on Span events; -1 = none *)
 }
 
-let sim t = t.sims.(0)
-let stripes t = Array.length t.sims
-let sim_of t s = t.sims.(s)
+let sim t = t.sim
 let config t = t.cfg
 let idx t (c : Coord.t) = Coord.to_index ~cols:t.cfg.cols c
-let stripe_of t (c : Coord.t) = t.stripe_of_tile.(idx t c)
 
 let in_bounds t (c : Coord.t) =
   c.x >= 0 && c.x < t.cfg.cols && c.y >= 0 && c.y < t.cfg.rows
@@ -65,12 +55,10 @@ let router_at t c = t.routers.(idx t c)
 let send t ~src ~dst ?(cls = 0) ?(corr = 0) ~payload_bytes payload =
   assert (in_bounds t src && in_bounds t dst);
   let size_flits = Packet.flits_for ~flit_bytes:t.cfg.flit_bytes ~payload_bytes in
-  let s = stripe_of t src in
   let pkt =
-    Packet.make ~corr ~src ~dst ~cls ~size_flits ~payload
-      ~now:(Sim.now t.sims.(s)) ()
+    Packet.make ~corr ~src ~dst ~cls ~size_flits ~payload ~now:(Sim.now t.sim) ()
   in
-  t.sent.(s) <- t.sent.(s) + 1;
+  t.sent <- t.sent + 1;
   Nic.send (nic_at t src) pkt
 
 let set_obs_board t board =
@@ -80,29 +68,12 @@ let set_obs_board t board =
 
 let set_receiver t c cb = t.rx_cbs.(idx t c) <- cb
 
-(* Aggregating accessors. Per-stripe histograms hold disjoint samples of
-   the same population, so merging bucket counts reproduces exactly the
-   histogram a monolithic run records. *)
-let merged name parts =
-  if Array.length parts = 1 then parts.(0)
-  else begin
-    let h = Stats.Histogram.create name in
-    Array.iter (fun src -> Stats.Histogram.merge_into ~src ~dst:h) parts;
-    h
-  end
-
-let latency t = merged "noc.latency" t.lat_all
-
-let latency_of_class t cls =
-  let cls = if cls >= t.cfg.vcs then t.cfg.vcs - 1 else cls in
-  merged
-    (Printf.sprintf "noc.latency.c%d" cls)
-    (Array.map (fun per -> per.(cls)) t.lat_cls)
-
-let hop_histogram t = merged "noc.hops" t.hops
-let sum = Array.fold_left ( + ) 0
-let packets_sent t = sum t.sent
-let packets_delivered t = sum t.delivered
+let clamp_cls t cls = if cls >= t.cfg.vcs then t.cfg.vcs - 1 else cls
+let latency t = t.lat_all
+let latency_of_class t cls = t.lat_cls.(clamp_cls t cls)
+let hop_histogram t = t.hops
+let packets_sent t = t.sent
+let packets_delivered t = t.delivered
 let flits_routed t = Array.fold_left (fun a r -> a + Router.flits_routed r) 0 t.routers
 
 let tx_backlog t = Array.fold_left (fun a n -> a + Nic.tx_backlog n) 0 t.nics
@@ -110,10 +81,7 @@ let tx_backlog t = Array.fold_left (fun a n -> a + Nic.tx_backlog n) 0 t.nics
 (* Armed (active-set) tickers per mesh column — the per-column aggregate
    activity bits of the hierarchical scheduler. *)
 let column_activity t =
-  Array.init t.cfg.cols (fun x ->
-      Sim.region_active
-        t.sims.(t.stripe_of_tile.(Coord.to_index ~cols:t.cfg.cols { Coord.x; y = 0 }))
-        t.col_regions.(x))
+  Array.map (fun r -> Sim.region_active t.sim r) t.col_regions
 
 let active_columns t =
   Array.fold_left (fun a n -> if n > 0 then a + 1 else a) 0 (column_activity t)
@@ -129,10 +97,9 @@ let neighbor t (c : Coord.t) (p : Port.t) : Coord.t option =
   in
   if p <> Port.Local && in_bounds t c' then Some c' else None
 
-(* In-stripe wiring: direct channel connection, credits returned through
-   the stripe's commit phase (one drain per cycle, not one event per
-   popped flit). *)
-let wire_local t sim r ~port:p ~vc:v ~(dest : 'a Router.chan) =
+(* Link wiring: direct channel connection, credits returned through the
+   commit phase (one drain per cycle, not one event per popped flit). *)
+let wire_link t r ~port:p ~vc:v ~(dest : 'a Router.chan) =
   Router.connect r ~port:p ~vc:v ~dest ~credits:t.cfg.depth;
   let pending = ref 0 in
   let drain () =
@@ -142,120 +109,64 @@ let wire_local t sim r ~port:p ~vc:v ~(dest : 'a Router.chan) =
   in
   dest.Router.on_pop <-
     (fun () ->
-      if !pending = 0 then Sim.mark_dirty sim drain;
-      incr pending)
-
-(* Cross-stripe wiring: the link becomes a partition boundary with a
-   one-cycle lookahead, matching the register it models. A flit routed
-   in cycle [c] commits into the neighbour's input buffer as of cycle
-   [c+1]: monolithically via the commit phase, across the boundary via a
-   committed inject in [c+1]'s event phase — indistinguishable to every
-   observer. Credits return with the same one-cycle latency in the other
-   direction. *)
-let wire_cross t eng ~sp ~sq r ~port:p ~vc:v ~(dest : 'a Router.chan) =
-  let sim_p = t.sims.(sp) and sim_q = t.sims.(sq) in
-  Router.connect_fn r ~port:p ~vc:v ~credits:t.cfg.depth
-    ~push:(fun flit ->
-      Par_sim.post eng ~src:sp ~dst:sq ~time:(Sim.now sim_p + 1) (fun () ->
-          Router.chan_inject dest flit));
-  let pending = ref 0 in
-  let drain () =
-    let n = !pending in
-    pending := 0;
-    Par_sim.post eng ~src:sq ~dst:sp ~time:(Sim.now sim_q + 1) (fun () ->
-        for _ = 1 to n do Router.credit r ~port:p ~vc:v done)
-  in
-  dest.Router.on_pop <-
-    (fun () ->
-      if !pending = 0 then Sim.mark_dirty sim_q drain;
+      if !pending = 0 then Sim.mark_dirty t.sim drain;
       incr pending)
 
 let wire t =
   let link_dirs = [ Port.North; Port.East; Port.South; Port.West ] in
   let wire_one c =
     let r = router_at t c in
-    let sp = stripe_of t c in
     let wire_dir p =
       match neighbor t c p with
       | None -> ()
       | Some nc ->
         let nr = router_at t nc in
-        let sq = stripe_of t nc in
         for v = 0 to t.cfg.vcs - 1 do
-          let dest = Router.input_chan nr (Port.opposite p) v in
-          if sp = sq then wire_local t t.sims.(sp) r ~port:p ~vc:v ~dest
-          else
-            match t.engine with
-            | Some eng -> wire_cross t eng ~sp ~sq r ~port:p ~vc:v ~dest
-            | None -> assert false
+          wire_link t r ~port:p ~vc:v ~dest:(Router.input_chan nr (Port.opposite p) v)
         done
     in
     List.iter wire_dir link_dirs
   in
   List.iter wire_one (coords t)
 
-let create ?engine sim cfg =
+let create sim cfg =
   assert (cfg.cols >= 1 && cfg.rows >= 1);
   assert (cfg.vcs >= 1 && cfg.depth >= 1 && cfg.flit_bytes >= 1);
   let n = cfg.cols * cfg.rows in
-  let sims, nstripes =
-    match engine with
-    | None -> ([| sim |], 1)
-    | Some eng ->
-      let k = Par_sim.n_domains eng in
-      if k > cfg.cols then
-        invalid_arg "Mesh.create: more partitions than mesh columns";
-      (Array.init k (Par_sim.sim eng), k)
-  in
-  (* Balanced blocks of columns; stripe boundaries cut only East/West
-     links, whose latency (one cycle) is the engine's lookahead. *)
-  let stripe_of_col x = x * nstripes / cfg.cols in
-  let stripe_of_tile =
-    Array.init n (fun i -> stripe_of_col (Coord.of_index ~cols:cfg.cols i).Coord.x)
-  in
-  (* One activity subregion per mesh column (in the stripe sim that owns
-     the column): the column's routers + NICs share an aggregate
-     activity bit, so a fully quiescent column reads as zero armed
-     tickers while its neighbours run cycle-by-cycle. *)
-  let col_regions =
-    Array.init cfg.cols (fun x -> Sim.new_region sims.(stripe_of_col x))
-  in
+  (* One activity subregion per mesh column: the column's routers + NICs
+     share an aggregate activity bit, so a fully quiescent column reads
+     as zero armed tickers while its neighbours run cycle-by-cycle. *)
+  let col_regions = Array.init cfg.cols (fun _ -> Sim.new_region sim) in
   let region_of_tile i =
     col_regions.((Coord.of_index ~cols:cfg.cols i).Coord.x)
   in
   let routers =
     Array.init n (fun i ->
-        Router.create ~region:(region_of_tile i)
-          sims.(stripe_of_tile.(i))
+        Router.create ~region:(region_of_tile i) sim
           ~coord:(Coord.of_index ~cols:cfg.cols i)
           ~vcs:cfg.vcs ~depth:cfg.depth ~routing:cfg.routing ~qos:cfg.qos)
   in
   let nics =
     Array.mapi
       (fun i r ->
-        Nic.create ~region:(region_of_tile i)
-          sims.(stripe_of_tile.(i))
-          ~router:r ~depth:cfg.depth ~qos:cfg.qos)
+        Nic.create ~region:(region_of_tile i) sim ~router:r ~depth:cfg.depth
+          ~qos:cfg.qos)
       routers
   in
   let t =
     {
-      engine;
-      sims;
+      sim;
       cfg;
-      stripe_of_tile;
       routers;
       nics;
       rx_cbs = Array.make n (fun _ -> ());
-      lat_all =
-        Array.init nstripes (fun _ -> Stats.Histogram.create "noc.latency");
+      lat_all = Stats.Histogram.create "noc.latency";
       lat_cls =
-        Array.init nstripes (fun _ ->
-            Array.init cfg.vcs (fun c ->
-                Stats.Histogram.create (Printf.sprintf "noc.latency.c%d" c)));
-      hops = Array.init nstripes (fun _ -> Stats.Histogram.create "noc.hops");
-      sent = Array.make nstripes 0;
-      delivered = Array.make nstripes 0;
+        Array.init cfg.vcs (fun c ->
+            Stats.Histogram.create (Printf.sprintf "noc.latency.c%d" c));
+      hops = Stats.Histogram.create "noc.hops";
+      sent = 0;
+      delivered = 0;
       col_regions;
       obs_board = -1;
     }
@@ -264,15 +175,12 @@ let create ?engine sim cfg =
   (* Delivery hook: record stats, then hand to the tile's receiver. *)
   Array.iteri
     (fun i nic ->
-      let s = stripe_of_tile.(i) in
-      let nsim = sims.(s) in
       Nic.set_rx nic (fun pkt ->
-          let lat = Sim.now nsim - pkt.Packet.injected_at in
-          Stats.Histogram.record t.lat_all.(s) lat;
-          let cls = if pkt.Packet.cls >= cfg.vcs then cfg.vcs - 1 else pkt.Packet.cls in
-          Stats.Histogram.record t.lat_cls.(s).(cls) lat;
-          Stats.Histogram.record t.hops.(s) (Packet.hops pkt);
-          t.delivered.(s) <- t.delivered.(s) + 1;
+          let lat = Sim.now sim - pkt.Packet.injected_at in
+          Stats.Histogram.record t.lat_all lat;
+          Stats.Histogram.record t.lat_cls.(clamp_cls t pkt.Packet.cls) lat;
+          Stats.Histogram.record t.hops (Packet.hops pkt);
+          t.delivered <- t.delivered + 1;
           if Span.on () then
             (* End-to-end transfer span, timed from NIC-queue entry so it
                covers injection backlog plus the per-hop child spans. *)
@@ -295,7 +203,7 @@ let register_metrics t ~prefix =
           Stats.Gauge.set
             (Registry.gauge (base ^ ".occ"))
             (float_of_int (Router.input_occupancy r));
-          let now = Sim.now t.sims.(t.stripe_of_tile.(i)) in
+          let now = Sim.now t.sim in
           let util =
             if now = 0 then 0.0
             else float_of_int (Router.busy_cycles r) /. float_of_int now

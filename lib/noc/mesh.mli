@@ -7,7 +7,6 @@
     counts are recorded automatically. *)
 
 module Sim := Apiary_engine.Sim
-module Par_sim := Apiary_engine.Par_sim
 module Stats := Apiary_engine.Stats
 
 type config = {
@@ -25,29 +24,12 @@ val default_config : config
 
 type 'a t
 
-val create : ?engine:Par_sim.t -> Sim.t -> config -> 'a t
-(** Without [engine], everything runs on [sim]. With [engine], the mesh
-    is partitioned into one vertical stripe of columns per engine member
-    ([Par_sim.n_domains] total, which must not exceed [cols]); tiles are
-    created on their stripe's simulator and the East/West links crossing
-    a stripe boundary become partition boundaries with a one-cycle
-    lookahead (the link's register latency). [sim] is ignored in that
-    case. Results are byte-identical to a monolithic run: boundary flits
-    and credits are delivered via committed injects in the neighbour's
-    next event phase, which observers cannot distinguish from the commit
-    phase of a shared simulator. *)
+val create : Sim.t -> config -> 'a t
+(** Build the mesh on [sim]: routers, NICs and the credit-wired links
+    between them. *)
 
 val sim : 'a t -> Sim.t
-(** Member-0 / monolithic simulator (where most callers schedule). *)
-
-val stripes : 'a t -> int
-(** Number of partitions (1 when monolithic). *)
-
-val sim_of : 'a t -> int -> Sim.t
-(** Simulator owning stripe [s]. *)
-
-val stripe_of : 'a t -> Coord.t -> int
-(** Stripe owning a tile. *)
+(** The simulator the mesh runs on. *)
 
 val config : 'a t -> config
 val coords : 'a t -> Coord.t list
@@ -96,7 +78,7 @@ val tx_backlog : 'a t -> int
 
 val column_activity : 'a t -> int array
 (** Armed (active-set) tickers per mesh column — each column is an
-    activity subregion of its stripe's simulator. *)
+    activity subregion of the mesh's simulator. *)
 
 val active_columns : 'a t -> int
 (** Number of columns whose subregion activity bit is set (armed > 0). *)

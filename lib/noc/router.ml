@@ -32,20 +32,8 @@ let chan_pop_exn c =
 let chan_pop c =
   if Fifo.is_empty c.buf then None else Some (chan_pop_exn c)
 
-(* Boundary delivery for the parallel engine: the flit was already
-   staged and committed on the sending partition, so it enters committed
-   storage directly (event phase runs before any ticker looks). *)
-let chan_inject c f =
-  Fifo.inject c.buf f;
-  incr c.occ
-
-(* Where an output VC sends its flits: a downstream channel wired
-   in-simulator, or an opaque push for links that cross a Par_sim
-   partition boundary (capacity is still enforced by credits). *)
-type 'a sink = Sink_chan of 'a chan | Sink_fn of ('a Packet.Flit.t -> unit)
-
 type 'a output = {
-  mutable dest : 'a sink option;
+  mutable dest : 'a chan option;  (* downstream channel; None = unwired *)
   mutable credits : int;
   mutable owner : int;  (* owning input slot mid-packet; -1 = free *)
 }
@@ -93,12 +81,7 @@ let input_occupancy t = !(t.in_occ)
 
 let connect t ~port ~vc ~dest ~credits =
   let o = t.outputs.(Port.index port).(vc) in
-  o.dest <- Some (Sink_chan dest);
-  o.credits <- credits
-
-let connect_fn t ~port ~vc ~push ~credits =
-  let o = t.outputs.(Port.index port).(vc) in
-  o.dest <- Some (Sink_fn push);
+  o.dest <- Some dest;
   o.credits <- credits
 
 let credit t ~port ~vc =
@@ -234,8 +217,7 @@ let route_one t op =
       end
     end;
     (match o.dest with
-    | Some (Sink_chan d) -> chan_push_exn d flit
-    | Some (Sink_fn push) -> push flit
+    | Some d -> chan_push_exn d flit
     | None -> assert false);
     o.credits <- o.credits - 1;
     if Packet.Flit.is_tail flit then begin
@@ -307,9 +289,8 @@ let create ?region sim ~coord ~vcs ~depth ~routing ~qos =
     }
   in
   let h = Sim.add_clocked_h ~name:"noc.router" ?region sim (fun () -> tick t) in
-  (* Any flit arrival — a neighbour's staged push committing, or a
-     cross-partition inject — re-arms the router out of its parked
-     state. *)
+  (* Any flit arrival — a neighbour's staged push committing — re-arms
+     the router out of its parked state. *)
   Array.iter
     (fun row -> Array.iter (fun c -> Fifo.set_owner c.buf h) row)
     t.inputs;

@@ -49,13 +49,6 @@ val chan_pop_exn : 'a chan -> 'a Packet.Flit.t
 (** Like {!chan_pop} but raises [Queue.Empty] instead of allocating an
     option. Check [Fifo.is_empty chan.buf] first on hot paths. *)
 
-val chan_inject : 'a chan -> 'a Packet.Flit.t -> unit
-(** Insert a flit into the channel's {e committed} storage, bypassing
-    the staging phase ({!Fifo.inject}). For cross-partition boundary
-    deliveries in the parallel engine only: the flit already paid its
-    cycle of staging latency on the sending partition. Must run in the
-    event phase, before tickers. *)
-
 type 'a t
 
 val create :
@@ -81,14 +74,6 @@ val input_chan : 'a t -> Port.t -> int -> 'a chan
 val connect : 'a t -> port:Port.t -> vc:int -> dest:'a chan -> credits:int -> unit
 (** Wire the output ([port], [vc]) to a downstream channel with an initial
     credit allowance equal to that channel's buffer depth. *)
-
-val connect_fn :
-  'a t -> port:Port.t -> vc:int -> push:('a Packet.Flit.t -> unit) ->
-  credits:int -> unit
-(** Like {!connect}, but forwarded flits are handed to [push] instead of
-    a local channel — the hook {!Mesh} uses for links that cross a
-    Par_sim partition boundary. [credits] must still equal the remote
-    buffer's depth; credit returns arrive via {!credit}. *)
 
 val credit : 'a t -> port:Port.t -> vc:int -> unit
 (** Return one credit to output ([port], [vc]). *)

@@ -50,23 +50,12 @@ type gen = {
    there. *)
 let scan_bound = 1024
 
-let start mesh ~rng ~pattern ~rate ~payload_bytes ?(cls = 0) ?stripe ~payload () =
+let start mesh ~rng ~pattern ~rate ~payload_bytes ?(cls = 0) ~payload () =
   assert (rate >= 0.0 && rate <= 1.0);
   let g = { running = true; offered = 0; pending = Queue.create () } in
   let cfg = Mesh.config mesh in
   let tiles = Array.of_list (Mesh.coords mesh) in
-  (* Partitioned meshes run one generator replica per stripe, each
-     seeded identically. Every replica draws the complete RNG stream
-     (keeping all replicas' streams in lockstep with the monolithic
-     generator's) but injects only at the tiles its stripe owns — so the
-     union of injections is byte-identical to the single-generator
-     run. *)
-  let owns =
-    match stripe with
-    | None -> fun _ -> true
-    | Some s -> fun src -> Mesh.stripe_of mesh src = s
-  in
-  let sim = Mesh.sim_of mesh (Option.value ~default:0 stripe) in
+  let sim = Mesh.sim mesh in
   (* The generator consumes entropy for every simulated cycle, so it
      cannot simply park: skipping a cycle's draws would shift the RNG
      stream and change every subsequent injection. Instead it draws the
@@ -84,7 +73,7 @@ let start mesh ~rng ~pattern ~rate ~payload_bytes ?(cls = 0) ?stripe ~payload ()
           let dst =
             destination rng pattern ~cols:cfg.Mesh.cols ~rows:cfg.Mesh.rows ~src
           in
-          if (not (Coord.equal dst src)) && owns src then
+          if not (Coord.equal dst src) then
             Queue.add { at = c; psrc = src; pdst = dst } g.pending
         end)
       tiles

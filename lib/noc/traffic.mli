@@ -31,7 +31,6 @@ val start :
   rate:float ->
   payload_bytes:int ->
   ?cls:int ->
-  ?stripe:int ->
   payload:'a ->
   unit ->
   gen
@@ -43,13 +42,7 @@ val start :
     exact per-cycle/per-tile order a cycle-by-cycle generator would),
     buffers upcoming injections, and reports [Idle_until] the next one —
     so the simulator fast-forwards dead air instead of ticking the
-    generator every cycle, with a byte-identical injection sequence.
-
-    On a partitioned mesh pass [stripe] and start one replica per stripe
-    with identically-seeded RNGs: each replica runs on its stripe's
-    simulator, draws the full RNG stream (so streams stay in lockstep)
-    and injects only at tiles its stripe owns — the union of injections
-    is byte-identical to a monolithic single-generator run. *)
+    generator every cycle, with a byte-identical injection sequence. *)
 
 val stop_gen : gen -> unit
 val offered : gen -> int

@@ -173,7 +173,25 @@ let test_statsvc_rejects_garbage () =
   Alcotest.(check (option reject)) "out-of-range tile" None
     (Statsvc.answer k (Statsvc.Tile 999));
   Alcotest.(check (option reject)) "malformed query" None
-    (Statsvc.decode_query (Bytes.make 5 '\000'))
+    (Statsvc.decode_query (Bytes.make 5 '\000'));
+  (* Every truncation of a valid encoding, an unknown tag and an
+     over-long block decode to None rather than raising. *)
+  let truncations b = List.init (Bytes.length b) (fun n -> Bytes.sub b 0 n) in
+  List.iter
+    (fun b ->
+      Alcotest.(check (option reject)) "truncated query" None
+        (Statsvc.decode_query b))
+    (truncations (Statsvc.encode_query (Statsvc.Router 3)));
+  Alcotest.(check (option reject)) "unknown query tag" None
+    (Statsvc.decode_query (Bytes.of_string "\xff\x00\x01"));
+  let block = Perf.encode (Perf.create ()) in
+  List.iter
+    (fun b ->
+      Alcotest.(check (option reject)) "truncated perf block" None
+        (Perf.decode b))
+    (truncations block);
+  Alcotest.(check (option reject)) "over-long perf block" None
+    (Perf.decode (Bytes.cat block (Bytes.make 1 '\xa5')))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)

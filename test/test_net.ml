@@ -23,6 +23,29 @@ let prop_frame_roundtrip =
       | Ok f' -> f' = f
       | Error _ -> false)
 
+(* Decoder fuzzing: random bytes, and every truncation of a valid
+   encoding, must come back as [Error] — never an exception. *)
+let truncations b = List.init (Bytes.length b) (fun n -> Bytes.sub b 0 n)
+
+let frame_wire payload =
+  Frame.serialize (Frame.make ~dst:0x0A0B0C ~src:0x0D0E0F (Bytes.of_string payload))
+
+let prop_frame_parse_fuzz =
+  QCheck.Test.make ~name:"frame parse never raises on fuzz" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 200)) (string_of_size Gen.(int_range 0 100)))
+    (fun (junk, payload) ->
+      (* Junk with a valid FCS appended gets past the checksum, so the
+         length-field check sees garbage too. *)
+      let body = Bytes.of_string junk in
+      let fcs = Bytes.create 4 in
+      Bytes.set_int32_be fcs 0 (Apiary_engine.Checksum.crc32 body);
+      let no_raise b = match Frame.parse b with Ok _ | Error _ -> true in
+      no_raise body
+      && no_raise (Bytes.cat body fcs)
+      && List.for_all
+           (fun b -> Result.is_error (Frame.parse b))
+           (truncations (frame_wire payload)))
+
 let test_frame_fcs_detects_corruption () =
   let f = Frame.make ~dst:1 ~src:2 (b "payload bytes here for the fcs") in
   let wire = Frame.serialize f in
@@ -196,6 +219,39 @@ let prop_netproto_roundtrip =
       let rsp = { Netproto.rsp_id = req_id; status = Netproto.Ok_resp; body } in
       Netproto.decode_request (Netproto.encode_request req) = Ok req
       && Netproto.decode_response (Netproto.encode_response rsp) = Ok rsp)
+
+let netproto_fuzz_arb =
+  QCheck.(pair (string_of_size Gen.(int_range 0 100)) (int_bound 1_000))
+
+let prop_decode_request_fuzz =
+  QCheck.Test.make ~name:"decode_request never raises on fuzz" ~count:300
+    netproto_fuzz_arb (fun (junk, k) ->
+      let b = Bytes.of_string junk in
+      let off = k mod (Bytes.length b + 1) in
+      let req = { Netproto.req_id = k; service = "svc"; op = 7; body = b } in
+      (match Netproto.decode_request ~off b with Ok _ | Error _ -> true)
+      && List.for_all
+           (fun t ->
+             (* The body carries no length: only cuts inside the header
+                and service name (10 + 3 bytes) must be rejected. *)
+             match Netproto.decode_request t with
+             | Error _ -> true
+             | Ok _ -> Bytes.length t >= 13)
+           (truncations (Netproto.encode_request req)))
+
+let prop_decode_response_fuzz =
+  QCheck.Test.make ~name:"decode_response never raises on fuzz" ~count:300
+    netproto_fuzz_arb (fun (junk, k) ->
+      let b = Bytes.of_string junk in
+      let off = k mod (Bytes.length b + 1) in
+      let rsp = { Netproto.rsp_id = k; status = Netproto.Remote_error; body = b } in
+      (match Netproto.decode_response ~off b with Ok _ | Error _ -> true)
+      && List.for_all
+           (fun t ->
+             match Netproto.decode_response t with
+             | Error _ -> true
+             | Ok _ -> Bytes.length t >= 6)
+           (truncations (Netproto.encode_response rsp)))
 
 let test_netproto_rejects_mixups () =
   let req = { Netproto.req_id = 1; service = "s"; op = 2; body = b "x" } in
@@ -409,6 +465,7 @@ let () =
       ( "frame",
         [
           qc prop_frame_roundtrip;
+          qc prop_frame_parse_fuzz;
           Alcotest.test_case "fcs" `Quick test_frame_fcs_detects_corruption;
           Alcotest.test_case "mtu" `Quick test_frame_mtu;
           Alcotest.test_case "padding" `Quick test_frame_padding;
@@ -450,6 +507,8 @@ let () =
       ( "netproto",
         [
           qc prop_netproto_roundtrip;
+          qc prop_decode_request_fuzz;
+          qc prop_decode_response_fuzz;
           Alcotest.test_case "mixups" `Quick test_netproto_rejects_mixups;
         ] );
     ]
