@@ -5,6 +5,7 @@ module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Profile = Apiary_engine.Profile
 module Stats = Apiary_engine.Stats
+module Cluster = Apiary_cluster.Cluster
 
 let cycle_ns = 4.0 (* 250 MHz fabric *)
 
@@ -85,6 +86,28 @@ let rack_domains ~members =
   match Sys.getenv_opt "APIARY_DOMAINS" with
   | Some s -> ( try max 1 (int_of_string s) with _ -> members)
   | None -> members
+
+(* Build a rack, let [body] populate it (returning the result
+   extractor), run for [duration], extract. The rack is partitioned one
+   member per board plus the ToR, with the board uplink's 126 cycles as
+   lookahead, and runs on Par_sim's canonical windowed schedule: Seq by
+   default, spread over domains under APIARY_PAR=boards — byte-identical
+   either way. *)
+let with_rack ~boards ~clients ~duration body =
+  let mode, domains =
+    match par_mode () with
+    | `Boards -> (Par_sim.Par, rack_domains ~members:(boards + 1))
+    | `Off -> (Par_sim.Seq, 1)
+  in
+  let eng = Cluster.engine ~mode ~domains ~boards () in
+  let sim = Par_sim.sim eng 0 in
+  let cluster =
+    Cluster.create ~engine:eng sim ~boards ~client_ports:(clients + 1)
+  in
+  let finish = body sim cluster in
+  Par_sim.run_until eng duration;
+  Par_sim.shutdown eng;
+  finish ()
 
 let parallel_map f items =
   let items = Array.of_list items in

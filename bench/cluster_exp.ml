@@ -8,7 +8,6 @@
    failover. APIARY_E12_SMALL=1 shrinks the sweep for CI smoke runs. *)
 
 module Sim = Apiary_engine.Sim
-module Par_sim = Apiary_engine.Par_sim
 module Rng = Apiary_engine.Rng
 module Stats = Apiary_engine.Stats
 module Shell = Apiary_core.Shell
@@ -24,34 +23,6 @@ open Bench_util
 
 let small () = Sys.getenv_opt "APIARY_E12_SMALL" <> None
 let bytes_of n = Bytes.make n 'x'
-
-(* Build a rack, let [body] populate it (returning the result
-   extractor), run for [duration], extract. Under APIARY_PAR=boards the
-   rack is partitioned one-board-per-domain with the board uplink's
-   126-cycle latency as lookahead and executed by the parallel engine —
-   byte-identical results, wall-clock spread over the domains. *)
-let with_rack ~boards ~clients ~duration body =
-  match par_mode () with
-  | `Boards ->
-    let eng =
-      Par_sim.create ~mode:Par_sim.Par ~adaptive:true
-        ~domains:(rack_domains ~members:(boards + 1))
-        ~lookahead:Cluster.lookahead ~n:(boards + 1) ()
-    in
-    let sim = Par_sim.sim eng 0 in
-    let cluster =
-      Cluster.create ~engine:eng sim ~boards ~client_ports:(clients + 1)
-    in
-    let finish = body sim cluster in
-    Par_sim.run_until eng duration;
-    Par_sim.shutdown eng;
-    finish ()
-  | `Off ->
-    let sim = Sim.create () in
-    let cluster = Cluster.create sim ~boards ~client_ports:(clients + 1) in
-    let finish = body sim cluster in
-    Sim.run_for sim duration;
-    finish ()
 
 (* The parallel engine already owns the cores; nesting sweep-level
    domain parallelism on top would oversubscribe them. *)
@@ -193,8 +164,8 @@ let e12d_run ~duration ~kill_at ~restore_at ~interval =
         Sim.after sim 3_000 (fun () ->
             List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
         (* Failure injection and recovery both run on the rack simulator
-           (member 0 when partitioned): switch port state, directory and
-           ring mutations never leave that domain. *)
+           (member 0): switch port state, directory and ring mutations
+           never leave that member. *)
         Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
         Sim.after sim restore_at (fun () ->
             Cluster.restore cluster ~board:victim);
@@ -234,8 +205,9 @@ let e12d_run ~duration ~kill_at ~restore_at ~interval =
   (pre, degraded, resharded, post, recovered_at - kill_at, failovers, survivors)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry capture (--obs). Two dedicated fixed-seed runs, both on a
-   monolithic engine so every export is byte-stable:
+(* Telemetry capture (--obs). Two dedicated fixed-seed racks, run like
+   every other rack; the exports are byte-stable in every engine mode
+   because Export orders same-cycle spans per board:
 
    - e12o: a single cross-board KV call, exported as a Chrome trace.
      Grouping on the caller's corr id reconstructs the journey — the
@@ -253,28 +225,29 @@ let e12d_run ~duration ~kill_at ~restore_at ~interval =
 let e12_obs_call () =
   Span.reset ();
   Span.set_enabled true;
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:1 in
-  ignore
-    (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
   let status = ref "no reply" in
-  let caller =
-    Shell.behavior "caller" ~on_boot:(fun sh ->
-        Sim.after (Shell.sim sh) 2_000 (fun () ->
-            Cluster.connect cluster ~board:1 sh ~service:"kv" (fun r ->
-                match r with
-                | Error e -> status := Shell.rpc_error_to_string e
-                | Ok target ->
-                  Cluster.call cluster ~board:1 sh target ~op:Kv.Proto.opcode
-                    (Kv.Proto.encode_req (Kv.Proto.Put ("k001", bytes_of 64)))
-                    (fun r ->
-                      status :=
-                        (match r with
-                        | Ok _ -> "ok"
-                        | Error e -> Shell.rpc_error_to_string e)))))
-  in
-  ignore (Cluster.install cluster ~board:1 caller);
-  Sim.run_for sim 60_000;
+  with_rack ~boards:2 ~clients:0 ~duration:60_000 (fun _sim cluster ->
+      ignore
+        (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
+      let caller =
+        Shell.behavior "caller" ~on_boot:(fun sh ->
+            Sim.after (Shell.sim sh) 2_000 (fun () ->
+                Cluster.connect cluster ~board:1 sh ~service:"kv" (fun r ->
+                    match r with
+                    | Error e -> status := Shell.rpc_error_to_string e
+                    | Ok target ->
+                      Cluster.call cluster ~board:1 sh target
+                        ~op:Kv.Proto.opcode
+                        (Kv.Proto.encode_req
+                           (Kv.Proto.Put ("k001", bytes_of 64)))
+                        (fun r ->
+                          status :=
+                            (match r with
+                            | Ok _ -> "ok"
+                            | Error e -> Shell.rpc_error_to_string e)))))
+      in
+      ignore (Cluster.install cluster ~board:1 caller);
+      fun () -> ());
   Span.set_enabled false;
   Export.chrome_trace ~path:"BENCH_obs_call_trace.json" (Span.events ());
   Printf.printf "obs: one cross-board kv call (%s), %d spans -> %s\n" !status
@@ -294,47 +267,49 @@ let e12_obs_drill () =
     else (600_000, 150_000, 350_000, 10_000)
   in
   let boards = 4 and victim = 2 in
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards ~client_ports:(boards + 1) in
-  for b = 0 to boards - 1 do
-    ignore
-      (Cluster.install cluster ~board:b ~service:"kv" (fst (Kv.behavior ())))
-  done;
-  let clients =
-    List.init boards (fun _ ->
-        Shard_client.create cluster ~timeout:20_000 ~service:"kv"
-          ~op:Kv.Proto.opcode ~route:Shard_client.By_key ~gen:(kv_gen 64))
-  in
-  Cluster.register_metrics cluster;
-  List.iter Shard_client.register_metrics clients;
   (* Windowed rollups of every request outcome: latency distribution per
      window for the good ones, a bad-outcome count for the rest. Windows
      roll lazily on each observation (plus the close_upto at the end), so
      no clock hook is needed — Series.attach would arm a wake every
      window and defeat the engine's idle fast-forward. *)
   let series = Series.create ~window () in
-  List.iter
-    (fun c ->
-      Shard_client.set_on_outcome c (fun ~now ~req:_ ~latency ->
-          match latency with
-          | Some l -> Series.observe series ~now "kv.latency" l
-          | None -> Series.observe series ~now "kv.bad" 0))
-    clients;
-  Sim.after sim 3_000 (fun () ->
-      List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
-  Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
-  Sim.after sim restore_at (fun () -> Cluster.restore cluster ~board:victim);
-  Sim.run_for sim duration;
-  List.iter Shard_client.stop clients;
+  let completed =
+    with_rack ~boards ~clients:boards ~duration (fun sim cluster ->
+        for b = 0 to boards - 1 do
+          ignore
+            (Cluster.install cluster ~board:b ~service:"kv"
+               (fst (Kv.behavior ())))
+        done;
+        let clients =
+          List.init boards (fun _ ->
+              Shard_client.create cluster ~timeout:20_000 ~service:"kv"
+                ~op:Kv.Proto.opcode ~route:Shard_client.By_key
+                ~gen:(kv_gen 64))
+        in
+        Cluster.register_metrics cluster;
+        List.iter Shard_client.register_metrics clients;
+        List.iter
+          (fun c ->
+            Shard_client.set_on_outcome c (fun ~now ~req:_ ~latency ->
+                match latency with
+                | Some l -> Series.observe series ~now "kv.latency" l
+                | None -> Series.observe series ~now "kv.bad" 0))
+          clients;
+        Sim.after sim 3_000 (fun () ->
+            List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
+        Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
+        Sim.after sim restore_at (fun () ->
+            Cluster.restore cluster ~board:victim);
+        fun () ->
+          List.iter Shard_client.stop clients;
+          List.fold_left (fun a c -> a + Shard_client.completed c) 0 clients)
+  in
   Span.set_enabled false;
   Series.close_upto series duration;
   Export.chrome_trace ~dropped:(Span.dropped ()) ~path:"BENCH_obs_trace.json"
     (Span.events ());
   Export.metrics_json ~path:"BENCH_obs_metrics.json" (Registry.snapshot ());
   Series.write_json series "BENCH_obs_series.json";
-  let completed =
-    List.fold_left (fun a c -> a + Shard_client.completed c) 0 clients
-  in
   Printf.printf
     "obs: failover drill, %d ops, %d spans (%d sampled away, %d dropped) -> %s\n\
      obs: %d instruments -> %s\n"

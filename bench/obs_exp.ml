@@ -110,17 +110,6 @@ let e13a_run ~read_period ~duration =
 
 let e13b_run ~detector ~duration ~kill_at ~interval =
   let boards = 4 and victim = 2 in
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards ~client_ports:4 in
-  for b = 0 to boards - 1 do
-    ignore
-      (Cluster.install cluster ~board:b ~service:"kv" (fst (Kv.behavior ())))
-  done;
-  let watchdog =
-    match detector with
-    | `Timeout -> None
-    | `Watchdog -> Some (Rack_health.create ~hb_period:500 ~deadline:3_000 cluster)
-  in
   let series = Stats.Series.create "e13b" ~interval in
   let gen n =
     let key = Printf.sprintf "k%03d" (n mod 167) in
@@ -129,21 +118,50 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
     in
     (key, Kv.Proto.encode_req req)
   in
-  let clients =
-    List.init 2 (fun _ ->
-        Shard_client.create cluster ~timeout:20_000 ~service:"kv"
-          ~op:Kv.Proto.opcode ~route:Shard_client.By_key ~gen)
+  let failovers, detect =
+    with_rack ~boards ~clients:3 ~duration (fun sim cluster ->
+        for b = 0 to boards - 1 do
+          ignore
+            (Cluster.install cluster ~board:b ~service:"kv"
+               (fst (Kv.behavior ())))
+        done;
+        let watchdog =
+          match detector with
+          | `Timeout -> None
+          | `Watchdog ->
+            Some (Rack_health.create ~hb_period:500 ~deadline:3_000 cluster)
+        in
+        let clients =
+          List.init 2 (fun _ ->
+              Shard_client.create cluster ~timeout:20_000 ~service:"kv"
+                ~op:Kv.Proto.opcode ~route:Shard_client.By_key ~gen)
+        in
+        List.iter
+          (fun c ->
+            Shard_client.set_on_complete c (fun ~now ->
+                Stats.Series.record series ~now 1.0))
+          clients;
+        Sim.after sim 3_000 (fun () ->
+            List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
+        Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
+        fun () ->
+          List.iter Shard_client.stop clients;
+          let failovers =
+            List.fold_left (fun a c -> a + Shard_client.failovers c) 0 clients
+          in
+          let detect =
+            match watchdog with
+            | None -> None
+            | Some w -> (
+              match
+                List.find_opt (fun (_, b) -> b = victim)
+                  (Rack_health.detections w)
+              with
+              | Some (cyc, _) -> Some (cyc - kill_at)
+              | None -> None)
+          in
+          (failovers, detect))
   in
-  List.iter
-    (fun c ->
-      Shard_client.set_on_complete c (fun ~now ->
-          Stats.Series.record series ~now 1.0))
-    clients;
-  Sim.after sim 3_000 (fun () ->
-      List.iter (fun c -> Shard_client.start c ~concurrency:8) clients);
-  Sim.after sim kill_at (fun () -> Cluster.kill cluster ~board:victim);
-  Sim.run_for sim duration;
-  List.iter Shard_client.stop clients;
   let buckets = Stats.Series.buckets series in
   let avg_over lo hi =
     match
@@ -162,17 +180,6 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
         if t >= kill_at && v >= 0.9 *. pre then t else scan rest
     in
     scan buckets
-  in
-  let failovers =
-    List.fold_left (fun a c -> a + Shard_client.failovers c) 0 clients
-  in
-  let detect =
-    match watchdog with
-    | None -> None
-    | Some w -> (
-      match List.find_opt (fun (_, b) -> b = victim) (Rack_health.detections w) with
-      | Some (cyc, _) -> Some (cyc - kill_at)
-      | None -> None)
   in
   (recovered_at - kill_at, failovers, detect)
 

@@ -21,8 +21,8 @@
 
    APIARY_E14_SMALL=1 shrinks durations for CI smoke runs. The run is
    deterministic and engine-independent: under APIARY_PAR=boards output
-   is byte-identical to the monolithic run (E14's scheduler state lives
-   on the controller partition; commands and telemetry ride the same
+   is byte-identical to the default Seq run (E14's scheduler state lives
+   on the controller member; commands and telemetry ride the same
    staged protocols as frames). *)
 
 module Sim = Apiary_engine.Sim
@@ -188,7 +188,7 @@ let variant_name = function
   | Elastic { migration = true } -> "elastic+mig"
 
 let run_variant ~variant ~boards ~duration ~kill =
-  Cluster_exp.with_rack ~boards ~clients:5 ~duration (fun sim cluster ->
+  with_rack ~boards ~clients:5 ~duration (fun sim cluster ->
       let caps =
         List.init boards (fun b ->
             { Placer.board = b; tiles = 4; slot_cells = slot_cells b })

@@ -53,44 +53,6 @@ open Bench_util
 
 let small () = Sys.getenv_opt "APIARY_E16_SMALL" <> None
 
-(* Like Cluster_exp.with_rack, but both paths run the partitioned
-   engine. E16 runs with spans enabled under APIARY_PAR=boards by
-   design, and keeps its output deterministic by never exporting the
-   global span store — only agent and collector state, which lives on
-   fixed simulators.
-
-   Par_sim's Seq mode is the reference schedule that Par is
-   byte-identical to. A monolithic Sim.create is NOT that reference —
-   when a cross-partition frame and
-   a locally scheduled event land on the same cycle, the global queue
-   orders them by global insertion sequence, while the canonical
-   windowed schedule orders flushed posts after local events armed
-   earlier in the window. Board handlers are insensitive to that tie,
-   but the agent's harvest-at-tick is not: the tie decides whether a
-   delivery's counter bump lands in this batch or the next, and under
-   e16c's starved-queue drill the difference compounds through
-   drop-oldest into visibly different books. Running both sides on the
-   canonical schedule makes the byte-identity claim exact rather than
-   incidental. *)
-let with_rack ~boards ~clients ~duration body =
-  let mode, domains =
-    match par_mode () with
-    | `Boards -> (Apiary_engine.Par_sim.Par, rack_domains ~members:(boards + 1))
-    | `Off -> (Apiary_engine.Par_sim.Seq, 1)
-  in
-  let eng =
-    Apiary_engine.Par_sim.create ~mode ~adaptive:true ~domains
-      ~lookahead:Cluster.lookahead ~n:(boards + 1) ()
-  in
-  let sim = Apiary_engine.Par_sim.sim eng 0 in
-  let cluster =
-    Cluster.create ~engine:eng sim ~boards ~client_ports:(clients + 1)
-  in
-  let finish = body sim cluster in
-  Apiary_engine.Par_sim.run_until eng duration;
-  Apiary_engine.Par_sim.shutdown eng;
-  finish ()
-
 (* Spans on with E12's deterministic sampling (serve spans are corr-0,
    so the collector's outcome feed is never thinned), registry fresh. *)
 let obs_on () =

@@ -507,6 +507,7 @@ let area_cmd part tiles cap_entries flit_bits =
 (* ------------------------------------------------------------------ *)
 (* sched *)
 
+module Par_sim = Apiary_engine.Par_sim
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
 module Rack_health = Apiary_cluster.Rack_health
@@ -520,12 +521,14 @@ module Placer = Apiary_sched.Placer
    --kill, a board serving web is downed mid-run and the watchdog alarm
    path re-places its tenants. The run is deterministic. The same demo
    backs `apiary slo`, which reports the tenants' error budgets and
-   burn-rate alerts instead of the placement table. *)
+   burn-rate alerts instead of the placement table. The rack runs on a
+   sequential Par_sim engine, one member per board plus the ToR. *)
 
 let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
   begin
-    let sim = Sim.create () in
-    let cluster = Cluster.create sim ~boards ~client_ports:5 in
+    let eng = Cluster.engine ~boards () in
+    let sim = Par_sim.sim eng 0 in
+    let cluster = Cluster.create ~engine:eng sim ~boards ~client_ports:5 in
     let noc = { Area.vcs = 2; depth = 4; flit_bits = 32 } in
     let slot_of part =
       match Floorplan.plan ~part ~tiles:16 ~noc ~cap_entries:16 with
@@ -619,7 +622,7 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
                 b;
             Cluster.kill cluster ~board:b
           | [] -> ());
-    Sim.run_for sim cycles;
+    Par_sim.run_until eng cycles;
     List.iter (fun (_, c) -> Shard_client.stop c) clients;
     (sched, clients, health, !victim)
   end

@@ -10,6 +10,7 @@
    deterministic simulation, with a merged per-board trace at the end. *)
 
 module Sim = Apiary_engine.Sim
+module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
 module Trace = Apiary_core.Trace
 module Kv = Apiary_accel.Kv
@@ -19,8 +20,11 @@ module Directory = Apiary_cluster.Directory
 module Shard_client = Apiary_cluster.Shard_client
 
 let () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:3 in
+  (* One engine member per board plus one for the switch and external
+     clients; the default sequential mode runs them in turn. *)
+  let eng = Cluster.engine ~boards:3 () in
+  let sim = Par_sim.sim eng 0 in
+  let cluster = Cluster.create ~engine:eng sim ~boards:3 in
 
   (* One KV replica per board: each owns a slice of the keyspace. *)
   for b = 0 to 2 do
@@ -89,18 +93,18 @@ let () =
   in
 
   (* Let the rack warm up, then pull the plug on board 1. *)
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   report "steady state";
   Printf.printf "\n-- killing board 1 (ToR port down; nobody is told) --\n";
   Cluster.kill cluster ~board:1;
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   report "after kill";
   Printf.printf "   directory now lists %d kv replica(s)\n"
     (List.length (Directory.replicas (Cluster.directory cluster) "kv"));
 
   Printf.printf "\n-- board 1 returns (re-registers, ring re-admits it) --\n";
   Cluster.restore cluster ~board:1;
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   report "after restore";
   Printf.printf "   directory now lists %d kv replica(s)\n"
     (List.length (Directory.replicas (Cluster.directory cluster) "kv"));
@@ -108,7 +112,7 @@ let () =
   (* The merged trace: one cycle-ordered stream, each event stamped with
      its board — sampled while traffic still spans the rack. *)
   Cluster.set_tracing cluster true;
-  Sim.run_for sim 2_000;
+  Par_sim.run_for eng 2_000;
   Shard_client.stop client;
   Printf.printf "\nmerged trace sample (all boards, cycle-ordered):\n";
   let netsvc_events =

@@ -15,7 +15,7 @@ module Board = Apiary_apps.Board
 
 type t = {
   sim : Sim.t;
-  engine : Par_sim.t option;  (* Some when the rack is partitioned *)
+  engine : Par_sim.t;
   switch : Switch.t;
   directory : Directory.t;
   nodes : Node.t array;
@@ -33,45 +33,31 @@ let uplink_bytes_per_cycle = Board.gbps_to_bytes_per_cycle 100.0
 let uplink_prop_cycles = 125
 let lookahead = uplink_prop_cycles + 1
 
+let engine ?mode ?domains ~boards () =
+  Par_sim.create ?mode ~adaptive:true ?domains ~lookahead ~n:(boards + 1) ()
+
 let create ?kernel_cfg ?(client_ports = 8) ?(switch_latency = 250)
-    ?fdb_capacity ?engine sim ~boards =
+    ?fdb_capacity ~engine sim ~boards =
   if boards <= 0 then invalid_arg "Cluster.create: boards must be positive";
-  (* Partitioned rack: member 0 owns the switch, the external clients
-     and every piece of rack-shared state (directory, shard rings,
-     failure injection); member [id+1] owns board [id]'s entire fabric.
-     The only cross-partition traffic is frames on the board uplinks,
-     which the split links stage through Par_sim.post. *)
-  (* The directory announces registry mutations with one uplink of
-     latency in both modes, so a partitioned rack (replica per
-     partition, announcements staged like uplink frames) is
-     byte-identical to a monolithic one. *)
-  let sim, board_sim, mk_uplink, directory =
-    match engine with
-    | None ->
-      (sim, (fun _ -> sim), (fun _ -> None),
-       Directory.create ~announce_delay:lookahead sim)
-    | Some eng ->
-      if Par_sim.n_domains eng <> boards + 1 then
-        invalid_arg "Cluster.create: engine must have boards+1 domains";
-      if Par_sim.lookahead eng > lookahead then
-        invalid_arg "Cluster.create: engine lookahead exceeds uplink latency";
-      let csim = Par_sim.sim eng 0 in
-      ( csim,
-        (fun id -> Par_sim.sim eng (id + 1)),
-        (fun id ->
-          Some
-            (Link.create_split ~sim_a:(Par_sim.sim eng (id + 1)) ~sim_b:csim
-               ~post_to_a:(fun ~time fn ->
-                 Par_sim.post eng ~src:0 ~dst:(id + 1) ~time fn)
-               ~post_to_b:(fun ~time fn ->
-                 Par_sim.post eng ~src:(id + 1) ~dst:0 ~time fn)
-               ~bytes_per_cycle:uplink_bytes_per_cycle
-               ~prop_cycles:uplink_prop_cycles)),
-        Directory.create_replicated ~announce_delay:lookahead
-          ~sims:(Array.init (boards + 1) (Par_sim.sim eng))
-          ~home:(fun b -> b + 1)
-          ~post:(fun ~src ~dst ~time fn -> Par_sim.post eng ~src ~dst ~time fn)
-          () )
+  if Par_sim.n_domains engine <> boards + 1 then
+    invalid_arg "Cluster.create: engine must have boards+1 domains";
+  if Par_sim.lookahead engine > lookahead then
+    invalid_arg "Cluster.create: engine lookahead exceeds uplink latency";
+  if sim != Par_sim.sim engine 0 then
+    invalid_arg "Cluster.create: sim must be the engine's member 0";
+  (* Member 0 owns the switch, the external clients and every piece of
+     rack-shared state (directory, shard rings, failure injection);
+     member [id+1] owns board [id]'s entire fabric. Everything that
+     crosses members — uplink frames on the split links, directory
+     announcements, post_to_board commands — is staged through
+     Par_sim.post at least one uplink latency ahead. *)
+  let uplink id =
+    Link.create_split ~sim_a:(Par_sim.sim engine (id + 1)) ~sim_b:sim
+      ~post_to_a:(fun ~time fn ->
+        Par_sim.post engine ~src:0 ~dst:(id + 1) ~time fn)
+      ~post_to_b:(fun ~time fn ->
+        Par_sim.post engine ~src:(id + 1) ~dst:0 ~time fn)
+      ~bytes_per_cycle:uplink_bytes_per_cycle ~prop_cycles:uplink_prop_cycles
   in
   let switch =
     Switch.create ?fdb_capacity sim ~nports:(boards + client_ports)
@@ -79,14 +65,15 @@ let create ?kernel_cfg ?(client_ports = 8) ?(switch_latency = 250)
   in
   let nodes =
     Array.init boards (fun id ->
-        Node.create ?kernel_cfg ?ext_link:(mk_uplink id) (board_sim id) ~switch
-          ~id ~port:id)
+        Node.create ?kernel_cfg ~ext_link:(uplink id)
+          (Par_sim.sim engine (id + 1))
+          ~switch ~id ~port:id)
   in
   {
     sim;
     engine;
     switch;
-    directory;
+    directory = Directory.create ~announce_delay:lookahead engine;
     nodes;
     exported = Hashtbl.create 8;
     next_client_port = boards;
@@ -95,21 +82,17 @@ let create ?kernel_cfg ?(client_ports = 8) ?(switch_latency = 250)
   }
 
 (* Controller-to-board command delivery: run [fn] inside board [board]'s
-   partition [delay] cycles from the controller's now. Commands ride the
+   member [delay] cycles from the controller's now. Commands ride the
    same staging protocol as uplink frames and directory announcements
-   (so [delay >= lookahead]); in a monolithic rack the timing is
-   identical, keeping partitioned runs byte-for-byte the same. Must be
-   called from controller (member 0) execution. *)
+   (so [delay >= lookahead]). Must be called from controller (member 0)
+   execution. *)
 let post_to_board t ~board ~delay fn =
   if delay < lookahead then
     invalid_arg "Cluster.post_to_board: delay must be >= Cluster.lookahead";
   if board < 0 || board >= Array.length t.nodes then
     invalid_arg "Cluster.post_to_board: no such board";
-  match t.engine with
-  | Some eng ->
-    Par_sim.post eng ~src:0 ~dst:(board + 1)
-      ~time:(Sim.now t.sim + delay) fn
-  | None -> Sim.after t.sim delay fn
+  Par_sim.post t.engine ~src:0 ~dst:(board + 1)
+    ~time:(Sim.now t.sim + delay) fn
 
 let sim t = t.sim
 let switch t = t.switch
@@ -187,9 +170,9 @@ let restore t ~board =
 let add_client ?(gbps = 10.0) t =
   let port = t.next_client_port in
   t.next_client_port <- port + 1;
-  (* Client links live wholly on the rack simulator (member 0 under a
-     partitioned engine) — never on a board's, whose partition the
-     switch-side delivery would then cross without staging. *)
+  (* Client links live wholly on the rack simulator (member 0) — never
+     on a board's member, which the switch-side delivery would then
+     cross without staging. *)
   let link =
     Link.create t.sim
       ~bytes_per_cycle:(Board.gbps_to_bytes_per_cycle gbps)

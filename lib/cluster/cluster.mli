@@ -27,12 +27,22 @@ val lookahead : int
     125 of propagation + ≥1 of serialization) — the widest window a
     board-per-partition engine for this rack may use. *)
 
+val engine :
+  ?mode:Apiary_engine.Par_sim.mode ->
+  ?domains:int ->
+  boards:int ->
+  unit ->
+  Apiary_engine.Par_sim.t
+(** The engine a rack of [boards] boards runs on: [boards + 1] members,
+    a lookahead of {!lookahead} and adaptive windows. [mode] (default
+    [Seq]) and [domains] are {!Apiary_engine.Par_sim.create}'s. *)
+
 val create :
   ?kernel_cfg:Apiary_core.Kernel.config ->
   ?client_ports:int ->
   ?switch_latency:int ->
   ?fdb_capacity:int ->
-  ?engine:Apiary_engine.Par_sim.t ->
+  engine:Apiary_engine.Par_sim.t ->
   Sim.t ->
   boards:int ->
   t
@@ -40,22 +50,22 @@ val create :
     (default 8) are reserved for {!add_client}. [switch_latency]
     defaults to 250 cycles (1 µs ToR at 250 MHz).
 
-    With [engine] (which must have exactly [boards + 1] domains and a
-    lookahead of at most {!lookahead}), the rack is partitioned: member
-    0 owns the ToR switch, external clients and all rack-shared state;
-    member [id + 1] owns board [id]'s fabric; board uplinks become
-    {!Apiary_net.Link.create_split} partition boundaries. [sim] is
-    ignored in that case. Run the rack through {!Apiary_engine.Par_sim}
-    — results are byte-identical between its [Seq] and [Par] modes.
+    The rack is partitioned one member per board over [engine], which
+    must have exactly [boards + 1] members and a lookahead of at most
+    {!lookahead}: member 0 owns the ToR switch, external clients and all
+    rack-shared state; member [id + 1] owns board [id]'s fabric; board
+    uplinks are {!Apiary_net.Link.create_split} member boundaries. [sim]
+    must be member 0's simulator ({!Apiary_engine.Par_sim.sim}[ engine
+    0]). Raises [Invalid_argument] when any of these does not hold. Run
+    the rack through {!Apiary_engine.Par_sim} — results are
+    byte-identical between its [Seq] and [Par] modes.
 
-    The {!directory} is replicated per partition (a replica on member 0
+    The {!directory} is replicated per member (a replica on member 0
     for the controller and clients, one on member [id + 1] for board
     [id]), with registry mutations announced through the same
     boundary-merge protocol as uplink frames — so {!connect}/{!call}
-    work from board shells and external clients alike, partitioned or
-    not, with byte-identical results. Directory mutations take one
-    uplink ({!lookahead} cycles) to become visible in {e every} mode,
-    monolithic included. *)
+    work from board shells and external clients alike. Directory
+    mutations take one uplink ({!lookahead} cycles) to become visible. *)
 
 val sim : t -> Sim.t
 val switch : t -> Switch.t
@@ -107,10 +117,10 @@ val post_to_board : t -> board:int -> delay:int -> (unit -> unit) -> unit
 (** Run a thunk inside [board]'s partition [delay] cycles from the
     controller's now — the rack controller's command channel (e.g. a
     scheduler ordering an install or reconfiguration). [delay] must be
-    at least {!lookahead}: commands ride the same staging protocol as
-    uplink frames, and the same delay applies in a monolithic rack, so
-    partitioned runs stay byte-identical. Call only from controller
-    (member 0) execution. *)
+    at least {!lookahead} — commands ride the same staging protocol as
+    uplink frames — and [board] must exist; otherwise raises
+    [Invalid_argument]. Call only from controller (member 0)
+    execution. *)
 
 (** {1 External clients} *)
 

@@ -18,11 +18,10 @@
    closes to the record even under deliberate congestion — the identity
    E16's CI gate asserts.
 
-   Everything here runs on the rack simulator (member 0 under a
-   partitioned engine): batches from split board partitions arrive
-   through the same deterministic boundary merge as RPC frames, so the
-   collector's exports are byte-identical between Seq and
-   [APIARY_PAR=boards]. *)
+   Everything here runs on the rack simulator (engine member 0):
+   batches from the board members arrive through the same
+   deterministic boundary merge as RPC frames, so the collector's
+   exports are byte-identical between Seq and [APIARY_PAR=boards]. *)
 
 module Sim = Apiary_engine.Sim
 module Stats = Apiary_engine.Stats

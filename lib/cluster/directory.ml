@@ -2,20 +2,19 @@
    per-(board, service) route caches.
 
    Models the paper's remote control plane (§6-Q3). The directory is
-   replicated one copy per engine partition: replica 0 is the rack
-   controller's view, replica [p] lives on partition [p]'s simulator and
-   serves that partition's boards. Registry mutations (register,
+   replicated one copy per engine member: replica 0 is the rack
+   controller's view on member 0, replica [b + 1] lives on board [b]'s
+   member and serves that board. Registry mutations (register,
    unregister, failure reports) are *announcements* tagged
-   [(apply_time, source partition, per-source seq)]; every replica —
+   [(apply_time, source member, per-source seq)]; every replica —
    including the announcer's own — applies them in that canonical order
    once [apply_time] has passed, so all replicas evolve through the same
-   registry states and a monolithic run is byte-identical to a
-   partitioned one. Cross-partition delivery rides the engine's
-   boundary-merge protocol (Par_sim.post); [announce_delay] is the wire
-   latency and must be at least the engine lookahead.
+   registry states in every engine mode. Cross-member delivery rides the
+   engine's boundary-merge protocol (Par_sim.post); [announce_delay] is
+   the wire latency and must be at least the engine lookahead.
 
    Route caches (the per-(from_board, service) resolution decisions) are
-   replica-local and written only by the owning partition — the write
+   replica-local and written only by the owning member — the write
    paths assert this against {!Par_sim.current_partition} in debug
    builds. Failure detection is caller-driven: a failed remote call
    invalidates the cached route and reports the replica's board; the
@@ -69,11 +68,10 @@ type rep = {
 }
 
 type t = {
-  reps : rep array;  (* length 1 = monolithic *)
-  home : int -> int;  (* board -> replica index *)
+  reps : rep array;  (* one per engine member *)
+  eng : Par_sim.t;
   delay : int;
-  post : (src:int -> dst:int -> time:int -> (unit -> unit) -> unit) option;
-  ann_seq : int array;  (* per source partition *)
+  ann_seq : int array;  (* per source member *)
 }
 
 (* Replica state may only be written by its owning partition's
@@ -100,32 +98,21 @@ let mk_rep part rsim =
     invalidations = 0;
   }
 
-let create ?(announce_delay = 0) sim =
-  if announce_delay < 0 then
-    invalid_arg "Directory.create: announce_delay must be >= 0";
+let create ~announce_delay eng =
+  if announce_delay < Par_sim.lookahead eng then
+    invalid_arg
+      "Directory.create: announce_delay must be >= the engine lookahead";
+  let n = Par_sim.n_domains eng in
   {
-    reps = [| mk_rep 0 sim |];
-    home = (fun _ -> 0);
+    reps = Array.init n (fun p -> mk_rep p (Par_sim.sim eng p));
+    eng;
     delay = announce_delay;
-    post = None;
-    ann_seq = [| 0 |];
+    ann_seq = Array.make n 0;
   }
 
-let create_replicated ~announce_delay ~sims ~home ~post () =
-  if announce_delay < 1 then
-    invalid_arg "Directory.create_replicated: announce_delay must be >= 1";
-  if Array.length sims < 1 then
-    invalid_arg "Directory.create_replicated: need at least one replica";
-  {
-    reps = Array.mapi mk_rep sims;
-    home;
-    delay = announce_delay;
-    post = Some post;
-    ann_seq = Array.make (Array.length sims) 0;
-  }
-
-let rep_for t from_board =
-  if Array.length t.reps = 1 then t.reps.(0) else t.reps.(t.home from_board)
+(* Member 0 is the controller; board [b] lives on member [b + 1]. *)
+let home board = board + 1
+let rep_for t from_board = t.reps.(home from_board)
 
 (* ------------------------------------------------------------------ *)
 (* Announcement protocol *)
@@ -185,16 +172,13 @@ let apply rep = function
 
 (* An announcement made at cycle [c] becomes visible to reads strictly
    after [c + delay] — one delay for the wire, visible the next cycle —
-   in every replica and every engine mode alike. A zero-delay
-   (standalone, monolithic) directory is synchronous: visible at [c]. *)
-let visible t a now = a.a_time < now || (t.delay = 0 && a.a_time = now)
-
-let drain t rep =
+   in every replica and every engine mode alike. *)
+let drain rep =
   match rep.inbox with
   | [] -> ()
   | _ -> (
     let now = Sim.now rep.rsim in
-    let ready, later = List.partition (fun a -> visible t a now) rep.inbox in
+    let ready, later = List.partition (fun a -> a.a_time < now) rep.inbox in
     match ready with
     | [] -> ()
     | ready ->
@@ -215,10 +199,8 @@ let announce t ~src u =
     (fun d rep ->
       if d = src then rep.inbox <- a :: rep.inbox
       else
-        match t.post with
-        | Some post ->
-          post ~src ~dst:d ~time:a.a_time (fun () -> rep.inbox <- a :: rep.inbox)
-        | None -> assert false)
+        Par_sim.post t.eng ~src ~dst:d ~time:a.a_time (fun () ->
+            rep.inbox <- a :: rep.inbox))
     t.reps
 
 (* ------------------------------------------------------------------ *)
@@ -233,11 +215,7 @@ let unregister t ~service ~board =
   announce t ~src:0 (U_unregister_service { service; board })
 
 let report_failure t ?from_board ~board () =
-  let src =
-    match from_board with
-    | None -> 0
-    | Some b -> if Array.length t.reps = 1 then 0 else t.home b
-  in
+  let src = match from_board with None -> 0 | Some b -> home b in
   announce t ~src (U_unregister { board })
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +243,7 @@ let slot_for rep ~from_board ~service =
 let resolve t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
-  drain t rep;
+  drain rep;
   rep.lookups <- rep.lookups + 1;
   let slot = slot_for rep ~from_board ~service in
   if slot.epoch = rep.reg_epoch then begin
@@ -306,7 +284,7 @@ let resolve t ~from_board ~service =
 let invalidate t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
-  drain t rep;
+  drain rep;
   match Hashtbl.find_opt rep.sids service with
   | None -> ()
   | Some sid -> (
@@ -324,16 +302,16 @@ let invalidate t ~from_board ~service =
 
 let replicas t service =
   let rep = t.reps.(0) in
-  drain t rep;
+  drain rep;
   registered rep service
 
 let services t =
   let rep = t.reps.(0) in
-  drain t rep;
+  drain rep;
   Hashtbl.fold (fun s _ acc -> s :: acc) rep.registry [] |> List.sort compare
 
-(* Counters are summed across replicas; per-replica slices partition the
-   monolithic totals, so the sums are engine-mode-independent. *)
+(* Counters are summed across replicas; each replica counts only its own
+   boards' lookups, so the sums are engine-mode-independent. *)
 let sum_reps t f = Array.fold_left (fun acc rep -> acc + f rep) 0 t.reps
 let lookups t = sum_reps t (fun r -> r.lookups)
 let cache_hits t = sum_reps t (fun r -> r.cache_hits)

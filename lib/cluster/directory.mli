@@ -9,19 +9,17 @@
 
     {2 Replication}
 
-    The directory is replicated one copy per engine partition:
-    replica 0 serves the rack controller, replica [home board] serves
-    that board's partition. Registry mutations are {e announcements}
-    tagged [(apply_time, source partition, per-source sequence)] and
-    applied at {e every} replica — including the announcer's own — in
-    that canonical order once [apply_time] is reached, so all replicas
-    step through the same registry states and partitioned runs are
-    byte-identical to monolithic ones. A mutation announced at cycle
-    [c] becomes visible to reads strictly after [c + announce_delay]
-    (synchronously at [c] when [announce_delay = 0], the standalone
-    default). Cross-partition delivery uses the posting hook supplied
-    to {!create_replicated} — in a {!Cluster} rack, the parallel
-    engine's boundary-merge protocol.
+    The directory is replicated one copy per engine member: replica 0
+    on member 0 serves the rack controller, replica [b + 1] on board
+    [b]'s member serves that board. Registry mutations are
+    {e announcements} tagged [(apply_time, source member, per-source
+    sequence)] and applied at {e every} replica — including the
+    announcer's own — in that canonical order once [apply_time] has
+    passed, so all replicas step through the same registry states in
+    every engine mode. A mutation announced at cycle [c] becomes visible
+    to reads strictly after [c + announce_delay]. Cross-member delivery
+    uses the engine's boundary-merge protocol
+    ({!Apiary_engine.Par_sim.post}).
 
     Resolution results are cached per [(from_board, service)] in the
     asking board's replica; a failed remote call must {!invalidate} its
@@ -38,23 +36,12 @@ type resolution =
 
 type t
 
-val create : ?announce_delay:int -> Apiary_engine.Sim.t -> t
-(** Single-replica directory on [sim]'s clock. [announce_delay]
-    (default 0) cycles pass between a mutation and its visibility to
-    reads; 0 means synchronous. *)
-
-val create_replicated :
-  announce_delay:int ->
-  sims:Apiary_engine.Sim.t array ->
-  home:(int -> int) ->
-  post:(src:int -> dst:int -> time:int -> (unit -> unit) -> unit) ->
-  unit ->
-  t
-(** One replica per element of [sims] (replica [p] lives on partition
-    [p]'s simulator). [home board] is the replica index serving that
-    board. [post] delivers a foreign replica's inbox append at the
-    announcement's apply time; [announce_delay] must be at least the
-    engine lookahead so those posts are legal, and at least 1. *)
+val create : announce_delay:int -> Apiary_engine.Par_sim.t -> t
+(** One replica per member of the engine, laid out as a {!Cluster} rack
+    partitions it: member 0 is the controller, member [b + 1] board
+    [b]. [announce_delay] is the cycles between a mutation and its
+    visibility; it must be at least the engine lookahead (raises
+    [Invalid_argument] otherwise) so the cross-member posts are legal. *)
 
 val register : t -> service:string -> board:int -> mac:int -> unit
 (** Idempotent per (service, board). Announced from the controller
@@ -93,8 +80,8 @@ val services : t -> string list
 
 (** {2 Counters}
 
-    Summed across replicas; the per-replica slices partition the
-    monolithic totals, so the sums are engine-mode-independent. *)
+    Summed across replicas; each replica counts only its own boards'
+    lookups, so the sums are engine-mode-independent. *)
 
 val lookups : t -> int
 val cache_hits : t -> int

@@ -17,10 +17,10 @@ type t = {
    (…F0CA) and the client block (…0C0000+). *)
 let mac_of_id id = 0x02_0000_0B0000 + id
 
-let create ?kernel_cfg ?ext_link sim ~switch ~id ~port =
+let create ?kernel_cfg ~ext_link sim ~switch ~id ~port =
   let board =
     Board.create ?kernel_cfg ~attach:(switch, port) ~mac_addr:(mac_of_id id)
-      ?ext_link sim
+      ~ext_link sim
   in
   (* Stamp this board's id on its kernel trace (so per-board traces can
      be pooled with Trace.merge) and on its mesh (so span events land on

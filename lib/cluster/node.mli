@@ -26,15 +26,15 @@ val mac_of_id : int -> int
 
 val create :
   ?kernel_cfg:Kernel.config ->
-  ?ext_link:Apiary_net.Link.t ->
+  ext_link:Apiary_net.Link.t ->
   Sim.t ->
   switch:Switch.t ->
   id:int ->
   port:int ->
   t
-(** [sim] is the board's own simulator; [ext_link] (see
-    {!Apiary_apps.Board.create}) carries its uplink when that simulator
-    is a Par_sim partition separate from the switch's. *)
+(** [sim] is the board's own engine member; [ext_link] (see
+    {!Apiary_apps.Board.create}) is its uplink, split between that
+    member and the switch's. *)
 
 val id : t -> int
 val port : t -> int

@@ -26,7 +26,7 @@ module Board = Apiary_apps.Board
 let hb_magic = "HB"
 
 type t = {
-  sim : Sim.t;  (* rack simulator (member 0 under a partitioned engine) *)
+  sim : Sim.t;  (* rack simulator (engine member 0) *)
   cluster : Cluster.t;
   mac : Mac.t;
   my_mac : int;

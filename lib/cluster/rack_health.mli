@@ -11,9 +11,9 @@
     (~120 µs in the E12 drill) that client-driven detection needs.
 
     Heartbeats are events on each board's own simulator, so they fire
-    across quiescence fast-forward and work under a partitioned
-    ([Par_sim]) rack; the watchdog state lives wholly on the rack
-    member. Deterministic for a fixed seed. *)
+    across quiescence fast-forward and in every engine mode; the
+    watchdog state lives wholly on the rack member. Deterministic for a
+    fixed seed. *)
 
 type t
 

@@ -683,32 +683,39 @@ let egress_pending t =
   let rec go c = c < n && (not (Fifo.is_empty t.egress.(c)) || go (c + 1)) in
   go 0
 
+let busy_tick t =
+  process_egress t;
+  deliver_one t;
+  (match t.behavior.on_tick with
+  | Some f when now t >= t.busy_until -> f t
+  | Some _ | None -> ());
+  watchdog t;
+  Sim.Busy
+
 let tick t =
   match t.m_state with
   | Draining _ | Offline -> Sim.Idle
   | Running ->
-    if
-      t.behavior.on_tick = None
-      && Queue.is_empty t.rx
-      && not (egress_pending t)
-    then begin
-      (* Nothing queued anywhere: process_egress and deliver_one would be
-         no-ops and the watchdog would reset (rx is empty) — mirror that
-         reset so skipped cycles are indistinguishable from executed ones.
-         Staged-but-uncommitted egress keeps the sim non-quiescent via the
-         dirty-FIFO list, so it cannot be jumped over. *)
-      if t.cfg.watchdog > 0 then t.hang_cycles <- 0;
-      Sim.Idle
+    if t.behavior.on_tick = None && not (egress_pending t) then begin
+      if Queue.is_empty t.rx then begin
+        (* Nothing queued anywhere: process_egress and deliver_one would
+           be no-ops and the watchdog would reset (rx is empty) — mirror
+           that reset so skipped cycles are indistinguishable from
+           executed ones. Staged-but-uncommitted egress keeps the sim
+           non-quiescent via the dirty-FIFO list, so it cannot be jumped
+           over. *)
+        if t.cfg.watchdog > 0 then t.hang_cycles <- 0;
+        Sim.Idle
+      end
+      else if t.cfg.watchdog = 0 && now t < t.busy_until then
+        (* Serving: queued rx waits for [busy_until] and, with no
+           watchdog counting hang cycles, every tick before then is a
+           no-op. Ingress, an egress commit and [reset] all re-arm us
+           early. *)
+        Sim.Idle_until t.busy_until
+      else busy_tick t
     end
-    else begin
-      process_egress t;
-      deliver_one t;
-      (match t.behavior.on_tick with
-      | Some f when now t >= t.busy_until -> f t
-      | Some _ | None -> ());
-      watchdog t;
-      Sim.Busy
-    end
+    else busy_tick t
 
 let create ?region sim ~tile cfg fabric ~trace ?flight ~privileged behavior =
   let flight =

@@ -59,11 +59,17 @@ let add_event b (ev : Span.event) =
   if args <> [] then add_args b args;
   Buffer.add_char b '}'
 
+(* Same-cycle ties break by board, then recording order. A board's
+   events are all recorded by its own engine member, so their relative
+   order is the same in every engine mode; the global interleaving of
+   different boards is not. *)
 let chrome_trace_string ?(dropped = 0) events =
   let events =
     List.stable_sort
       (fun (a : Span.event) (b : Span.event) ->
-        if a.ts <> b.ts then compare a.ts b.ts else compare a.seq b.seq)
+        if a.ts <> b.ts then compare a.ts b.ts
+        else if a.board <> b.board then compare a.board b.board
+        else compare a.seq b.seq)
       events
   in
   (* Every (board, track) pair that appears gets a process_name record so

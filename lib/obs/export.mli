@@ -14,9 +14,11 @@
       span rather than silently dropped;
     - [corr] and the span args become event [args].
 
-    Output is byte-stable for a fixed-seed capture: events are sorted by
-    [(ts, seq)], metadata by pid, and no wall-clock or address-derived
-    value is emitted. *)
+    Output is byte-stable for a fixed-seed capture in every engine
+    mode: events are sorted by [(ts, board, seq)] — recording order
+    only breaks ties within one board, whose events its own engine
+    member records in a deterministic order — metadata by pid, and no
+    wall-clock or address-derived value is emitted. *)
 
 val chrome_trace_string : ?dropped:int -> Span.event list -> string
 (** When [dropped > 0] the capture is partial (the span buffer cap was

@@ -14,11 +14,14 @@
     [Trace.record_lazy]). Call sites that would allocate argument lists
     should guard with {!on} themselves.
 
-    Timestamps are simulation cycles — never wall clock — so a capture
-    from a fixed-seed run is deterministic and its export byte-stable.
-    Recording is mutex-protected for safety if a parallel engine is left
-    running with spans enabled, but deterministic capture requires a
-    monolithic (single-domain) simulation.
+    Timestamps are simulation cycles — never wall clock. Recording is
+    mutex-protected, so a parallel engine may record concurrently; the
+    global recording order then interleaves boards differently run to
+    run, but each board's own events keep their order, and
+    {!Export.chrome_trace} sorts by [(ts, board, seq)]. A fixed-seed
+    capture is therefore deterministic and its export byte-stable in
+    any engine mode, as long as nothing is dropped at the cap (which
+    events the cap drops depends on the interleaving).
 
     {b Sampling} ({!set_sampling}) keeps full-scale captures inside the
     buffer cap without losing determinism: correlation families are
@@ -38,7 +41,8 @@ type ph =
   | Mark  (** a point event *)
 
 type event = {
-  seq : int;  (** recording order; export tie-breaker at equal [ts] *)
+  seq : int;
+      (** recording order; export tie-breaker at equal [ts] and [board] *)
   name : string;
   cat : string;  (** layer: ["monitor"], ["noc"], ["net"], ["cluster"] *)
   corr : int;  (** board-local RPC correlation id; [0] = uncorrelated *)

@@ -6,11 +6,11 @@
    only from controller events — the epoch timer, beacon/alarm frame
    receipt on the controller NIC, and Cluster's board up/down
    announcements. Board fabrics are touched only through thunks staged
-   with Cluster.post_to_board (>= one uplink of latency, identical in
-   monolithic mode) and through board-side periodic events armed before
-   the run starts. Completion times of installs and migrations are
-   *predicted* controller-side from deterministic cost constants rather
-   than signalled back, so no board->controller post is ever needed. *)
+   with Cluster.post_to_board (>= one uplink of latency) and through
+   board-side periodic events armed before the run starts. Completion
+   times of installs and migrations are *predicted* controller-side
+   from deterministic cost constants rather than signalled back, so no
+   board->controller post is ever needed. *)
 
 module Sim = Apiary_engine.Sim
 module Stats = Apiary_engine.Stats

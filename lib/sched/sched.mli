@@ -7,8 +7,8 @@
 
     {2 Control and telemetry planes}
 
-    All scheduler state lives on the rack controller (member 0 of a
-    partitioned engine). Telemetry flows {e up} as raw-Ethernet beacons
+    All scheduler state lives on the rack controller (the rack engine's
+    member 0). Telemetry flows {e up} as raw-Ethernet beacons
     on the boards' uplinks: each board periodically reads its own
     {!Apiary_core.Statsvc} counter blocks and emits a compact load
     report (board busy/message deltas plus per-tile message deltas), and
@@ -16,8 +16,8 @@
     router-congestion alarms into alarm frames. Commands flow {e down}
     through {!Apiary_cluster.Cluster.post_to_board} with at least one
     uplink of latency — the same staging protocol as frames and
-    directory announcements — so partitioned runs are byte-identical to
-    monolithic ones. A killed board's beacons die at its downed switch
+    directory announcements — so Seq and Par engine runs are
+    byte-identical. A killed board's beacons die at its downed switch
     port; staleness is exactly what the controller should see.
 
     {2 Decisions}

@@ -4,6 +4,7 @@
    re-registration. *)
 
 module Sim = Apiary_engine.Sim
+module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
 module Trace = Apiary_core.Trace
@@ -20,20 +21,31 @@ let b = Bytes.of_string
 (* ------------------------------------------------------------------ *)
 (* Directory (pure rack-controller state) *)
 
-(* Standalone directories are synchronous (announce_delay 0); in a
-   Cluster, mutations take one uplink to become visible. *)
+(* A directory over a rack-shaped engine: member 0 is the controller,
+   members 1-3 boards 0-2. Mutations become visible strictly after the
+   announce delay, so [settle] runs the engine one cycle past it. *)
+let delay = 16
+
+let mk_directory () =
+  let eng = Par_sim.create ~lookahead:delay ~n:4 () in
+  (eng, Directory.create ~announce_delay:delay eng)
+
+let settle eng = Par_sim.run_for eng (delay + 1)
+
 let test_directory_local_hit () =
-  let d = Directory.create (Sim.create ()) in
+  let eng, d = mk_directory () in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
   Directory.register d ~service:"kv" ~board:1 ~mac:0xA1;
+  settle eng;
   match Directory.resolve d ~from_board:0 ~service:"kv" with
   | Some Directory.Local -> ()
   | Some (Directory.Remote _) -> Alcotest.fail "own replica should win"
   | None -> Alcotest.fail "unresolved"
 
 let test_directory_remote_hit_and_cache () =
-  let d = Directory.create (Sim.create ()) in
+  let eng, d = mk_directory () in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
+  settle eng;
   let first =
     match Directory.resolve d ~from_board:2 ~service:"kv" with
     | Some (Directory.Remote r) ->
@@ -52,9 +64,10 @@ let test_directory_remote_hit_and_cache () =
     (Directory.resolve d ~from_board:2 ~service:"nope" = None)
 
 let test_directory_stale_route_invalidation () =
-  let d = Directory.create (Sim.create ()) in
+  let eng, d = mk_directory () in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
   Directory.register d ~service:"kv" ~board:1 ~mac:0xA1;
+  settle eng;
   let chosen =
     match Directory.resolve d ~from_board:2 ~service:"kv" with
     | Some (Directory.Remote r) -> r.Directory.board
@@ -63,6 +76,7 @@ let test_directory_stale_route_invalidation () =
   (* The chosen board dies: its cached route must not be handed out
      again; resolution moves to the survivor. *)
   Directory.report_failure d ~board:chosen ();
+  settle eng;
   (match Directory.resolve d ~from_board:2 ~service:"kv" with
   | Some (Directory.Remote r) ->
     Alcotest.(check bool) "moved off the dead board" true
@@ -76,19 +90,18 @@ let test_directory_stale_route_invalidation () =
   | Some (Directory.Remote _) -> ()
   | _ -> Alcotest.fail "survivor should still resolve"
 
-(* A delayed directory hides a mutation until one announce_delay has
-   fully passed — the visibility rule that makes monolithic and
-   partitioned racks byte-identical. *)
+(* A mutation stays hidden until one announce_delay has fully passed —
+   the visibility rule every replica applies alike, whichever member
+   announced it. *)
 let test_directory_announce_delay () =
-  let sim = Sim.create () in
-  let d = Directory.create ~announce_delay:10 sim in
+  let eng, d = mk_directory () in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
   Alcotest.(check bool) "invisible before the delay" true
     (Directory.resolve d ~from_board:2 ~service:"kv" = None);
-  Sim.run_until sim 10;  (* now = announce cycle + delay *)
+  Par_sim.run_until eng delay;  (* now = announce cycle + delay *)
   Alcotest.(check bool) "invisible at exactly now + delay" true
     (Directory.resolve d ~from_board:2 ~service:"kv" = None);
-  Sim.step sim;  (* visibility is strictly after: a_time < now *)
+  Par_sim.run_for eng 1;  (* visibility is strictly after: a_time < now *)
   match Directory.resolve d ~from_board:2 ~service:"kv" with
   | Some (Directory.Remote r) -> Alcotest.(check int) "visible after" 0xA0 r.mac
   | _ -> Alcotest.fail "expected the registration to have landed"
@@ -96,15 +109,8 @@ let test_directory_announce_delay () =
 (* Debug builds trip on a replica touched from the wrong partition: the
    single-writer discipline the replicated directory is built on. *)
 let test_directory_cross_partition_assert () =
-  let module Par_sim = Apiary_engine.Par_sim in
   let eng = Par_sim.create ~lookahead:16 ~n:3 () in
-  let d =
-    Directory.create_replicated ~announce_delay:16
-      ~sims:(Array.init 3 (Par_sim.sim eng))
-      ~home:(fun b -> b + 1)
-      ~post:(fun ~src ~dst ~time fn -> Par_sim.post eng ~src ~dst ~time fn)
-      ()
-  in
+  let d = Directory.create ~announce_delay:16 eng in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
   (* Board 0's replica lives on partition 1; resolving it from member
      2's execution is a cross-domain access. *)
@@ -174,8 +180,8 @@ let test_shard_rr_skips_dead () =
 (* Cross-board invocation (full simulation) *)
 
 let test_cluster_local_and_remote_call () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 in
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
   ignore
     (Cluster.install cluster ~board:0 ~service:"mirror"
        (Accels.echo ~service:"mirror" ()));
@@ -196,7 +202,7 @@ let test_cluster_local_and_remote_call () =
   ignore (Cluster.install cluster ~board:0 (caller 0 local_reply));
   ignore (Cluster.install cluster ~board:1 (caller 1 remote_reply));
   Cluster.set_tracing cluster true;
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   Alcotest.(check (option string)) "local call echoed" (Some "ping") !local_reply;
   Alcotest.(check (option string)) "remote call echoed" (Some "ping")
     !remote_reply;
@@ -213,8 +219,8 @@ let test_cluster_local_and_remote_call () =
    corr — strictly inside that window (the reconstruction trace.mli
    documents). *)
 let test_cluster_merged_trace_corr_reconstruction () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 in
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
   ignore
     (Cluster.install cluster ~board:0 ~service:"mirror"
        (Accels.echo ~service:"mirror" ()));
@@ -235,7 +241,7 @@ let test_cluster_merged_trace_corr_reconstruction () =
   in
   ignore (Cluster.install cluster ~board:1 caller);
   Cluster.set_tracing cluster true;
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   Alcotest.(check (option string)) "remote call echoed" (Some "ping") !reply;
   let merged = Cluster.merged_trace cluster in
   (* The last corr the caller tile opened is the remote RPC's local leg
@@ -291,8 +297,11 @@ let test_cluster_merged_trace_corr_reconstruction () =
 (* Failover: kill, reshard onto survivors, recover by re-registration *)
 
 let test_cluster_failover_and_reregistration () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:2 in
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 ~client_ports:2
+  in
+  let sim = Cluster.sim cluster in
   for bd = 0 to 1 do
     ignore
       (Cluster.install cluster ~board:bd ~service:"mirror"
@@ -305,7 +314,7 @@ let test_cluster_failover_and_reregistration () =
   in
   Sim.after sim 1_000 (fun () -> Shard_client.start client ~concurrency:4);
   Sim.after sim 60_000 (fun () -> Cluster.kill cluster ~board:1);
-  Sim.run_for sim 160_000;
+  Par_sim.run_for eng 160_000;
   let completed_mid = Shard_client.completed client in
   Alcotest.(check bool) "timeouts detected the dead board" true
     (Shard_client.failovers client > 0);
@@ -315,7 +324,7 @@ let test_cluster_failover_and_reregistration () =
     (List.length (Directory.replicas (Cluster.directory cluster) "mirror"));
   (* Board comes back: re-registration re-admits it everywhere. *)
   Cluster.restore cluster ~board:1;
-  Sim.run_for sim 100_000;
+  Par_sim.run_for eng 100_000;
   Alcotest.(check (list int)) "ring re-admitted the board" [ 0; 1 ]
     (Shard_client.live_boards client);
   Alcotest.(check int) "directory re-registered" 2
@@ -325,6 +334,54 @@ let test_cluster_failover_and_reregistration () =
     (Shard_client.completed client > completed_mid);
   Alcotest.(check bool) "board up again" true
     (Node.up (Cluster.node cluster 1))
+
+(* ------------------------------------------------------------------ *)
+(* The rack's argument checks *)
+
+let raises what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+let test_cluster_create_rejects_bad_engine () =
+  let engine ?(lookahead = Cluster.lookahead) n =
+    Par_sim.create ~lookahead ~n ()
+  in
+  raises "member count is not boards + 1" (fun () ->
+      let eng = engine 2 in
+      Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2);
+  raises "lookahead above the uplink latency" (fun () ->
+      let eng = engine ~lookahead:(Cluster.lookahead + 1) 3 in
+      Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2);
+  raises "sim is not member 0" (fun () ->
+      let eng = engine 3 in
+      Cluster.create ~engine:eng (Par_sim.sim eng 1) ~boards:2);
+  raises "sim from another engine" (fun () ->
+      Cluster.create ~engine:(engine 3) (Par_sim.sim (engine 3) 0) ~boards:2)
+
+let test_post_to_board_checks () =
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
+  raises "delay below the lookahead" (fun () ->
+      Cluster.post_to_board cluster ~board:0 ~delay:(Cluster.lookahead - 1)
+        ignore);
+  raises "board past the last" (fun () ->
+      Cluster.post_to_board cluster ~board:2 ~delay:Cluster.lookahead ignore);
+  raises "negative board" (fun () ->
+      Cluster.post_to_board cluster ~board:(-1) ~delay:Cluster.lookahead
+        ignore);
+  (* A legal command runs inside the board's own member, on time. *)
+  let ran = ref None in
+  Cluster.post_to_board cluster ~board:1 ~delay:Cluster.lookahead (fun () ->
+      ran :=
+        Some
+          ( Par_sim.current_partition (),
+            Sim.now (Node.sim (Cluster.node cluster 1)) ));
+  Par_sim.run_for eng (2 * Cluster.lookahead);
+  Alcotest.(check (option (pair (option int) int)))
+    "ran on board 1's member at the delay"
+    (Some (Some 2, Cluster.lookahead))
+    !ran
 
 let () =
   Alcotest.run "cluster"
@@ -360,5 +417,12 @@ let () =
         [
           Alcotest.test_case "kill, reshard, re-register" `Quick
             test_cluster_failover_and_reregistration;
+        ] );
+      ( "arguments",
+        [
+          Alcotest.test_case "create rejects a mismatched engine" `Quick
+            test_cluster_create_rejects_bad_engine;
+          Alcotest.test_case "post_to_board checks delay and board" `Quick
+            test_post_to_board_checks;
         ] );
     ]

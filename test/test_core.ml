@@ -536,6 +536,43 @@ let test_watchdog_detects_hang () =
       (String.length reason >= 8 && String.sub reason 0 8 = "watchdog")
   | s -> Alcotest.failf "expected draining, got %s" (Monitor.state_to_string s))
 
+(* A tile serving a slow request has nothing to do until [busy_until],
+   so its monitor parks instead of ticking through the service time. An
+   armed watchdog counts every hung cycle and keeps it ticking; replies
+   must land on the same cycles either way. *)
+let test_serving_monitor_parks () =
+  let run ~watchdog =
+    let sim, k = mk_kernel ~watchdog () in
+    Kernel.install k ~tile:1 (echo_behavior ~cost:300 "slow");
+    let replies = ref [] in
+    with_client k ~tile:2 (fun sh ->
+        Shell.connect sh ~service:"slow" (fun r ->
+            match r with
+            | Error _ -> ()
+            | Ok conn ->
+              (* Two request chains, so one request always queues behind
+                 the one being served. *)
+              let rec go n =
+                if n > 0 then
+                  Shell.request sh conn ~opcode:1 (b "ping") (fun _ ->
+                      replies := Shell.now sh :: !replies;
+                      go (n - 1))
+              in
+              go 3;
+              go 3));
+    Sim.run_for sim 10_000;
+    (List.rev !replies, fst (Sim.tick_counts sim))
+  in
+  let parked, parked_ticks = run ~watchdog:0 in
+  let ticking, ticking_ticks = run ~watchdog:1_000_000 in
+  Alcotest.(check int) "all replies" 6 (List.length parked);
+  Alcotest.(check (list int)) "same reply cycles" ticking parked;
+  Alcotest.(check bool)
+    (Printf.sprintf "service time not ticked (%d vs %d ticks)" parked_ticks
+       ticking_ticks)
+    true
+    (parked_ticks + 1_000 < ticking_ticks)
+
 let test_explicit_raise_fault () =
   let sim, k = mk_kernel () in
   Kernel.install k ~tile:1
@@ -1012,6 +1049,8 @@ let () =
           Alcotest.test_case "nacks peers" `Quick test_fault_nacks_peers;
           Alcotest.test_case "isolates other app" `Quick test_fault_isolates_other_app;
           Alcotest.test_case "watchdog" `Quick test_watchdog_detects_hang;
+          Alcotest.test_case "serving monitor parks" `Quick
+            test_serving_monitor_parks;
           Alcotest.test_case "raise_fault" `Quick test_explicit_raise_fault;
           Alcotest.test_case "mgmt detects dead" `Quick test_mgmt_detects_dead_tile;
         ] );

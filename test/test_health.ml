@@ -6,8 +6,8 @@
      that the simulator fast-forwards past must NEVER trip the
      heartbeat deadline (only queued-work-without-progress does);
    - counters are architecture, not heuristics: for a fixed seed the
-     per-tile blocks must be byte-identical between the monolithic and
-     the partitioned (Seq/Par) engines, with the watchdog running. *)
+     per-tile blocks must be byte-identical between the engine's Seq
+     and Par modes, with the watchdog running. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
@@ -282,9 +282,7 @@ let test_critical_path_decomposition () =
    on every board, plus the watchdog's detections. *)
 let rack_counter_fingerprint mode ~cycles =
   let boards = 2 in
-  let eng =
-    Par_sim.create ~mode ~lookahead:Cluster.lookahead ~n:(boards + 1) ()
-  in
+  let eng = Cluster.engine ~mode ~boards () in
   let cluster =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:3
   in

@@ -6,6 +6,7 @@
    exported byte-stably. *)
 
 module Sim = Apiary_engine.Sim
+module Par_sim = Apiary_engine.Par_sim
 module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
@@ -189,6 +190,43 @@ let test_export_byte_stable () =
         (Export.chrome_trace_string evs)
         (Export.chrome_trace_string evs))
 
+(* A partitioned engine records different boards' same-cycle spans in
+   whatever order its domains interleave; the export must not care. One
+   board's spans, recorded by its own member, keep their order — even
+   against name order. *)
+let test_export_board_tie_order () =
+  let capture order =
+    with_spans (fun () ->
+        List.iter
+          (fun (board, name) ->
+            Span.instant ~board ~cat:"c" ~name ~track:0 ~ts:5 ())
+          order;
+        Export.chrome_trace_string (Span.events ()))
+  in
+  let interleaved =
+    capture [ (1, "y-first"); (0, "z-first"); (1, "x-second"); (0, "a-second") ]
+  in
+  let by_board =
+    capture [ (0, "z-first"); (0, "a-second"); (1, "y-first"); (1, "x-second") ]
+  in
+  Alcotest.(check string) "recording interleave does not move a byte"
+    by_board interleaved;
+  let idx sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length interleaved then
+        Alcotest.failf "missing %S in export" sub
+      else if String.sub interleaved i n = sub then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  Alcotest.(check bool) "board 0 before board 1, each in recording order"
+    true
+    (idx "z-first" < idx "a-second"
+    && idx "a-second" < idx "y-first"
+    && idx "y-first" < idx "x-second")
+
 let test_export_empty_capture () =
   (* No spans at all is a legal capture: the export is still one valid,
      well-formed document with an empty event array and no truncation
@@ -241,8 +279,10 @@ let test_export_metrics_json () =
 let run_call_capture () =
   Span.reset ();
   Span.set_enabled true;
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:1 in
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 ~client_ports:1
+  in
   ignore
     (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
   let ok = ref false in
@@ -258,7 +298,7 @@ let run_call_capture () =
                     (fun r -> ok := Result.is_ok r))))
   in
   ignore (Cluster.install cluster ~board:1 caller);
-  Sim.run_for sim 60_000;
+  Par_sim.run_for eng 60_000;
   Span.set_enabled false;
   let evs = Span.events () in
   Span.reset ();
@@ -562,8 +602,10 @@ let test_slo_min_samples_guard () =
 (* Critical path on a sampled capture *)
 
 let run_kv_calls_capture ~n =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:2 ~client_ports:1 in
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 ~client_ports:1
+  in
   ignore
     (Cluster.install cluster ~board:0 ~service:"kv" (fst (Kv.behavior ())));
   let done_ = ref 0 in
@@ -588,7 +630,7 @@ let run_kv_calls_capture ~n =
                   go 0)))
   in
   ignore (Cluster.install cluster ~board:1 caller);
-  Sim.run_for sim 400_000;
+  Par_sim.run_for eng 400_000;
   (!done_, Span.events ())
 
 (* Corr-keyed head sampling keeps or drops whole request families, so
@@ -655,6 +697,8 @@ let () =
         [
           Alcotest.test_case "escapes and sorts" `Quick test_export_escapes_and_sorts;
           Alcotest.test_case "byte stable" `Quick test_export_byte_stable;
+          Alcotest.test_case "same-cycle ties by board" `Quick
+            test_export_board_tie_order;
           Alcotest.test_case "empty capture" `Quick test_export_empty_capture;
           Alcotest.test_case "truncation marker iff dropped" `Quick
             test_export_truncation_marker;

@@ -77,10 +77,7 @@ let event_to_string e =
 
 let run_rack ?domains mode cycles =
   let boards = 2 in
-  let eng =
-    Par_sim.create ~mode ~adaptive:true ?domains ~lookahead:Cluster.lookahead
-      ~n:(boards + 1) ()
-  in
+  let eng = Cluster.engine ~mode ?domains ~boards () in
   let cluster =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2
   in

@@ -3,8 +3,8 @@
    stability under re-planning, directory single-replica unregister,
    shard-ring reconciliation with a scheduler placement, and the
    load-bearing determinism claim — a scheduled rack with live
-   migrations is byte-identical between the monolithic (Seq) and
-   parallel (Par) engines, decision log included. *)
+   migrations is byte-identical between the engine's sequential (Seq)
+   and parallel (Par) modes, decision log included. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
@@ -196,13 +196,18 @@ let test_place_area_constraint () =
 (* Directory: single-replica unregister (the scheduler's drain path) *)
 
 let test_directory_unregister_replica () =
-  let d = Directory.create (Sim.create ()) in
+  (* Controller plus boards 0-2; mutations land one announce delay on. *)
+  let eng = Par_sim.create ~lookahead:16 ~n:4 () in
+  let d = Directory.create ~announce_delay:16 eng in
+  let settle () = Par_sim.run_for eng 17 in
   Directory.register d ~service:"kv" ~board:0 ~mac:0xA0;
   Directory.register d ~service:"kv" ~board:1 ~mac:0xA1;
   Directory.register d ~service:"log" ~board:0 ~mac:0xB0;
+  settle ();
   (* Warm a cached route so the prune path is exercised too. *)
   ignore (Directory.resolve d ~from_board:2 ~service:"kv");
   Directory.unregister d ~service:"kv" ~board:0;
+  settle ();
   let live = Directory.replicas d "kv" in
   Alcotest.(check int) "one kv replica left" 1 (List.length live);
   Alcotest.(check int) "survivor is board 1" 1
@@ -228,8 +233,10 @@ let test_directory_unregister_replica () =
    untouched *)
 
 let test_sync_boards_reconciles_ring () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~boards:3 ~client_ports:2 in
+  let eng = Cluster.engine ~boards:3 () in
+  let cluster =
+    Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:3 ~client_ports:2
+  in
   for bd = 0 to 2 do
     ignore
       (Cluster.install cluster ~board:bd ~service:"svc"
@@ -237,7 +244,7 @@ let test_sync_boards_reconciles_ring () =
   done;
   (* Let the boards boot and their service announcements reach the
      directory (one uplink each). *)
-  Sim.run_for sim 10_000;
+  Par_sim.run_for eng 10_000;
   let client =
     Shard_client.create cluster ~service:"svc" ~op:Accels.op_echo
       ~route:Shard_client.Round_robin
@@ -295,10 +302,7 @@ let mini_spec =
 let run_sched_rack mode =
   let boards = 3 in
   let cycles = 120_000 in
-  let eng =
-    Par_sim.create ~mode ~adaptive:true ~lookahead:Cluster.lookahead
-      ~n:(boards + 1) ()
-  in
+  let eng = Cluster.engine ~mode ~boards () in
   let cluster =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2
   in

@@ -3,6 +3,7 @@
    under a real mid-run port kill. *)
 
 module Sim = Apiary_engine.Sim
+module Par_sim = Apiary_engine.Par_sim
 module Stats = Apiary_engine.Stats
 module Kv = Apiary_accel.Kv
 module Cluster = Apiary_cluster.Cluster
@@ -139,8 +140,9 @@ let test_collector_conservation () =
       Span.reset ();
       Registry.clear ())
     (fun () ->
-      let sim = Sim.create () in
-      let cluster = Cluster.create sim ~boards:2 ~client_ports:2 in
+      let eng = Cluster.engine ~boards:2 () in
+      let sim = Par_sim.sim eng 0 in
+      let cluster = Cluster.create ~engine:eng sim ~boards:2 ~client_ports:2 in
       for b = 0 to 1 do
         ignore
           (Cluster.install cluster ~board:b ~service:"kv"
@@ -164,7 +166,7 @@ let test_collector_conservation () =
       Sim.after sim 10_000 (fun () -> Cluster.kill cluster ~board:1);
       Sim.after sim 20_000 (fun () -> Cluster.restore cluster ~board:1);
       Sim.after sim 30_000 (fun () -> Shard_client.stop sc);
-      Sim.run_for sim 40_000;
+      Par_sim.run_for eng 40_000;
       for b = 0 to 1 do
         let a = Collector.agent col b in
         let delivered = Collector.delivered col ~board:b in
