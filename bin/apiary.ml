@@ -16,7 +16,6 @@ module Coord = Apiary_noc.Coord
 module Traffic = Apiary_noc.Traffic
 module Kernel = Apiary_core.Kernel
 module Monitor = Apiary_core.Monitor
-module Trace = Apiary_core.Trace
 module Statsvc = Apiary_core.Statsvc
 module Perf = Apiary_obs.Perf
 module Flight = Apiary_obs.Flight
@@ -103,14 +102,14 @@ let run_cmd scenario cycles clients enforce trace_on seed =
   in
   let board = Board.create ~kernel_cfg:kcfg sim in
   let kernel = board.Board.kernel in
-  if trace_on then Trace.set_enabled (Kernel.trace kernel) true;
-  (* With APIARY_FLIGHT=1 the kernel armed its flight recorder at boot:
-     dump the postmortem on the first fail-stop. *)
+  let flight = Kernel.flight kernel in
+  (* --trace arms the board's flight ring (APIARY_FLIGHT=1 armed it at
+     boot already): dump the postmortem on the first fail-stop. *)
+  if trace_on then Flight.set_enabled flight true;
   Kernel.on_fault kernel (fun tile reason ->
-      let f = Kernel.flight kernel in
-      if Flight.enabled f then begin
+      if Flight.enabled flight then begin
         let path = "apiary_postmortem.json" in
-        Flight.write_dump f
+        Flight.write_dump flight
           ~reason:(Printf.sprintf "tile %d: %s" tile reason)
           ~cycle:(Sim.now sim) path;
         Printf.printf "flight recorder dumped -> %s\n" path
@@ -140,14 +139,17 @@ let run_cmd scenario cycles clients enforce trace_on seed =
   Printf.printf "fabric: %d messages, %d denied\n" (Kernel.total_msgs kernel)
     (Kernel.total_denied kernel);
   if trace_on then begin
-    Printf.printf "\n--- last trace events ---\n";
-    let evs = Trace.events (Kernel.trace kernel) in
+    Printf.printf "\n--- last monitor events (board flight ring) ---\n";
+    let evs = Flight.entries flight in
     let n = List.length evs in
     List.iteri
-      (fun idx (e : Trace.event) ->
-        if idx >= n - 30 then
-          Printf.printf "[%8d] tile%-3d %-5s %s\n" e.Trace.cycle e.Trace.tile
-            (Trace.dir_to_string e.Trace.dir) e.Trace.detail)
+      (fun idx (e : Flight.entry) ->
+        if idx >= n - 30 then begin
+          Printf.printf "[%8d] tile%-3d %s/%s corr=%d" e.Flight.ts e.Flight.tile
+            e.Flight.cat e.Flight.name e.Flight.corr;
+          List.iter (fun (k, v) -> Printf.printf " %s=%s" k v) e.Flight.args;
+          Printf.printf "\n"
+        end)
       evs
   end;
   0
@@ -785,7 +787,10 @@ let run_term =
            ~doc:"Capability enforcement + rate limiting.")
   in
   let trace =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Record and dump the message trace.")
+    Arg.(value & flag & info [ "trace" ]
+           ~doc:"Arm the board's flight ring and print its last 30 monitor \
+                 events (admit, deny, drop, fault, note); a fail-stop also \
+                 writes apiary_postmortem.json.")
   in
   Term.(const run_cmd $ scenario $ cycles $ clients $ enforce $ trace $ seed_arg)
 

@@ -4,19 +4,21 @@
 
    This walks the minimal lifecycle: create a simulator and kernel,
    program a tile with a behavior that registers a service, program a
-   second tile that connects and sends requests, and watch the message
-   trace of the whole exchange. *)
+   second tile that connects and sends requests, and read the client
+   tile's admitted messages back from the board's flight ring. *)
 
 module Sim = Apiary_engine.Sim
 module Kernel = Apiary_core.Kernel
 module Shell = Apiary_core.Shell
 module Message = Apiary_core.Message
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 
 let () =
   let sim = Sim.create () in
   let kernel = Kernel.create sim Kernel.default_config in
-  Trace.set_enabled (Kernel.trace kernel) true;
+  (* The flight ring keeps the board's last monitor events (admit, deny,
+     drop, fault, note); it records nothing until armed. *)
+  Flight.set_enabled (Kernel.flight kernel) true;
 
   (* A tiny accelerator: upper-cases whatever it receives. *)
   let upcaser =
@@ -63,11 +65,12 @@ let () =
 
   Sim.run_for sim 10_000;
 
-  Printf.printf "\n--- message trace (tile 6 egress) ---\n";
+  Printf.printf "\n--- flight ring (tile 6 admits) ---\n";
   List.iter
-    (fun (e : Trace.event) ->
-      Printf.printf "[%6d] tile%-2d %-4s %s\n" e.Trace.cycle e.Trace.tile
-        (Trace.dir_to_string e.Trace.dir) e.Trace.detail)
-    (Trace.find (Kernel.trace kernel) ~tile:6 ~dir:Trace.Egress ());
+    (fun (e : Flight.entry) ->
+      if e.Flight.tile = 6 && e.Flight.name = "admit" then
+        Printf.printf "[%6d] tile%-2d %s/%s corr=%d\n" e.Flight.ts e.Flight.tile
+          e.Flight.cat e.Flight.name e.Flight.corr)
+    (Flight.entries (Kernel.flight kernel));
   Printf.printf "\ntotal messages on fabric: %d, denied: %d\n"
     (Kernel.total_msgs kernel) (Kernel.total_denied kernel)

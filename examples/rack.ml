@@ -7,12 +7,12 @@
    exactly like a local one (the paper's "calls to other modules may be
    local or remote"), a board failure detected by client timeouts and
    resharded onto the survivors, and the board's return — all in one
-   deterministic simulation, with a merged per-board trace at the end. *)
+   deterministic simulation, with a rack-wide span sample at the end. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
-module Trace = Apiary_core.Trace
+module Span = Apiary_obs.Span
 module Kv = Apiary_accel.Kv
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
@@ -109,17 +109,27 @@ let () =
   Printf.printf "   directory now lists %d kv replica(s)\n"
     (List.length (Directory.replicas (Cluster.directory cluster) "kv"));
 
-  (* The merged trace: one cycle-ordered stream, each event stamped with
-     its board — sampled while traffic still spans the rack. *)
-  Cluster.set_tracing cluster true;
+  (* One rack-wide span capture: every event is stamped with its board —
+     sampled while traffic still spans the rack. *)
+  Span.reset ();
+  Span.set_enabled true;
   Par_sim.run_for eng 2_000;
+  Span.set_enabled false;
   Shard_client.stop client;
-  Printf.printf "\nmerged trace sample (all boards, cycle-ordered):\n";
+  Printf.printf "\nspan sample (tile-1 monitor events, all boards, by cycle):\n";
   let netsvc_events =
-    List.filter
-      (fun e -> e.Trace.tile = 1 && e.Trace.dir = Trace.Ingress)
-      (Cluster.merged_trace cluster)
+    List.stable_sort
+      (fun (a : Span.event) (b : Span.event) ->
+        compare (a.Span.ts, a.Span.board) (b.Span.ts, b.Span.board))
+      (List.filter
+         (fun (e : Span.event) ->
+           e.Span.cat = "monitor" && e.Span.track = 1 && e.Span.ph = Span.Mark)
+         (Span.events ()))
   in
   List.iteri
-    (fun idx e -> if idx < 8 then Format.printf "  %a@." Trace.pp_event e)
-    netsvc_events
+    (fun idx (e : Span.event) ->
+      if idx < 8 then
+        Printf.printf "  [%7d] board%d tile%d %s/%s corr=%d\n" e.Span.ts
+          e.Span.board e.Span.track e.Span.cat e.Span.name e.Span.corr)
+    netsvc_events;
+  Span.reset ()

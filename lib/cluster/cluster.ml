@@ -5,7 +5,6 @@ module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
-module Trace = Apiary_core.Trace
 module Switch = Apiary_net.Switch
 module Netsvc = Apiary_net.Netsvc
 module Netproto = Apiary_net.Netproto
@@ -100,14 +99,6 @@ let directory t = t.directory
 let n_boards t = Array.length t.nodes
 let node t board = t.nodes.(board)
 let nodes t = Array.to_list t.nodes
-
-let merged_trace t =
-  Trace.merge (List.map (fun n -> Kernel.trace (Node.kernel n)) (nodes t))
-
-let set_tracing t on =
-  Array.iter
-    (fun n -> Trace.set_enabled (Kernel.trace (Node.kernel n)) on)
-    t.nodes
 
 let install t ~board ?service behavior =
   let nd = t.nodes.(board) in

@@ -80,13 +80,6 @@ val install : t -> board:int -> ?service:string -> Shell.behavior -> int
     service in the rack {!directory} (the behavior should register the
     same name with its own kernel in [on_boot], as usual). *)
 
-val set_tracing : t -> bool -> unit
-(** Enable/disable tracing on every board's kernel at once. *)
-
-val merged_trace : t -> Apiary_core.Trace.event list
-(** All boards' trace events pooled into one cycle-ordered stream (each
-    event carries its board id). *)
-
 (** {1 Failure injection} *)
 
 val kill : t -> board:int -> unit

@@ -1,6 +1,5 @@
 module Sim = Apiary_engine.Sim
 module Kernel = Apiary_core.Kernel
-module Trace = Apiary_core.Trace
 module Switch = Apiary_net.Switch
 module Netsvc = Apiary_net.Netsvc
 module Board = Apiary_apps.Board
@@ -22,9 +21,9 @@ let create ?kernel_cfg ~ext_link sim ~switch ~id ~port =
     Board.create ?kernel_cfg ~attach:(switch, port) ~mac_addr:(mac_of_id id)
       ~ext_link sim
   in
-  (* Stamp this board's id on its kernel trace (so per-board traces can
-     be pooled with Trace.merge) and on its mesh (so span events land on
-     this board's process row in exported traces). *)
+  (* Stamp this board's id on its kernel (flight ring and mesh), so its
+     monitor and NoC spans land on this board's process row in exported
+     traces and its postmortem dumps name it. *)
   Kernel.set_obs_board board.Board.kernel id;
   { id; port; board; free_tiles = Board.user_tiles board; up = true }
 

@@ -3,9 +3,9 @@
     identity (board id and MAC address) and a free-tile allocator the
     cluster installs services through.
 
-    The node's kernel trace is stamped with the board id at creation, so
-    {!Apiary_core.Trace.merge} over all nodes yields one attributed
-    rack-wide event stream. *)
+    The node's kernel is stamped with the board id at creation, so every
+    span it records is attributed to this board in one rack-wide
+    capture, and its flight ring's postmortem names the board. *)
 
 module Sim := Apiary_engine.Sim
 module Kernel := Apiary_core.Kernel

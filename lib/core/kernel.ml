@@ -15,7 +15,6 @@ type config = {
   name_tile : int;
   mem_tile : int;
   pr_bytes_per_cycle : int;
-  trace_capacity : int;
 }
 
 let default_config =
@@ -29,7 +28,6 @@ let default_config =
     name_tile = 0;
     mem_tile = (Mesh.default_config.Mesh.cols * Mesh.default_config.Mesh.rows) - 1;
     pr_bytes_per_cycle = 8;
-    trace_capacity = 4096;
   }
 
 type t = {
@@ -38,10 +36,8 @@ type t = {
   k_mesh : Message.t Mesh.t;
   k_dram : Dram.t;
   k_alloc : Seg_alloc.t;
-  k_trace : Trace.t;
   k_flight : Apiary_obs.Flight.t;
   monitors : Monitor.t array;
-  quad_regions : int array;  (* activity subregion id per tile quadrant *)
   unregister_names : int -> unit;
   mutable fault_subs : (int -> string -> unit) list;
   mutable fault_log : (int * string) list;
@@ -62,7 +58,6 @@ let user_tiles t =
 let mesh t = t.k_mesh
 let dram t = t.k_dram
 let allocator t = t.k_alloc
-let trace t = t.k_trace
 let flight t = t.k_flight
 let monitor t i = t.monitors.(i)
 
@@ -97,11 +92,7 @@ let total_msgs t =
 let total_dropped t =
   Array.fold_left (fun acc m -> acc + Monitor.dropped m) 0 t.monitors
 
-let quadrant_activity t =
-  Array.map (fun r -> Sim.region_active t.k_sim r) t.quad_regions
-
 let set_obs_board t id =
-  Trace.set_board t.k_trace id;
   Mesh.set_obs_board t.k_mesh id;
   Apiary_obs.Flight.set_board t.k_flight id
 
@@ -138,17 +129,9 @@ let create sim cfg =
   let k_mesh = Mesh.create sim cfg.mesh in
   let k_dram = Dram.create sim cfg.dram ~size_bytes:cfg.dram_bytes in
   let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes cfg.alloc_policy in
-  let k_trace = Trace.create ~capacity:cfg.trace_capacity () in
-  (* The board's black box. APIARY_FLIGHT=1 arms it at boot (the CLI and
-     bench also arm it explicitly); APIARY_FLIGHT_CAP resizes the ring.
-     Disabled (the default), it records nothing and changes no output. *)
-  let k_flight =
-    let capacity = Apiary_obs.Env.int ~min:16 "APIARY_FLIGHT_CAP" ~default:256 in
-    let f = Apiary_obs.Flight.create ~capacity () in
-    if Sys.getenv_opt "APIARY_FLIGHT" = Some "1" then
-      Apiary_obs.Flight.set_enabled f true;
-    f
-  in
+  (* The board's black box. Disabled (the default), it records nothing
+     and changes no output; the CLI and bench also arm it explicitly. *)
+  let k_flight = Apiary_obs.Flight.of_env () in
   let name_behavior, unregister_names = Services.name_service () in
   let mem_behavior = Services.mem_service k_dram k_alloc in
   (* Monitors are created below; fabric closures capture the array. *)
@@ -196,16 +179,6 @@ let create sim cfg =
         { cfg.monitor with rate = 1e9; burst = 1 lsl 20 }
       else cfg.monitor
   in
-  (* Tile-quadrant activity subregions: every monitor joins its tile's
-     quadrant, so board introspection reads four aggregate activity bits
-     instead of scanning tiles, and a whole quiet quadrant parks. *)
-  let quad_regions = Array.init 4 (fun _ -> Sim.new_region sim) in
-  let quad_of tile =
-    let c = coord_of tile in
-    let qx = if 2 * c.Coord.x >= cfg.mesh.Mesh.cols then 1 else 0 in
-    let qy = if 2 * c.Coord.y >= cfg.mesh.Mesh.rows then 1 else 0 in
-    quad_regions.((qy * 2) + qx)
-  in
   let monitors =
     Array.init ntiles (fun tile ->
         let privileged = tile = cfg.name_tile || tile = cfg.mem_tile in
@@ -214,8 +187,8 @@ let create sim cfg =
           else if tile = cfg.mem_tile then mem_behavior
           else Monitor.idle_behavior
         in
-        Monitor.create ~region:(quad_of tile) sim ~tile (monitor_cfg_of tile)
-          (fabric_of tile) ~trace:k_trace ~flight:k_flight ~privileged behavior)
+        Monitor.create sim ~tile (monitor_cfg_of tile) (fabric_of tile)
+          ~flight:k_flight ~privileged behavior)
   in
   monitors_ref := monitors;
   (* NoC delivery -> monitor ingress. *)
@@ -231,10 +204,8 @@ let create sim cfg =
       k_mesh;
       k_dram;
       k_alloc;
-      k_trace;
       k_flight;
       monitors;
-      quad_regions;
       unregister_names;
       fault_subs = [];
       fault_log = [];

@@ -28,7 +28,6 @@ type config = {
   pr_bytes_per_cycle : int;
       (** Partial-reconfiguration port bandwidth (ICAP ≈ 400 MB/s ⇒
           ~6 B/cycle at 250 MHz... default 8). *)
-  trace_capacity : int;
 }
 
 val default_config : config
@@ -55,13 +54,15 @@ val user_tiles : t -> int list
 val mesh : t -> Message.t Mesh.t
 val dram : t -> Dram.t
 val allocator : t -> Seg_alloc.t
-val trace : t -> Trace.t
 
 val flight : t -> Apiary_obs.Flight.t
-(** The board's fault flight recorder, shared by every monitor. Disabled
-    by default; arm it with [Apiary_obs.Flight.set_enabled] (or boot
-    with [APIARY_FLIGHT=1]; [APIARY_FLIGHT_CAP] resizes the ring) and
-    dump it from an {!on_fault} subscriber. *)
+(** The board's bounded flight ring, shared by every monitor: the
+    per-board sink of the monitor event stream. Disabled by default; arm
+    it with [Apiary_obs.Flight.set_enabled] (or boot with
+    [APIARY_FLIGHT=1]; [APIARY_FLIGHT_CAP] resizes the ring, see
+    [Apiary_obs.Flight.of_env]) and read it with
+    [Apiary_obs.Flight.entries], or dump it from an {!on_fault}
+    subscriber. *)
 
 val monitor : t -> int -> Monitor.t
 
@@ -95,18 +96,13 @@ val total_denied : t -> int
 val total_msgs : t -> int
 val total_dropped : t -> int
 
-val quadrant_activity : t -> int array
-(** Armed-ticker count in each tile quadrant's activity subregion
-    ([NW; NE; SW; SE]): a 4-bit-style board occupancy summary read from
-    the scheduler's aggregate region counters instead of scanning
-    tiles. *)
-
 (** {1 Observability} *)
 
 val set_obs_board : t -> int -> unit
-(** Stamp the board id on this kernel's trace and on the mesh (routers
-    and NICs), so message traces and [Apiary_obs.Span] events from this
-    board are attributed correctly in merged/exported views. *)
+(** Stamp the board id on this kernel's flight ring (which the monitors
+    read for their own [Apiary_obs.Span] events) and on the mesh (routers
+    and NICs), so every span and flight entry from this board is
+    attributed to it in exported views and postmortem dumps. *)
 
 val register_metrics : t -> prefix:string -> unit
 (** Install [Apiary_obs.Registry] samplers (under [prefix ^ ".kernel"]

@@ -2,7 +2,6 @@ type addr = { tile : int; ep : int }
 
 let control_ep = 0
 let app_ep = 1
-let addr_to_string a = Printf.sprintf "t%d.e%d" a.tile a.ep
 
 type control =
   | Register of { name : string }
@@ -74,36 +73,3 @@ let size_bytes t =
   header_bytes + k + Bytes.length t.payload
 
 let is_control t = match t.kind with Control _ -> true | Data _ -> false
-
-let control_to_string = function
-  | Register { name } -> Printf.sprintf "register(%s)" name
-  | Register_ok -> "register-ok"
-  | Lookup { name } -> Printf.sprintf "lookup(%s)" name
-  | Lookup_reply { name; result } ->
-    Printf.sprintf "lookup-reply(%s=%s)" name
-      (match result with Some a -> addr_to_string a | None -> "?")
-  | Connect_req -> "connect"
-  | Connect_ok _ -> "connect-ok"
-  | Connect_denied { reason } -> Printf.sprintf "connect-denied(%s)" reason
-  | Alloc_req { bytes } -> Printf.sprintf "alloc(%d)" bytes
-  | Alloc_ok { base; bytes; _ } -> Printf.sprintf "alloc-ok(%#x,%d)" base bytes
-  | Alloc_denied { reason } -> Printf.sprintf "alloc-denied(%s)" reason
-  | Free_req { base } -> Printf.sprintf "free(%#x)" base
-  | Free_ok -> "free-ok"
-  | Mem_read_req { addr; len } -> Printf.sprintf "mem-read(%#x,%d)" addr len
-  | Mem_write_req { addr } -> Printf.sprintf "mem-write(%#x)" addr
-  | Mem_read_ok -> "mem-read-ok"
-  | Mem_write_ok -> "mem-write-ok"
-  | Mem_denied { reason } -> Printf.sprintf "mem-denied(%s)" reason
-  | Ping -> "ping"
-  | Pong -> "pong"
-  | Nack { reason } -> Printf.sprintf "nack(%s)" reason
-
-let kind_to_string = function
-  | Data { opcode } -> Printf.sprintf "data(op=%d)" opcode
-  | Control c -> control_to_string c
-
-let summary t =
-  Printf.sprintf "%s->%s %s corr=%d len=%d"
-    (addr_to_string t.src) (addr_to_string t.dst) (kind_to_string t.kind)
-    t.corr (Bytes.length t.payload)

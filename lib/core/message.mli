@@ -14,7 +14,6 @@ type addr = { tile : int; ep : int }
 
 val control_ep : int
 val app_ep : int
-val addr_to_string : addr -> string
 
 (** Microkernel protocol messages. *)
 type control =
@@ -76,6 +75,3 @@ val size_bytes : t -> int
     accounting. *)
 
 val is_control : t -> bool
-val kind_to_string : kind -> string
-val summary : t -> string
-(** One-line rendering for traces. *)

@@ -91,7 +91,6 @@ and t = {
   m_tile : int;
   cfg : config;
   fabric : fabric;
-  trace : Trace.t;
   privileged : bool;
   m_rng : Rng.t;
   mutable m_store : Store.t;
@@ -138,27 +137,22 @@ let control_addr t = { Message.tile = t.m_tile; ep = Message.control_ep }
 let rng t = t.m_rng
 let now t = Sim.now t.m_sim
 
-let tracef t dir detail =
-  Trace.record t.trace ~cycle:(now t) ~tile:t.m_tile ~dir ~detail ()
+(* Board id for Span events: the flight ring's board stamp (set through
+   Kernel.set_obs_board for rack members), or -1 for a free-standing
+   board. *)
+let obs_board t = Flight.board t.flight
 
-(* Board id for Span events: the trace's board stamp (set by Node for
-   rack members), or -1 for a free-standing board. *)
-let obs_board t = Option.value ~default:(-1) (Trace.board t.trace)
-
+(* The monitor's one recorder: every admit, deny, drop, fault and note
+   is a single event, captured by the span recorder when tracing is on
+   and by the board flight ring when it is armed. *)
 let obs_mark t ?corr ?args name =
   if Span.on () then
     Span.instant ~board:(obs_board t) ?corr ?args ~cat:"monitor" ~name
       ~track:t.m_tile ~ts:(now t) ();
-  (* Same marks feed the board flight recorder, so a postmortem has the
-     admit/deny/drop/fault sequence even when span capture is off. *)
   Flight.record t.flight ~ts:(now t) ~tile:t.m_tile ~cat:"monitor" ~name ?corr
     ?args ()
 
-let trace_msg t dir m =
-  Trace.record_lazy t.trace ~corr:m.Message.corr ~cycle:(now t) ~tile:t.m_tile
-    ~dir (fun () -> Message.summary m)
-
-let log t s = tracef t Trace.Ingress ("note: " ^ s)
+let log t s = obs_mark t ~args:[ ("msg", s) ] "note"
 
 (* ------------------------------------------------------------------ *)
 (* Egress *)
@@ -182,7 +176,6 @@ let enqueue t entry =
   Perf.incr t.perf Perf.syscalls;
   if not (Fifo.push t.egress.(egress_class t m) entry) then begin
     Perf.incr t.perf Perf.drops;
-    trace_msg t Trace.Dropped m;
     obs_mark t ~corr:m.Message.corr
       ~args:[ ("reason", "egress queue full") ]
       "drop";
@@ -249,7 +242,6 @@ let process_egress t =
     | Error reason ->
       ignore (Fifo.pop q);
       Perf.incr t.perf Perf.denials;
-      trace_msg t Trace.Denied m;
       obs_mark t ~corr:m.Message.corr ~args:[ ("reason", reason) ] "deny";
       if m.Message.corr > 0 && not m.Message.is_reply then
         fail_pending t m.Message.corr (Denied reason);
@@ -292,7 +284,6 @@ let process_egress t =
         ignore (Fifo.pop q);
         Perf.incr t.perf Perf.msgs_out;
         t.last_progress <- now t;
-        trace_msg t Trace.Egress m;
         obs_mark t ~corr:m.Message.corr "admit";
         Stats.Histogram.record t.lat_added
           (now t - m.Message.created_at + t.cfg.check_latency);
@@ -527,7 +518,6 @@ let quiesce t ~reason ~notify =
   | Draining _ | Offline -> ()
   | Running ->
     Perf.incr t.perf Perf.faults;
-    tracef t Trace.Fault reason;
     obs_mark t ~args:[ ("reason", reason) ] "fault";
     Array.iter Fifo.clear t.egress;
     Queue.clear t.rx;
@@ -620,20 +610,22 @@ let deliver_reply t (m : Message.t) =
   | Some _ | None ->
     (* Unsolicited or late reply — count and drop. *)
     Perf.incr t.perf Perf.drops;
-    trace_msg t Trace.Dropped m
+    obs_mark t ~corr:m.Message.corr
+      ~args:[ ("reason", "unsolicited reply") ]
+      "drop"
 
 let ingress t (m : Message.t) =
   match t.m_state with
   | Draining _ ->
-    trace_msg t Trace.Dropped m;
+    obs_mark t ~corr:m.Message.corr ~args:[ ("reason", "draining") ] "drop";
     nack t m "fail-stop"
-  | Offline -> trace_msg t Trace.Dropped m
+  | Offline ->
+    obs_mark t ~corr:m.Message.corr ~args:[ ("reason", "offline") ] "drop"
   | Running ->
     (* Whatever this message triggers (rx work, a reply continuation, a
        control response), the next tick must see it. *)
     Sim.rearm t.m_sim t.m_handle;
     Perf.incr t.perf Perf.msgs_in;
-    trace_msg t Trace.Ingress m;
     if m.Message.is_reply then deliver_reply t m
     else begin
       match m.Message.kind with
@@ -717,17 +709,13 @@ let tick t =
     end
     else busy_tick t
 
-let create ?region sim ~tile cfg fabric ~trace ?flight ~privileged behavior =
-  let flight =
-    match flight with Some f -> f | None -> Apiary_obs.Flight.create ()
-  in
+let create sim ~tile cfg fabric ~flight ~privileged behavior =
   let t =
     {
       m_sim = sim;
       m_tile = tile;
       cfg;
       fabric;
-      trace;
       privileged;
       m_rng = Rng.create ~seed:(0x5EED + tile);
       m_store = Store.create ~capacity:cfg.cap_capacity ~tile ();
@@ -757,7 +745,7 @@ let create ?region sim ~tile cfg fabric ~trace ?flight ~privileged behavior =
       m_handle = Sim.no_handle;
     }
   in
-  t.m_handle <- Sim.add_clocked_h ~name:"monitor" ?region sim (fun () -> tick t);
+  t.m_handle <- Sim.add_clocked_h ~name:"monitor" sim (fun () -> tick t);
   (* Egress entries becoming visible (commit) re-arm us so a parked
      monitor drains sends staged from events or external driver code. *)
   Array.iter (fun q -> Fifo.set_owner q t.m_handle) t.egress;

@@ -68,12 +68,14 @@ type fabric = {
 }
 
 val create :
-  ?region:int -> Sim.t -> tile:int -> config -> fabric -> trace:Trace.t ->
-  ?flight:Apiary_obs.Flight.t -> privileged:bool -> behavior -> t
-(** Create the monitor and register its tick (in activity subregion
-    [region], if given). [on_boot] runs in the event phase of the next
-    cycle. [flight] is the board's shared flight recorder (the kernel
-    passes its own); a private disabled one is used when omitted. *)
+  Sim.t -> tile:int -> config -> fabric -> flight:Apiary_obs.Flight.t ->
+  privileged:bool -> behavior -> t
+(** Create the monitor and register its tick. [on_boot] runs in the
+    event phase of the next cycle. [flight] is the board's shared flight
+    recorder, owned by the kernel. Every admit, deny, drop, fault and
+    {!log} note is one monitor event: it goes to the flight ring when
+    armed and to [Apiary_obs.Span] when span capture is on, stamped with
+    the flight ring's board id. *)
 
 (** {1 Identity and state} *)
 
@@ -83,7 +85,7 @@ val state : t -> state
 
 val obs_board : t -> int
 (** Board id stamped on this monitor's [Apiary_obs.Span] events (the
-    trace's board, or [-1] when free-standing). *)
+    flight ring's board, or [-1] when free-standing). *)
 
 val store : t -> Store.t
 val behavior_name : t -> string
@@ -184,7 +186,8 @@ val ping : t -> ?timeout:int -> tile:int -> ep:int -> (bool -> unit) -> unit
 
 val rng : t -> Apiary_engine.Rng.t
 val log : t -> string -> unit
-(** Record a tile-local note into the message trace. *)
+(** Record a tile-local note: a ["note"] monitor event with a [msg]
+    argument. *)
 
 (** {1 Privileged operations (OS services only)} *)
 

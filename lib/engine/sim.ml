@@ -14,7 +14,6 @@ let no_handle = -1
    heap. *)
 type ticker = {
   fn : unit -> activity;
-  region : int;
   row : Profile.row option;
   reg_clock : int;  (* first cycle this ticker was eligible to run *)
   mutable armed : bool;
@@ -62,11 +61,6 @@ type t = {
   mutable quiescent : bool;
   mutable skipped : int;
   mutable counted : bool;
-  (* Subregions: armed-ticker count per region (the aggregate activity
-     bit is [count > 0]) plus the member list for bulk re-arm. *)
-  mutable region_armed : int array;
-  mutable region_members : int list array;
-  mutable n_regions : int;
   (* Tick accounting: ticker calls actually executed, plus enough state
      to derive skipped ticks in O(1) and flush process-wide deltas. *)
   mutable active_ticks : int;
@@ -109,7 +103,6 @@ let total_skipped_ticks () = Atomic.get global_skipped_ticks
 let dummy_ticker =
   {
     fn = (fun () -> Idle);
-    region = 0;
     row = None;
     reg_clock = 0;
     armed = false;
@@ -142,9 +135,6 @@ let create () =
     quiescent = false;
     skipped = 0;
     counted = true;
-    region_armed = Array.make 4 0;
-    region_members = Array.make 4 [];
-    n_regions = 1;
     active_ticks = 0;
     sum_reg_clock = 0;
     flushed_active = 0;
@@ -212,33 +202,10 @@ let push_wake_next t idx =
   t.wake_next.(t.n_wake_next) <- idx;
   t.n_wake_next <- t.n_wake_next + 1
 
-let bump_region t r d = t.region_armed.(r) <- t.region_armed.(r) + d
-
-(* ------------------------------------------------------------------ *)
-(* Subregions. *)
-
-let new_region t =
-  let r = t.n_regions in
-  if r >= Array.length t.region_armed then begin
-    let na = Array.make (Array.length t.region_armed * 2) 0 in
-    Array.blit t.region_armed 0 na 0 t.n_regions;
-    t.region_armed <- na;
-    let nm = Array.make (Array.length t.region_members * 2) [] in
-    Array.blit t.region_members 0 nm 0 t.n_regions;
-    t.region_members <- nm
-  end;
-  t.n_regions <- r + 1;
-  r
-
-let n_regions t = t.n_regions
-let region_active t r = t.region_armed.(r)
-
 (* ------------------------------------------------------------------ *)
 (* Registration and re-arming. *)
 
-let add_clocked_h ?(name = "clocked") ?(region = 0) t fn =
-  if region < 0 || region >= t.n_regions then
-    invalid_arg "Sim.add_clocked_h: unknown region";
+let add_clocked_h ?(name = "clocked") t fn =
   let row = if t.profiling then Some (Profile.register name) else None in
   (* A ticker registered during the event phase (or between runs) is
      eligible from the current cycle — the flat scheduler's snapshot was
@@ -246,18 +213,16 @@ let add_clocked_h ?(name = "clocked") ?(region = 0) t fn =
      phases starts next cycle. The wake staging area reproduces both:
      it is drained at the top of the tick loop. *)
   let reg_clock = if t.in_tick_phase then t.clock + 1 else t.clock in
-  let tk = { fn; region; row; reg_clock; armed = true; wake = max_int } in
+  let tk = { fn; row; reg_clock; armed = true; wake = max_int } in
   let idx = t.n_tickers in
   t.tickers <- push_fn t.tickers idx tk;
   t.n_tickers <- idx + 1;
   t.sum_reg_clock <- t.sum_reg_clock + reg_clock;
-  t.region_members.(region) <- idx :: t.region_members.(region);
-  bump_region t region 1;
   push_wake_next t idx;
   t.quiescent <- false;
   idx
 
-let add_clocked ?name ?region t fn = ignore (add_clocked_h ?name ?region t fn)
+let add_clocked ?name t fn = ignore (add_clocked_h ?name t fn)
 
 let add_ticker ?name t fn = add_clocked ?name t (fun () -> fn (); Busy)
 
@@ -270,7 +235,6 @@ let rearm t h =
     else begin
       tk.armed <- true;
       tk.wake <- max_int;
-      bump_region t tk.region 1;
       t.quiescent <- false;
       (* During the tick loop a re-arm aimed past the merge cursor still
          runs this cycle; everything else (event phase, commit phase,
@@ -281,8 +245,7 @@ let rearm t h =
     end
   end
 
-let rearm_region t r =
-  List.iter (fun idx -> rearm t idx) t.region_members.(r)
+let armed t h = h >= 0 && t.tickers.(h).armed
 
 let wake t =
   for idx = 0 to t.n_tickers - 1 do
@@ -331,7 +294,6 @@ let drain_due_wakes t =
       if (not tk.armed) && tk.wake = w then begin
         tk.armed <- true;
         tk.wake <- max_int;
-        bump_region t tk.region 1;
         push_wake_next t idx
       end
     | _ -> continue_ := false
@@ -400,12 +362,9 @@ let step t =
       | Busy ->
         nxt.(!n_nxt) <- idx;
         incr n_nxt
-      | Idle ->
-        tk.armed <- false;
-        bump_region t tk.region (-1)
+      | Idle -> tk.armed <- false
       | Idle_until w ->
         tk.armed <- false;
-        bump_region t tk.region (-1);
         tk.wake <- w;
         Heap.push t.time_heap (w, idx)
     end

@@ -35,12 +35,10 @@
     the commit phase runs it next cycle (the write was not visible to it
     this cycle under two-phase rules).
 
-    Tickers can be grouped into {e subregions} (a board's tile quadrant,
-    a mesh column) via the [?region] argument; each region keeps an
-    armed-ticker count whose zero/non-zero state is the aggregate
-    activity bit, readable via {!region_active} and bulk re-armable via
-    {!rearm_region}. A fully parked region costs nothing per cycle even
-    while the rest of the board runs cycle-by-cycle.
+    Whether a component is in the active set is readable per handle via
+    {!armed}; a group's aggregate activity (a mesh column, say) is the
+    count of its armed handles. A fully parked group costs nothing per
+    cycle even while the rest of the board runs cycle-by-cycle.
 
     {2 Quiescence and idle fast-forward}
 
@@ -103,17 +101,15 @@ val every : t -> ?start:int -> int -> (unit -> unit) -> unit
 (** [every t ~start period f] runs [f] in the event phase each [period]
     cycles, first at cycle [start] (default: next multiple of [period]). *)
 
-val add_clocked : ?name:string -> ?region:int -> t -> (unit -> activity) -> unit
+val add_clocked : ?name:string -> t -> (unit -> activity) -> unit
 (** Register a per-cycle clocked component (phase 2). The callback runs
     every cycle while in the active set and reports its {!activity};
     [Idle]/[Idle_until] reports park it (see module docs). [name] labels
     the component in {!Profile} output when [APIARY_PROF] is set; when
     profiling is off the name is discarded and the tick path is
-    unchanged. [region] attaches the ticker to a subregion created with
-    {!new_region} (default: region 0, always present). *)
+    unchanged. *)
 
-val add_clocked_h :
-  ?name:string -> ?region:int -> t -> (unit -> activity) -> handle
+val add_clocked_h : ?name:string -> t -> (unit -> activity) -> handle
 (** Like {!add_clocked} but returns the component's {!handle} so
     producers (FIFOs, NIC send paths, monitor ingress) can re-arm it. *)
 
@@ -127,18 +123,9 @@ val rearm : t -> handle -> unit
     already-armed handles are no-ops). Timing follows the re-arm rules
     in the module docs; any pending [Idle_until] wake is superseded. *)
 
-val new_region : t -> int
-(** Allocate a subregion id for [?region] at registration. Region 0
-    exists from creation and is the default. *)
-
-val n_regions : t -> int
-
-val region_active : t -> int -> int
-(** Number of armed (active-set) tickers in the region — the region's
-    aggregate activity bit is [region_active t r > 0]. *)
-
-val rearm_region : t -> int -> unit
-(** Re-arm every parked ticker in the region (bulk {!rearm}). *)
+val armed : t -> handle -> bool
+(** Whether the component is in the active set (scheduled to run), as
+    opposed to parked; [false] for {!no_handle}. *)
 
 val active_tickers : t -> int
 (** Current size of the active set (armed tickers scheduled for the next

@@ -35,7 +35,6 @@ type 'a t = {
   hops : Stats.Histogram.t;
   mutable sent : int;
   mutable delivered : int;
-  col_regions : int array;  (* activity subregion id per mesh column *)
   mutable obs_board : int;  (* board id stamped on Span events; -1 = none *)
 }
 
@@ -78,10 +77,20 @@ let flits_routed t = Array.fold_left (fun a r -> a + Router.flits_routed r) 0 t.
 
 let tx_backlog t = Array.fold_left (fun a n -> a + Nic.tx_backlog n) 0 t.nics
 
-(* Armed (active-set) tickers per mesh column — the per-column aggregate
-   activity bits of the hierarchical scheduler. *)
+(* Armed (active-set) router and NIC tickers per mesh column, read on
+   demand by the [noc.active_cols] sampler instead of being counted on
+   every park and re-arm. *)
 let column_activity t =
-  Array.map (fun r -> Sim.region_active t.sim r) t.col_regions
+  let cols = Array.make t.cfg.cols 0 in
+  let count i h =
+    if Sim.armed t.sim h then begin
+      let x = i mod t.cfg.cols in
+      cols.(x) <- cols.(x) + 1
+    end
+  in
+  Array.iteri (fun i r -> count i (Router.handle r)) t.routers;
+  Array.iteri (fun i n -> count i (Nic.handle n)) t.nics;
+  cols
 
 let active_columns t =
   Array.fold_left (fun a n -> if n > 0 then a + 1 else a) 0 (column_activity t)
@@ -133,24 +142,14 @@ let create sim cfg =
   assert (cfg.cols >= 1 && cfg.rows >= 1);
   assert (cfg.vcs >= 1 && cfg.depth >= 1 && cfg.flit_bytes >= 1);
   let n = cfg.cols * cfg.rows in
-  (* One activity subregion per mesh column: the column's routers + NICs
-     share an aggregate activity bit, so a fully quiescent column reads
-     as zero armed tickers while its neighbours run cycle-by-cycle. *)
-  let col_regions = Array.init cfg.cols (fun _ -> Sim.new_region sim) in
-  let region_of_tile i =
-    col_regions.((Coord.of_index ~cols:cfg.cols i).Coord.x)
-  in
   let routers =
     Array.init n (fun i ->
-        Router.create ~region:(region_of_tile i) sim
-          ~coord:(Coord.of_index ~cols:cfg.cols i)
+        Router.create sim ~coord:(Coord.of_index ~cols:cfg.cols i)
           ~vcs:cfg.vcs ~depth:cfg.depth ~routing:cfg.routing ~qos:cfg.qos)
   in
   let nics =
-    Array.mapi
-      (fun i r ->
-        Nic.create ~region:(region_of_tile i) sim ~router:r ~depth:cfg.depth
-          ~qos:cfg.qos)
+    Array.map
+      (fun r -> Nic.create sim ~router:r ~depth:cfg.depth ~qos:cfg.qos)
       routers
   in
   let t =
@@ -167,7 +166,6 @@ let create sim cfg =
       hops = Stats.Histogram.create "noc.hops";
       sent = 0;
       delivered = 0;
-      col_regions;
       obs_board = -1;
     }
   in

@@ -77,8 +77,8 @@ val tx_backlog : 'a t -> int
 (** Total packets queued or in flight across all NICs (drain check). *)
 
 val column_activity : 'a t -> int array
-(** Armed (active-set) tickers per mesh column — each column is an
-    activity subregion of the mesh's simulator. *)
+(** Armed (active-set) router and NIC tickers per mesh column (see
+    [Sim.armed]). *)
 
 val active_columns : 'a t -> int
-(** Number of columns whose subregion activity bit is set (armed > 0). *)
+(** Number of columns with at least one armed router or NIC. *)

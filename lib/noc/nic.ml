@@ -22,6 +22,7 @@ type 'a t = {
 }
 
 let coord t = Router.coord t.router
+let handle t = t.handle
 
 let set_obs t ~board ~track =
   t.obs_board <- board;
@@ -137,7 +138,7 @@ let tick t =
     Sim.Busy
   end
 
-let create ?region sim ~router ~depth ~qos =
+let create sim ~router ~depth ~qos =
   let vcs = Router.vcs router in
   let c = Router.coord router in
   let ej_occ = ref 0 in
@@ -181,7 +182,7 @@ let create ?region sim ~router ~depth ~qos =
           if !pending = 0 then Sim.mark_dirty sim drain;
           incr pending))
     eject;
-  let h = Sim.add_clocked_h ~name:"noc.nic" ?region sim (fun () -> tick t) in
+  let h = Sim.add_clocked_h ~name:"noc.nic" sim (fun () -> tick t) in
   t.handle <- h;
   (* Flits landing in the ejection buffers re-arm the NIC. *)
   Array.iter (fun chan -> Fifo.set_owner chan.Router.buf h) eject;

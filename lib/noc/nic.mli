@@ -14,11 +14,12 @@ module Sim := Apiary_engine.Sim
 
 type 'a t
 
-val create :
-  ?region:int -> Sim.t -> router:'a Router.t -> depth:int -> qos:bool -> 'a t
-(** Create a NIC, wire it to [router]'s [Local] port and register its tick
-    (in activity subregion [region], if given). [depth] is the ejection
-    buffer depth per VC. *)
+val create : Sim.t -> router:'a Router.t -> depth:int -> qos:bool -> 'a t
+(** Create a NIC, wire it to [router]'s [Local] port and register its
+    tick. [depth] is the ejection buffer depth per VC. *)
+
+val handle : 'a t -> Sim.handle
+(** The NIC's ticker (see [Sim.armed]). *)
 
 val coord : 'a t -> Coord.t
 

@@ -67,9 +67,11 @@ type 'a t = {
   slot_p : int array;  (* slot -> input port index (avoids hot-path div) *)
   slot_v : int array;  (* slot -> input vc *)
   perf : Perf.t;  (* per-router counter block (readable in-band) *)
+  mutable handle : Sim.handle;  (* our ticker in the activity-set scheduler *)
 }
 
 let coord t = t.coord
+let handle t = t.handle
 let vcs t = t.vcs
 let input_chan t p v = t.inputs.(Port.index p).(v)
 
@@ -250,7 +252,7 @@ let tick t =
     if !(t.in_occ) = 0 then Sim.Idle else Sim.Busy
   end
 
-let create ?region sim ~coord ~vcs ~depth ~routing ~qos =
+let create sim ~coord ~vcs ~depth ~routing ~qos =
   assert (vcs >= 1);
   assert (depth >= 1);
   let in_occ = ref 0 in
@@ -286,9 +288,11 @@ let create ?region sim ~coord ~vcs ~depth ~routing ~qos =
       slot_p = Array.init (Port.count * vcs) (fun s -> s / vcs);
       slot_v = Array.init (Port.count * vcs) (fun s -> s mod vcs);
       perf = Perf.create ();
+      handle = Sim.no_handle;
     }
   in
-  let h = Sim.add_clocked_h ~name:"noc.router" ?region sim (fun () -> tick t) in
+  let h = Sim.add_clocked_h ~name:"noc.router" sim (fun () -> tick t) in
+  t.handle <- h;
   (* Any flit arrival — a neighbour's staged push committing — re-arms
      the router out of its parked state. *)
   Array.iter

@@ -52,7 +52,6 @@ val chan_pop_exn : 'a chan -> 'a Packet.Flit.t
 type 'a t
 
 val create :
-  ?region:int ->
   Sim.t ->
   coord:Coord.t ->
   vcs:int ->
@@ -60,9 +59,11 @@ val create :
   routing:Routing.t ->
   qos:bool ->
   'a t
-(** Create a router and register its per-cycle tick with the simulator
-    (in activity subregion [region], if given). Input-channel arrivals
-    re-arm the router when it is parked. *)
+(** Create a router and register its per-cycle tick with the simulator.
+    Input-channel arrivals re-arm the router when it is parked. *)
+
+val handle : 'a t -> Sim.handle
+(** The router's ticker (see [Sim.armed]). *)
 
 val coord : 'a t -> Coord.t
 val vcs : 'a t -> int

@@ -33,6 +33,14 @@ let board t = t.board
 let capacity t = Array.length t.ring
 let total t = t.total
 
+(* One reading of the two knobs for every ring (boards and the scheduler
+   controller), so APIARY_FLIGHT_CAP sizes them all alike. *)
+let of_env () =
+  let capacity = Env.int ~min:16 "APIARY_FLIGHT_CAP" ~default:256 in
+  let t = create ~capacity () in
+  if Sys.getenv_opt "APIARY_FLIGHT" = Some "1" then set_enabled t true;
+  t
+
 let record t ~ts ~tile ~cat ~name ?(corr = 0) ?(args = []) () =
   if t.on then begin
     t.ring.(t.next) <- Some { ts; tile; cat; name; corr; args };
@@ -59,27 +67,12 @@ let clear t =
 (* Postmortem JSON. Byte-stable: entries in ring order, args in
    recording order, no floats. *)
 
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let dump_json t ~reason ~cycle =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"board\": ";
   Buffer.add_string buf (string_of_int t.board);
   Buffer.add_string buf ",\n  \"reason\": ";
-  buf_add_json_string buf reason;
+  Export.buf_add_json_string buf reason;
   Buffer.add_string buf ",\n  \"cycle\": ";
   Buffer.add_string buf (string_of_int cycle);
   Buffer.add_string buf ",\n  \"capacity\": ";
@@ -96,9 +89,9 @@ let dump_json t ~reason ~cycle =
       Buffer.add_string buf ", \"tile\": ";
       Buffer.add_string buf (string_of_int e.tile);
       Buffer.add_string buf ", \"cat\": ";
-      buf_add_json_string buf e.cat;
+      Export.buf_add_json_string buf e.cat;
       Buffer.add_string buf ", \"name\": ";
-      buf_add_json_string buf e.name;
+      Export.buf_add_json_string buf e.name;
       if e.corr <> 0 then begin
         Buffer.add_string buf ", \"corr\": ";
         Buffer.add_string buf (string_of_int e.corr)
@@ -108,9 +101,9 @@ let dump_json t ~reason ~cycle =
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_string buf ", ";
-            buf_add_json_string buf k;
+            Export.buf_add_json_string buf k;
             Buffer.add_string buf ": ";
-            buf_add_json_string buf v)
+            Export.buf_add_json_string buf v)
           e.args;
         Buffer.add_char buf '}'
       end;

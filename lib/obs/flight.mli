@@ -26,6 +26,11 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 256 events. *)
 
+val of_env : unit -> t
+(** The ring every board kernel and the scheduler controller use: sized
+    by [APIARY_FLIGHT_CAP] (default 256; values below 16 are rejected
+    with a warning) and armed at creation when [APIARY_FLIGHT=1]. *)
+
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
@@ -53,7 +58,8 @@ val dump_json : t -> reason:string -> cycle:int -> string
 (** Postmortem document:
     [{"board", "reason", "cycle", "capacity", "recorded", "events": [
       {"ts", "tile", "cat", "name", "corr"?, "args"?}, ...]}].
-    Byte-stable for a fixed ring state. *)
+    Byte-stable for a fixed ring state. Strings are escaped with
+    [Export.buf_add_json_string], like every other artifact. *)
 
 val write_dump : t -> reason:string -> cycle:int -> string -> unit
 (** [write_dump t ~reason ~cycle path] writes {!dump_json} to [path]. *)

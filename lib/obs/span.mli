@@ -11,7 +11,7 @@
     The recorder is process-global and {b disabled by default}: every
     entry point checks one flag first, so instrumented hot paths pay a
     single branch when tracing is off (the same discipline as
-    [Trace.record_lazy]). Call sites that would allocate argument lists
+    {!Flight.record}). Call sites that would allocate argument lists
     should guard with {!on} themselves.
 
     Timestamps are simulation cycles — never wall clock. Recording is

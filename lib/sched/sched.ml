@@ -636,18 +636,9 @@ let arm_telemetry t =
 
 let create ?(config = default_config) cluster ~slot_cells =
   let mac, my_mac = Cluster.add_client ~gbps:10.0 cluster in
-  (* Controller flight ring, armed like the kernels' (APIARY_FLIGHT=1
-     enables at construction, APIARY_FLIGHT_CAP resizes): burn-rate
+  (* Controller flight ring, built and armed like the kernels': burn-rate
      alerts and other controller events land here for postmortems. *)
-  let flight =
-    let f =
-      Flight.create
-        ~capacity:(Apiary_obs.Env.int "APIARY_FLIGHT_CAP" ~default:256)
-        ()
-    in
-    if Sys.getenv_opt "APIARY_FLIGHT" = Some "1" then Flight.set_enabled f true;
-    f
-  in
+  let flight = Flight.of_env () in
   let boards =
     Array.init (Cluster.n_boards cluster) (fun b ->
         let pool = Node.free_tiles (Cluster.node cluster b) in

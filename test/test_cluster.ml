@@ -7,7 +7,6 @@ module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
-module Trace = Apiary_core.Trace
 module Accels = Apiary_accel.Accels
 module Kv = Apiary_accel.Kv
 module Cluster = Apiary_cluster.Cluster
@@ -201,97 +200,10 @@ let test_cluster_local_and_remote_call () =
   in
   ignore (Cluster.install cluster ~board:0 (caller 0 local_reply));
   ignore (Cluster.install cluster ~board:1 (caller 1 remote_reply));
-  Cluster.set_tracing cluster true;
   Par_sim.run_for eng 100_000;
   Alcotest.(check (option string)) "local call echoed" (Some "ping") !local_reply;
   Alcotest.(check (option string)) "remote call echoed" (Some "ping")
-    !remote_reply;
-  (* The merged trace carries both boards' ids. *)
-  let boards_seen =
-    List.sort_uniq compare
-      (List.filter_map (fun e -> e.Trace.board) (Cluster.merged_trace cluster))
-  in
-  Alcotest.(check (list int)) "trace attributes both boards" [ 0; 1 ] boards_seen
-
-(* A cross-board RPC reconstructs from one Trace.merge pool: filter by
-   corr on the caller's side of the network hop to recover its
-   request/reply pair, then find the far board serving — under its own
-   corr — strictly inside that window (the reconstruction trace.mli
-   documents). *)
-let test_cluster_merged_trace_corr_reconstruction () =
-  let eng = Cluster.engine ~boards:2 () in
-  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
-  ignore
-    (Cluster.install cluster ~board:0 ~service:"mirror"
-       (Accels.echo ~service:"mirror" ()));
-  let caller_tile = ref (-1) and reply = ref None in
-  let caller =
-    Shell.behavior "caller" ~on_boot:(fun sh ->
-        caller_tile := Shell.tile sh;
-        Sim.after (Shell.sim sh) 3_000 (fun () ->
-            Cluster.connect cluster ~board:1 sh ~service:"mirror" (fun r ->
-                match r with
-                | Error _ -> ()
-                | Ok target ->
-                  Cluster.call cluster ~board:1 sh target ~op:Accels.op_echo
-                    (b "ping") (fun r ->
-                      match r with
-                      | Ok body -> reply := Some (Bytes.to_string body)
-                      | Error _ -> ()))))
-  in
-  ignore (Cluster.install cluster ~board:1 caller);
-  Cluster.set_tracing cluster true;
-  Par_sim.run_for eng 100_000;
-  Alcotest.(check (option string)) "remote call echoed" (Some "ping") !reply;
-  let merged = Cluster.merged_trace cluster in
-  (* The last corr the caller tile opened is the remote RPC's local leg
-     (to the net service tile). *)
-  let corr =
-    List.fold_left
-      (fun acc (e : Trace.event) ->
-        if e.Trace.board = Some 1 && e.Trace.tile = !caller_tile
-           && e.Trace.dir = Trace.Egress
-        then max acc e.Trace.corr
-        else acc)
-      0 merged
-  in
-  Alcotest.(check bool) "caller sent a correlated request" true (corr > 0);
-  let journey =
-    List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.board = Some 1 && e.Trace.corr = corr)
-      merged
-  in
-  let req =
-    match
-      List.find_opt (fun (e : Trace.event) -> e.Trace.dir = Trace.Egress) journey
-    with
-    | Some e -> e
-    | None -> Alcotest.fail "no egress under the caller's corr"
-  in
-  let rsp =
-    match
-      List.find_opt
-        (fun (e : Trace.event) ->
-          e.Trace.dir = Trace.Ingress && e.Trace.tile = !caller_tile)
-        journey
-    with
-    | Some e -> e
-    | None -> Alcotest.fail "no reply ingress under the caller's corr"
-  in
-  Alcotest.(check bool) "request precedes reply" true
-    (req.Trace.cycle < rsp.Trace.cycle);
-  (* The far board serves the forwarded request under its own corr,
-     inside the caller's request/reply window. *)
-  let served =
-    List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.board = Some 0 && e.Trace.corr > 0
-        && e.Trace.cycle > req.Trace.cycle
-        && e.Trace.cycle < rsp.Trace.cycle)
-      merged
-  in
-  Alcotest.(check bool) "board 0 served inside the window" true (served <> [])
+    !remote_reply
 
 (* ------------------------------------------------------------------ *)
 (* Failover: kill, reshard onto survivors, recover by re-registration *)
@@ -410,8 +322,6 @@ let () =
         [
           Alcotest.test_case "local and remote calls" `Quick
             test_cluster_local_and_remote_call;
-          Alcotest.test_case "merged trace corr reconstruction" `Quick
-            test_cluster_merged_trace_corr_reconstruction;
         ] );
       ( "failover",
         [

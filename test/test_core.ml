@@ -12,7 +12,7 @@ module Monitor = Apiary_core.Monitor
 module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
 module Services = Apiary_core.Services
-module Trace = Apiary_core.Trace
+module Flight = Apiary_obs.Flight
 module Rate_limiter = Apiary_core.Rate_limiter
 module Mesh = Apiary_noc.Mesh
 
@@ -918,40 +918,6 @@ let test_busy_accumulates () =
       (r2 - r1 >= 200)
   | _ -> Alcotest.fail "expected two replies"
 
-let test_trace_ring_wraps () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.set_enabled tr true;
-  for c = 1 to 20 do
-    Trace.record tr ~cycle:c ~tile:0 ~dir:Trace.Ingress ~detail:"x" ()
-  done;
-  let evs = Trace.events tr in
-  Alcotest.(check int) "retains capacity" 8 (List.length evs);
-  Alcotest.(check int) "total counted" 20 (Trace.count tr);
-  match evs with
-  | first :: _ -> Alcotest.(check int) "oldest retained is 13" 13 first.Trace.cycle
-  | [] -> Alcotest.fail "empty"
-
-let test_trace_disabled_is_free () =
-  let tr = Trace.create ~capacity:8 () in
-  let blew_up = ref false in
-  Trace.record_lazy tr ~cycle:0 ~tile:0 ~dir:Trace.Egress (fun () ->
-      blew_up := true;
-      "never");
-  Alcotest.(check bool) "lazy detail not built" false !blew_up;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events tr))
-
-let test_trace_fold () =
-  let tr = Trace.create ~capacity:8 () in
-  Trace.set_enabled tr true;
-  for c = 1 to 12 do
-    Trace.record tr ~cycle:c ~tile:(c mod 3) ~dir:Trace.Egress ~detail:"x" ()
-  done;
-  (* Only the retained window (cycles 5..12) is folded, oldest first. *)
-  let sum = Trace.fold tr ~init:0 ~f:(fun a e -> a + e.Trace.cycle) in
-  Alcotest.(check int) "fold over retained ring" 68 sum;
-  Alcotest.(check int) "agrees with events" sum
-    (List.fold_left (fun a e -> a + e.Trace.cycle) 0 (Trace.events tr))
-
 let prop_wire_fuzz_never_crashes =
   QCheck.Test.make ~name:"wire decode never raises on fuzz" ~count:500
     QCheck.(string_of_size Gen.(int_range 0 100))
@@ -959,11 +925,11 @@ let prop_wire_fuzz_never_crashes =
       match Wire.decode (Bytes.of_string junk) with Ok _ | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Monitor events in the board flight ring *)
 
 let test_trace_records_flow () =
   let sim, k = mk_kernel () in
-  Trace.set_enabled (Kernel.trace k) true;
+  Flight.set_enabled (Kernel.flight k) true;
   Kernel.install k ~tile:1 (echo_behavior "echo");
   with_client k ~tile:2 (fun sh ->
       Shell.connect sh ~service:"echo" (fun r ->
@@ -971,10 +937,55 @@ let test_trace_records_flow () =
           | Ok conn -> Shell.request sh conn ~opcode:9 (b "traced") (fun _ -> ())
           | Error _ -> ()));
   Sim.run_for sim 5000;
-  let evs = Trace.events (Kernel.trace k) in
-  Alcotest.(check bool) "events recorded" true (List.length evs > 10);
-  let egress_t2 = Trace.find (Kernel.trace k) ~tile:2 ~dir:Trace.Egress () in
-  Alcotest.(check bool) "tile 2 egress seen" true (List.length egress_t2 >= 2)
+  let evs = Flight.entries (Kernel.flight k) in
+  Alcotest.(check bool) "all monitor admits" true
+    (evs <> []
+    && List.for_all
+         (fun (e : Flight.entry) -> e.Flight.cat = "monitor" && e.Flight.name = "admit")
+         evs);
+  (* The client's lookup, connect and request, each under its own corr. *)
+  let corrs_t2 =
+    List.filter_map
+      (fun (e : Flight.entry) -> if e.Flight.tile = 2 then Some e.Flight.corr else None)
+      evs
+  in
+  Alcotest.(check (list int)) "tile 2 admits" [ 1; 2; 3 ] corrs_t2;
+  Alcotest.(check bool) "echo reply admitted" true
+    (List.exists (fun (e : Flight.entry) -> e.Flight.tile = 1 && e.Flight.corr = 3) evs)
+
+(* Every way a monitor drops an inbound message, and a shell note, is one
+   flight-ring entry naming what happened. *)
+let test_flight_drop_sites_and_notes () =
+  let _, k = mk_kernel () in
+  Flight.set_enabled (Kernel.flight k) true;
+  let msg ~dst ?(is_reply = false) corr =
+    Message.make ~src:{ Message.tile = 9; ep = Message.app_ep }
+      ~dst:{ Message.tile = dst; ep = Message.app_ep }
+      ~kind:(Message.Data { opcode = 1 }) ~corr ~is_reply ~now:0 ()
+  in
+  Monitor.ingress (Kernel.monitor k 3) (msg ~dst:3 ~is_reply:true 71);
+  Monitor.fault (Kernel.monitor k 4) "boom";
+  Monitor.ingress (Kernel.monitor k 4) (msg ~dst:4 72);
+  Monitor.set_offline (Kernel.monitor k 5);
+  Monitor.ingress (Kernel.monitor k 5) (msg ~dst:5 73);
+  Shell.log (Kernel.monitor k 6) "hello";
+  let got =
+    List.filter_map
+      (fun (e : Flight.entry) ->
+        if e.Flight.name = "drop" || e.Flight.name = "note" then
+          Some ((e.Flight.tile, e.Flight.name, e.Flight.corr), e.Flight.args)
+        else None)
+      (Flight.entries (Kernel.flight k))
+  in
+  Alcotest.(check (list (pair (triple int string int) (list (pair string string)))))
+    "one entry per site"
+    [
+      ((3, "drop", 71), [ ("reason", "unsolicited reply") ]);
+      ((4, "drop", 72), [ ("reason", "draining") ]);
+      ((5, "drop", 73), [ ("reason", "offline") ]);
+      ((6, "note", 0), [ ("msg", "hello") ]);
+    ]
+    got
 
 let test_monitor_added_latency_enforce_vs_off () =
   (* Enforcing monitor with a 2-cycle check pipeline vs a raw pass-through
@@ -1074,14 +1085,13 @@ let () =
           Alcotest.test_case "grant needs grant right" `Quick test_grant_mem_requires_grant_right;
           Alcotest.test_case "mgmt recovers" `Quick test_mgmt_recovers_after_restart;
           Alcotest.test_case "busy accumulates" `Quick test_busy_accumulates;
-          Alcotest.test_case "trace ring wraps" `Quick test_trace_ring_wraps;
-          Alcotest.test_case "trace disabled free" `Quick test_trace_disabled_is_free;
-          Alcotest.test_case "trace fold" `Quick test_trace_fold;
           qc prop_wire_fuzz_never_crashes;
         ] );
       ( "observability",
         [
           Alcotest.test_case "trace flow" `Quick test_trace_records_flow;
+          Alcotest.test_case "flight drop sites and notes" `Quick
+            test_flight_drop_sites_and_notes;
           Alcotest.test_case "monitor latency" `Quick test_monitor_added_latency_enforce_vs_off;
         ] );
     ]

@@ -497,22 +497,27 @@ let test_sim_rearm_handle () =
   Sim.run_for sim 5;
   Alcotest.(check int) "no_handle wakes nothing" 2 !runs
 
+(* A group's aggregate activity (a mesh column's, say) is the count of
+   its armed handles: it must follow registration, parking and re-arms. *)
 let test_sim_region_activity () =
   let sim = Sim.create () in
-  let r = Sim.new_region sim in
   let runs = ref 0 in
   let tick () =
     incr runs;
     Sim.Idle
   in
-  ignore (Sim.add_clocked_h sim ~name:"a" ~region:r tick);
-  ignore (Sim.add_clocked_h sim ~name:"b" ~region:r tick);
-  Alcotest.(check int) "armed at registration" 2 (Sim.region_active sim r);
+  let hs =
+    [ Sim.add_clocked_h sim ~name:"a" tick; Sim.add_clocked_h sim ~name:"b" tick ]
+  in
+  let active () = List.length (List.filter (Sim.armed sim) hs) in
+  Alcotest.(check int) "armed at registration" 2 (active ());
   Sim.run_for sim 5;
   Alcotest.(check int) "both ticked once" 2 !runs;
-  Alcotest.(check int) "region quiet after parking" 0 (Sim.region_active sim r);
-  Sim.rearm_region sim r;
-  Alcotest.(check int) "region re-armed" 2 (Sim.region_active sim r);
+  Alcotest.(check int) "group quiet after parking" 0 (active ());
+  Alcotest.(check bool) "no_handle is never armed" false
+    (Sim.armed sim Sim.no_handle);
+  List.iter (Sim.rearm sim) hs;
+  Alcotest.(check int) "group re-armed" 2 (active ());
   Sim.run_for sim 5;
   Alcotest.(check int) "both ticked again" 4 !runs
 

@@ -22,6 +22,8 @@ module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Rack_health = Apiary_cluster.Rack_health
 module Shard_client = Apiary_cluster.Shard_client
+module Node = Apiary_cluster.Node
+module Sched = Apiary_sched.Sched
 module Perf = Apiary_obs.Perf
 module Flight = Apiary_obs.Flight
 module Span = Apiary_obs.Span
@@ -246,6 +248,43 @@ let test_flight_postmortem_on_fault () =
   Alcotest.(check string) "last event is the fault" "fault" last.Flight.name;
   Alcotest.(check int) "on the faulting tile" 5 last.Flight.tile
 
+(* The board rings and the scheduler's controller ring read
+   APIARY_FLIGHT_CAP through one constructor, so they are always the
+   same size — including when a too-small value is rejected. *)
+let test_flight_of_env_sizes_all_rings () =
+  let old = Sys.getenv_opt "APIARY_FLIGHT_CAP" in
+  let capacities cap =
+    Unix.putenv "APIARY_FLIGHT_CAP" cap;
+    let eng = Cluster.engine ~boards:1 () in
+    let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:1 in
+    let sched = Sched.create cluster ~slot_cells:(fun _ -> 50_000) in
+    ( Flight.capacity (Kernel.flight (Node.kernel (Cluster.node cluster 0))),
+      Flight.capacity (Sched.flight sched) )
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* putenv cannot unset: an empty value reads as unset (default). *)
+      Unix.putenv "APIARY_FLIGHT_CAP" (Option.value ~default:"" old))
+    (fun () ->
+      Alcotest.(check (pair int int)) "below the minimum: both default"
+        (256, 256) (capacities "8");
+      Alcotest.(check (pair int int)) "in range: both resized" (64, 64)
+        (capacities "64"))
+
+(* The postmortem renders strings with the shared JSON escaper. *)
+let test_flight_dump_escapes_like_export () =
+  let f = Flight.create ~capacity:4 () in
+  Flight.set_enabled f true;
+  Flight.record f ~ts:1 ~tile:0 ~cat:"monitor" ~name:"note"
+    ~args:[ ("msg", "a\rb") ] ();
+  let doc = Flight.dump_json f ~reason:"r" ~cycle:2 in
+  let has sub =
+    let n = String.length doc and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub doc i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "CR escaped as \\r" true (has {|"msg": "a\rb"|})
+
 (* ------------------------------------------------------------------ *)
 (* Critical path decomposition (synthetic spans) *)
 
@@ -369,6 +408,10 @@ let () =
           Alcotest.test_case "ring bounded" `Quick test_flight_ring_bounded;
           Alcotest.test_case "postmortem on fault" `Quick
             test_flight_postmortem_on_fault;
+          Alcotest.test_case "of_env sizes all rings" `Quick
+            test_flight_of_env_sizes_all_rings;
+          Alcotest.test_case "dump escapes like export" `Quick
+            test_flight_dump_escapes_like_export;
         ] );
       ( "critical_path",
         [

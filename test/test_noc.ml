@@ -101,6 +101,21 @@ let test_mesh_single_delivery () =
   Alcotest.(check (list int)) "payload delivered" [ 99 ] !got;
   Alcotest.(check int) "counted" 1 (Mesh.packets_delivered mesh)
 
+(* The [noc.active_cols] gauge: columns with an armed router or NIC. A
+   crossing packet keeps its path's columns active; once it drains every
+   router and NIC parks again. *)
+let test_mesh_active_columns () =
+  let sim = Sim.create () in
+  let mesh = mk_mesh sim in
+  Sim.run_for sim 10;
+  Alcotest.(check int) "idle mesh parks" 0 (Mesh.active_columns mesh);
+  Mesh.send mesh ~src:(Coord.make 0 0) ~dst:(Coord.make 3 0) ~payload_bytes:256 0;
+  Sim.run_for sim 5;
+  Alcotest.(check bool) "active while crossing" true (Mesh.active_columns mesh > 0);
+  Sim.run_for sim 500;
+  Alcotest.(check int) "delivered" 1 (Mesh.packets_delivered mesh);
+  Alcotest.(check int) "drained" 0 (Mesh.active_columns mesh)
+
 let test_mesh_latency_scales_with_hops () =
   (* 1-hop vs 6-hop latency must differ by roughly the hop delta. *)
   let run src dst =
@@ -325,6 +340,7 @@ let () =
       ( "mesh",
         [
           Alcotest.test_case "single delivery" `Quick test_mesh_single_delivery;
+          Alcotest.test_case "active columns" `Quick test_mesh_active_columns;
           Alcotest.test_case "latency ~ hops" `Quick test_mesh_latency_scales_with_hops;
           Alcotest.test_case "serialization latency" `Quick test_mesh_serialization_latency;
           Alcotest.test_case "all pairs delivery" `Quick test_mesh_all_pairs_delivery;

@@ -8,13 +8,15 @@
      window schedules (chunked, adaptive or fixed, Seq or Par) deliver
      the same events.
    - Rack (E12-small shape): a 2-board cluster under a client-driven
-     sharded workload produces identical traces and client stats in Seq
-     and Par modes. *)
+     sharded workload produces an identical span capture (monitor events,
+     NoC hops, netsvc, switch and rpc spans) and client stats in Seq and
+     Par modes. *)
 
 module Sim = Apiary_engine.Sim
 module Par_sim = Apiary_engine.Par_sim
 module Stats = Apiary_engine.Stats
-module Trace = Apiary_core.Trace
+module Span = Apiary_obs.Span
+module Export = Apiary_obs.Export
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
@@ -72,9 +74,6 @@ let hist_sig h =
     (Stats.Histogram.min_value h) (Stats.Histogram.max_value h)
     (Stats.Histogram.percentile h 50.0) (Stats.Histogram.percentile h 99.0)
 
-let event_to_string e =
-  Format.asprintf "%a" Trace.pp_event e
-
 let run_rack ?domains mode cycles =
   let boards = 2 in
   let eng = Cluster.engine ~mode ?domains ~boards () in
@@ -92,13 +91,21 @@ let run_rack ?domains mode cycles =
       ~gen:(fun n ->
         (Printf.sprintf "key-%04d" (n mod 64), Bytes.of_string "ping"))
   in
-  Cluster.set_tracing cluster true;
+  Span.reset ();
+  Span.set_enabled true;
   Sim.after (Cluster.sim cluster) 1_000 (fun () ->
       Shard_client.start client ~concurrency:4);
   Par_sim.run_until eng cycles;
+  Span.set_enabled false;
   Shard_client.stop client;
   Par_sim.shutdown eng;
-  let trace = List.map event_to_string (Cluster.merged_trace cluster) in
+  let evs = Span.events () in
+  Alcotest.(check int) "nothing dropped at the cap" 0 (Span.dropped ());
+  Span.reset ();
+  (* The capture must really span the rack: both boards and the ToR. *)
+  Alcotest.(check (list int)) "events from both boards and the ToR" [ -1; 0; 1 ]
+    (List.sort_uniq compare (List.map (fun (e : Span.event) -> e.Span.board) evs));
+  let trace = Export.chrome_trace_string evs in
   let stats =
     Printf.sprintf "issued=%d completed=%d errors=%d failovers=%d lat[%s]"
       (Shard_client.issued client) (Shard_client.completed client)
@@ -112,12 +119,12 @@ let test_rack_par_matches_seq () =
   let stats_seq, trace_seq = run_rack Par_sim.Seq cycles in
   let stats_par, trace_par = run_rack Par_sim.Par cycles in
   Alcotest.(check string) "client stats identical" stats_seq stats_par;
-  Alcotest.(check int) "trace length identical" (List.length trace_seq)
-    (List.length trace_par);
-  Alcotest.(check (list string)) "traces byte-identical" trace_seq trace_par;
+  Alcotest.(check int) "trace length identical" (String.length trace_seq)
+    (String.length trace_par);
+  Alcotest.(check bool) "traces byte-identical" true (trace_seq = trace_par);
   (* The workload must actually have crossed partition boundaries. *)
   Alcotest.(check bool) "requests completed" true
-    (String.length stats_seq > 0 && trace_seq <> [])
+    (String.length stats_seq > 0 && trace_seq <> "")
 
 (* Work stealing: fewer domains than members must not move a byte —
    members are isolated within a window, so which domain runs which
@@ -127,8 +134,8 @@ let test_rack_work_stealing_matches () =
   let stats_seq, trace_seq = run_rack Par_sim.Seq cycles in
   let stats_steal, trace_steal = run_rack ~domains:2 Par_sim.Par cycles in
   Alcotest.(check string) "stats identical under stealing" stats_seq stats_steal;
-  Alcotest.(check (list string)) "traces identical under stealing" trace_seq
-    trace_steal
+  Alcotest.(check bool) "traces identical under stealing" true
+    (trace_seq = trace_steal)
 
 let test_domains_clamped_and_reported () =
   let eng = Par_sim.create ~domains:99 ~lookahead:2 ~n:3 () in
