@@ -32,6 +32,7 @@ module Span = Apiary_obs.Span
 module Critical_path = Apiary_obs.Critical_path
 module Cluster = Apiary_cluster.Cluster
 module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Shard_client = Apiary_cluster.Shard_client
 open Bench_util
 
@@ -125,11 +126,13 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
             (Cluster.install cluster ~board:b ~service:"kv"
                (fst (Kv.behavior ())))
         done;
+        (* The watchdog hears the boards through the collector. *)
         let watchdog =
           match detector with
           | `Timeout -> None
           | `Watchdog ->
-            Some (Rack_health.create ~hb_period:500 ~deadline:3_000 cluster)
+            let col = Collector.create cluster in
+            Some (col, Rack_health.create ~deadline:3_000 cluster)
         in
         let clients =
           List.init 2 (fun _ ->
@@ -152,7 +155,8 @@ let e13b_run ~detector ~duration ~kill_at ~interval =
           let detect =
             match watchdog with
             | None -> None
-            | Some w -> (
+            | Some (col, w) -> (
+              Collector.detach col;
               match
                 List.find_opt (fun (_, b) -> b = victim)
                   (Rack_health.detections w)

@@ -31,6 +31,7 @@ module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
 module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Placer = Apiary_sched.Placer
 module Sched = Apiary_sched.Sched
 module Slo = Apiary_obs.Slo
@@ -193,7 +194,7 @@ let run_variant ~variant ~boards ~duration ~kill =
         List.init boards (fun b ->
             { Placer.board = b; tiles = 4; slot_cells = slot_cells b })
       in
-      let sched, static_placement =
+      let sched, collector, static_placement =
         match variant with
         | Static which ->
           let targets =
@@ -219,14 +220,14 @@ let run_variant ~variant ~boards ~duration ~kill =
                        (behavior_of spec ())))
                 bs)
             placement;
-          (None, placement)
+          (None, None, placement)
         | Elastic { migration } ->
           let cfg =
             {
               Sched.default_config with
               Sched.report_period = 4_000;
               (* A saturated board at these service times moves ~40
-                 msgs/beacon, an idle one under 12 (calibrated). *)
+                 msgs/load report, an idle one under 12 (calibrated). *)
               hot_load = (if migration then 30 else max_int / 2);
               cold_load = 12;
               cooldown = 60_000;
@@ -238,12 +239,13 @@ let run_variant ~variant ~boards ~duration ~kill =
               slo_min_samples = 4;
             }
           in
-          let sched = Sched.create ~config:cfg cluster ~slot_cells in
+          let collector = Collector.create cluster in
+          let sched = Sched.create ~config:cfg cluster ~collector ~slot_cells in
           List.iter
             (fun spec ->
               Sched.add_tenant sched ~spec ~behavior:(behavior_of spec))
             specs;
-          (Some sched, [])
+          (Some sched, Some collector, [])
       in
       let web = mk_client cluster web_spec in
       let ml = mk_client cluster ml_spec in
@@ -276,7 +278,11 @@ let run_variant ~variant ~boards ~duration ~kill =
                       Printf.sprintf " %4d" (Sched.board_load sched b)))))
       | _ -> ());
       (* The rack watchdog: failure detection for the drill rides the
-         heartbeat/alarm path, not client timeouts. *)
+         heartbeat/alarm path, not client timeouts. It hears the boards
+         through the collector — the scheduler's, when there is one. *)
+      let collector =
+        match collector with Some c -> c | None -> Collector.create cluster
+      in
       let health = Rack_health.create cluster in
       drive_load sim ~duration ~web ~ml ~burst;
       let victim = ref (-1) in
@@ -298,6 +304,7 @@ let run_variant ~variant ~boards ~duration ~kill =
             Cluster.kill cluster ~board:b));
       fun () ->
         List.iter (fun (_, c) -> Shard_client.stop c) clients;
+        Collector.detach collector;
         if Sys.getenv_opt "APIARY_E14_DEBUG" <> None then
           List.iter
             (fun ((spec : Placer.tenant), c) ->

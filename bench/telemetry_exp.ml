@@ -402,8 +402,12 @@ let e16e_run ~feed ~duration =
             slo_min_samples = 4;
           }
         in
+        (* Both feeds share one collector: the scheduler's load reports
+           ride its agents either way. *)
+        let col = Collector.create cluster in
         let sched =
-          Sched.create ~config:cfg cluster ~slot_cells:(fun _ -> 60_000)
+          Sched.create ~config:cfg cluster ~collector:col
+            ~slot_cells:(fun _ -> 60_000)
         in
         Sched.add_tenant sched ~spec:web_spec ~behavior:(fun () ->
             Accels.echo ~service:"web" ~cost:400 ());
@@ -412,17 +416,11 @@ let e16e_run ~feed ~duration =
             ~op:Accels.op_echo ~route:Shard_client.Round_robin
             ~gen:(fun _ -> ("", Bytes.make 64 'x'))
         in
-        let col =
-          match feed with
-          | `Collected ->
-            let col = Collector.create cluster in
-            Sched.watch_collected sched ~tenant:"web" col;
-            Sched.watch_client_only sched ~tenant:"web" client;
-            Some col
-          | `Client ->
-            Sched.watch sched ~tenant:"web" client;
-            None
-        in
+        (match feed with
+        | `Collected ->
+          Sched.watch_collected sched ~tenant:"web";
+          Sched.watch_client_only sched ~tenant:"web" client
+        | `Client -> Sched.watch sched ~tenant:"web" client);
         Sched.start sched;
         Sim.after sim 3_000 (fun () ->
             Shard_client.start client ~concurrency:4);
@@ -444,7 +442,7 @@ let e16e_run ~feed ~duration =
             | Some d -> d.Sched.d_cycle
             | None -> -1
           in
-          (match col with Some c -> Collector.detach c | None -> ());
+          Collector.detach col;
           {
             er_feed =
               (match feed with

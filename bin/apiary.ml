@@ -513,6 +513,7 @@ module Par_sim = Apiary_engine.Par_sim
 module Cluster = Apiary_cluster.Cluster
 module Shard_client = Apiary_cluster.Shard_client
 module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Sched = Apiary_sched.Sched
 module Placer = Apiary_sched.Placer
 
@@ -576,7 +577,8 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
         cooldown = 60_000;
       }
     in
-    let sched = Sched.create ~config:cfg cluster ~slot_cells in
+    let collector = Collector.create cluster in
+    let sched = Sched.create ~config:cfg cluster ~collector ~slot_cells in
     List.iter
       (fun s -> Sched.add_tenant sched ~spec:s ~behavior:(behavior_of s))
       specs;
@@ -626,6 +628,7 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
           | [] -> ());
     Par_sim.run_until eng cycles;
     List.iter (fun (_, c) -> Shard_client.stop c) clients;
+    Collector.detach collector;
     (sched, clients, health, !victim)
   end
 

@@ -22,6 +22,7 @@ type t = {
   mutable next_client_port : int;
   mutable on_up : (int -> unit) list;
   mutable on_down : (int -> unit) list;
+  mutable on_alive : (int -> unit) list;
 }
 
 (* The board uplink is a 100G link (50 B/cycle) with 125 cycles of
@@ -78,6 +79,7 @@ let create ?kernel_cfg ?(client_ports = 8) ?(switch_latency = 250)
     next_client_port = boards;
     on_up = [];
     on_down = [];
+    on_alive = [];
   }
 
 (* Controller-to-board command delivery: run [fn] inside board [board]'s
@@ -140,6 +142,12 @@ let on_board_down t f = t.on_down <- t.on_down @ [ f ]
 let report_down t ~board =
   Directory.report_failure t.directory ~board ();
   List.iter (fun f -> f board) t.on_down
+
+(* Proof of life: the collector reports every management batch it
+   accepts, and the watchdog listens here, so neither depends on which
+   of the two was created first. *)
+let on_board_alive t f = t.on_alive <- t.on_alive @ [ f ]
+let report_alive t ~board = List.iter (fun f -> f board) t.on_alive
 
 (* Recovery is announced: the board re-registers its services with the
    directory (a gratuitous announcement, like gratuitous ARP) and

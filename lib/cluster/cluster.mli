@@ -104,6 +104,13 @@ val report_down : t -> board:int -> unit
 (** Declare a board failed: unregister its directory replicas and fire
     {!on_board_down} subscribers. Called by failure detectors. *)
 
+val on_board_alive : t -> (int -> unit) -> unit
+(** Subscribe to proof of life (the {!Rack_health} watchdog's feed). *)
+
+val report_alive : t -> board:int -> unit
+(** Fire {!on_board_alive} subscribers: the {!Collector} does, for
+    every batch it accepts from a board. *)
+
 (** {1 Control plane} *)
 
 val post_to_board : t -> board:int -> delay:int -> (unit -> unit) -> unit

@@ -1,12 +1,13 @@
 (* Rack telemetry collector: the pull-together half of the in-band
-   telemetry plane. One NIC on the ToR switch receives the
-   sequence-numbered batches every board's push agent ships over its
-   own uplink, and reassembles the streams into the central pipeline:
-   counter / gauge / histogram deltas land in the global Registry under
-   [collected.*] names, span completions feed windowed latency Series,
-   per-bucket Exemplar stores (metric→trace links) and a re-exportable
-   Chrome trace, and service outcomes fan out to subscribers (the
-   scheduler's SLO path).
+   telemetry plane, and the rack's one management receiver. One NIC on
+   the ToR switch receives the sequence-numbered batches every board's
+   push agent ships over its own uplink, and reassembles the streams
+   into the central pipeline: counter / gauge / histogram deltas land
+   in the global Registry under [collected.*] names, span completions
+   feed per-bucket Exemplar stores (metric→trace links) and a
+   re-exportable Chrome trace, service outcomes and load/alarm records
+   fan out to subscribers (the scheduler), and every accepted batch is
+   a heartbeat for [Cluster.report_alive] (the watchdog).
 
    Accounting is conservation-exact per board: the agent counts what it
    emitted, dropped (bounded-queue, oldest first) and sent; cumulative
@@ -41,7 +42,7 @@ type stream = {
   mutable lost_batches : int;
   mutable lost_records : int;  (* from cumulative header counts: exact *)
   mutable agent_dropped : int;  (* latest cum_dropped seen in a header *)
-  mutable last_agent_ts : int;  (* agent-side cycle of the last batch *)
+  mutable last_agent_ts : int;  (* agent-side cycle of the last records *)
   mutable last_rx : int;  (* collector-side cycle of the last batch *)
   mutable decode_errors : int;
 }
@@ -55,11 +56,11 @@ type outcome = {
 
 type t = {
   sim : Sim.t;
+  cluster : Cluster.t;
   mac : Mac.t;
   my_mac : int;
   streams : stream array;
   agents : Agent.t array;
-  series : Obs.Series.t;
   exemplars : (string, Obs.Exemplar.t) Hashtbl.t;
   mutable spans : (int * Wire.span_done) list;  (* (board, span), newest first *)
   mutable n_spans : int;
@@ -67,6 +68,7 @@ type t = {
   mutable spans_dropped : int;
   mutable rx_frames : int;
   mutable on_outcome : (now:int -> outcome -> unit) list;
+  mutable on_record : (board:int -> Wire.record -> unit) list;
 }
 
 let exemplar_for t name =
@@ -116,9 +118,6 @@ let apply_record t ~board ~now = function
       t.n_spans <- t.n_spans + 1
     end;
     let metric = span_metric s in
-    (* Latency rollups are windowed on collector arrival time — the
-       only clock guaranteed non-decreasing once streams interleave. *)
-    Obs.Series.observe t.series ~now metric s.Wire.s_dur;
     let corr = span_corr s in
     if corr <> 0 then
       Obs.Exemplar.observe (exemplar_for t metric) ~corr ~value:s.Wire.s_dur
@@ -130,6 +129,9 @@ let apply_record t ~board ~now = function
       in
       List.iter (fun f -> f ~now o) t.on_outcome
     | None -> ())
+  | (Wire.Load _ | Wire.Alarm _) as r ->
+    (* no registry twin: subscribers only *)
+    List.iter (fun f -> f ~board r) t.on_record
 
 let handle_frame t (f : Frame.t) =
   if f.Frame.dst <> t.my_mac || f.Frame.ethertype <> Frame.ethertype_telem then
@@ -158,9 +160,11 @@ let handle_frame t (f : Frame.t) =
         st.next_seq <- b.Wire.b_seq + 1;
         st.batches <- st.batches + 1;
         st.agent_dropped <- b.Wire.b_cum_dropped;
-        st.last_agent_ts <- b.Wire.b_ts;
+        (* Staleness is the age of the freshest records, not beats. *)
+        if b.Wire.b_records <> [] then st.last_agent_ts <- b.Wire.b_ts;
         let now = Sim.now t.sim in
         st.last_rx <- now;
+        Cluster.report_alive t.cluster ~board:b.Wire.b_board;
         List.iter
           (fun r ->
             st.delivered <- st.delivered + 1;
@@ -173,10 +177,9 @@ let handle_frame t (f : Frame.t) =
 (* Every board can flush concurrently into this one port, so the
    collector NIC is a 100G port like the board uplinks — a 10G client
    port backs up whenever more than two agents tick together. *)
-let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
-    ?(agent_max_frames = 2) ?agent_until ?(series_window = 50_000)
-    ?(span_cap = 65_536) cluster =
-  let mac, my_mac = Cluster.add_client ~gbps cluster in
+let create ?agent_period ?agent_queue ?agent_batch_bytes
+    ?(agent_max_frames = 2) ?agent_until ?(span_cap = 65_536) cluster =
+  let mac, my_mac = Cluster.add_client ~gbps:100.0 cluster in
   let n = Cluster.n_boards cluster in
   let sim = Cluster.sim cluster in
   let streams =
@@ -218,11 +221,11 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
   let t =
     {
       sim;
+      cluster;
       mac;
       my_mac;
       streams;
       agents;
-      series = Obs.Series.create ~window:series_window ();
       exemplars = Hashtbl.create 8;
       spans = [];
       n_spans = 0;
@@ -230,12 +233,13 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
       spans_dropped = 0;
       rx_frames = 0;
       on_outcome = [];
+      on_record = [];
     }
   in
   Mac.set_rx mac (fun f -> handle_frame t f);
-  (* Teach the ToR our port before the first batch needs delivering
-     (see Rack_health: a self-addressed frame is learned, then
-     discarded). *)
+  (* Teach the ToR our port before the first batch needs delivering: a
+     self-addressed frame makes the switch learn our source port, and is
+     then discarded (its destination is behind the port it arrived on). *)
   Sim.after sim 1 (fun () ->
       ignore
         (Mac.send t.mac
@@ -245,14 +249,12 @@ let create ?(gbps = 100.0) ?agent_period ?agent_queue ?agent_batch_bytes
 
 let detach t = Array.iter Agent.detach t.agents
 let agent t board = t.agents.(board)
-let n_boards t = Array.length t.streams
 let on_service_outcome t f = t.on_outcome <- t.on_outcome @ [ f ]
-let series t = t.series
+let on_record t f = t.on_record <- t.on_record @ [ f ]
 let rx_frames t = t.rx_frames
 let delivered t ~board = t.streams.(board).delivered
 let lost_batches t ~board = t.streams.(board).lost_batches
 let lost_records_detected t ~board = t.streams.(board).lost_records
-let last_agent_ts t ~board = t.streams.(board).last_agent_ts
 
 let staleness t ~board ~now =
   let st = t.streams.(board) in
@@ -333,5 +335,3 @@ let exemplars_json_string t =
     names;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let exemplar t name = Hashtbl.find_opt t.exemplars name

@@ -1,5 +1,6 @@
 (** Rack telemetry collector: reassembles every board agent's push
-    stream into the central observability pipeline.
+    stream into the central observability pipeline. It is the rack's
+    one management receiver.
 
     {!create} builds the whole in-band telemetry plane in one call: a
     collector NIC on the ToR switch, plus one {!Apiary_obs.Agent} per
@@ -10,12 +11,13 @@
     - the global Registry, under [collected.b<id>.*] names (counter /
       gauge / histogram deltas replayed), side by side with the
       board-local originals;
-    - a windowed latency {!Apiary_obs.Series} per service, observed at
-      collector arrival time;
     - per-metric {!Apiary_obs.Exemplar} stores — the metric→trace link;
     - a bounded collected-span list re-exportable as a Chrome trace;
     - {!on_service_outcome} subscribers (the scheduler's collected SLO
-      feed).
+      feed);
+    - {!on_record} subscribers, for load reports and health alarms;
+    - {!Cluster.report_alive}, once per accepted batch — header-only
+      heartbeats included — which drives the {!Rack_health} watchdog.
 
     Accounting is conservation-exact per board (see
     {!conservation_json_string}): cumulative sent/dropped counts in
@@ -37,35 +39,31 @@ type outcome = {
 }
 
 val create :
-  ?gbps:float ->
   ?agent_period:int ->
   ?agent_queue:int ->
   ?agent_batch_bytes:int ->
   ?agent_max_frames:int ->
   ?agent_until:int ->
-  ?series_window:int ->
   ?span_cap:int ->
   Cluster.t ->
   t
-(** Attach the collector NIC and create one push agent per board.
-    [gbps] (default 100, a board-uplink-class port) sizes the
-    collector's switch port — every board can flush into it at once.
-    Agent knobs default to the agent's own (environment-tunable)
-    defaults; [agent_max_frames] caps batches per flush (default 2);
-    [agent_until] skips agent ticks after that cycle (see
-    {!Apiary_obs.Agent.create}), so a run's last stretch provably
-    drains the wire before conservation is read.
-    [series_window] (default 50_000 cycles) sizes the latency rollup
-    windows; [span_cap] (default 65_536) bounds retained collected
-    spans (overflow is counted, and reported as [trace_truncated] by
-    the trace export). *)
+(** Attach the collector NIC (a 100G port, board-uplink class, so
+    every board can flush into it at once) and create one push agent
+    per board. Agent knobs default to the agent's own
+    (environment-tunable) defaults; [agent_max_frames] caps batches per
+    flush (default 2); [agent_until] skips agent ticks after that cycle
+    (see {!Apiary_obs.Agent.create}), so a run's last stretch provably
+    drains the wire before conservation is read. [span_cap] (default
+    65_536) bounds retained collected spans (overflow is counted, and
+    reported as [trace_truncated] by the trace export). *)
 
 val detach : t -> unit
 (** Detach every agent (stops their ticks and removes span sinks).
     Always call before reusing the obs layer for an unrelated run. *)
 
 val agent : t -> int -> Apiary_obs.Agent.t
-val n_boards : t -> int
+(** Board [i]'s agent — where board-side code {!Apiary_obs.Agent.push}es
+    its management records. *)
 
 val on_service_outcome : t -> (now:int -> outcome -> unit) -> unit
 (** Subscribe to service outcomes reconstructed from collected [serve]
@@ -73,13 +71,10 @@ val on_service_outcome : t -> (now:int -> outcome -> unit) -> unit
     this feed {e does} honestly miss is requests that died before any
     server saw them — client-side timeout detection stays client-side. *)
 
-val series : t -> Apiary_obs.Series.t
-(** Windowed latency rollups per collected metric
-    ([collected.svc.<name>.latency]). *)
-
-val exemplar : t -> string -> Apiary_obs.Exemplar.t option
-(** The exemplar store for a collected metric name, if any samples with
-    a usable correlation id arrived. *)
+val on_record : t -> (board:int -> Apiary_obs.Agent.Wire.record -> unit) -> unit
+(** Subscribe to the management records boards push through their
+    agents ([Load] and [Alarm]; the registry replay ignores them), in
+    arrival order, on the rack simulator. *)
 
 val rx_frames : t -> int
 val delivered : t -> board:int -> int
@@ -90,16 +85,10 @@ val lost_records_detected : t -> board:int -> int
     gaps — the collector's independent estimate of
     [sent_records - delivered], exact once a post-gap batch arrives. *)
 
-val last_agent_ts : t -> board:int -> int
-
 val staleness : t -> board:int -> now:int -> int
-(** Age, in cycles, of the freshest data collected from the board (the
-    full [now] before any batch has arrived). *)
-
-val collected_spans : t -> (int * Apiary_obs.Agent.Wire.span_done) list
-(** Delivered span completions in arrival order, with their board. *)
-
-val trace_events : t -> Apiary_obs.Span.event list
+(** Age, in cycles, of the freshest records collected from the board
+    (header-only heartbeats do not count; the full [now] before any
+    batch has arrived). *)
 
 val trace_json_string : t -> string
 (** Collected spans as a byte-stable Chrome trace (standard exporter;

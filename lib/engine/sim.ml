@@ -46,8 +46,6 @@ type t = {
      lazily discarded when the ticker was re-armed (or re-parked) in the
      meantime. *)
   time_heap : (int * int) Heap.t;
-  mutable committers : (unit -> unit) array;
-  mutable n_committers : int;
   mutable dirty_fns : (unit -> unit) array;
   mutable n_dirty : int;
   mutable stop_requested : bool;
@@ -123,8 +121,6 @@ let create () =
     wake_next = Array.make 8 0;
     n_wake_next = 0;
     time_heap = Heap.create ~cmp:cmp_wake;
-    committers = Array.make 8 (fun () -> ());
-    n_committers = 0;
     dirty_fns = Array.make 8 (fun () -> ());
     n_dirty = 0;
     stop_requested = false;
@@ -224,8 +220,6 @@ let add_clocked_h ?(name = "clocked") t fn =
 
 let add_clocked ?name t fn = ignore (add_clocked_h ?name t fn)
 
-let add_ticker ?name t fn = add_clocked ?name t (fun () -> fn (); Busy)
-
 let rearm t h =
   if h >= 0 then begin
     let tk = t.tickers.(h) in
@@ -247,18 +241,7 @@ let rearm t h =
 
 let armed t h = h >= 0 && t.tickers.(h).armed
 
-let wake t =
-  for idx = 0 to t.n_tickers - 1 do
-    rearm t idx
-  done;
-  t.quiescent <- false
-
 let active_tickers t = t.n_run + t.n_wake_next + Heap.length t.wake_now
-
-let add_committer t fn =
-  t.committers <- push_fn t.committers t.n_committers fn;
-  t.n_committers <- t.n_committers + 1;
-  t.quiescent <- false
 
 let mark_dirty t fn =
   t.dirty_fns <- push_fn t.dirty_fns t.n_dirty fn;
@@ -385,12 +368,9 @@ let step t =
     incr j
   done;
   t.n_dirty <- 0;
-  for k = 0 to t.n_committers - 1 do
-    t.committers.(k) ()
-  done;
   t.in_tick_phase <- false;
   t.quiescent <-
-    t.n_run = 0 && t.n_wake_next = 0 && (not committed) && t.n_committers = 0;
+    t.n_run = 0 && t.n_wake_next = 0 && not committed;
   t.clock <- t.clock + 1
 
 let stop t = t.stop_requested <- true

@@ -26,7 +26,7 @@
     - a {!Fifo} it consumes commits or receives an injected entry (the
       FIFO's registered owner handle is re-armed);
     - a component re-arms it explicitly via {!rearm} (e.g. NIC send,
-      monitor ingress), or {!wake} re-arms everything.
+      monitor ingress).
 
     Re-arm timing preserves the flat-scheduler semantics exactly: a
     re-arm from the event phase runs the ticker the same cycle; a re-arm
@@ -42,18 +42,17 @@
 
     {2 Quiescence and idle fast-forward}
 
-    When a cycle ends with the active set empty, nothing committed, and
-    no always-run committers registered, the simulator is {e quiescent}:
-    ticking further cycles would be a pure no-op until the next heap
-    event or the earliest [Idle_until] wake fires. [run_until] then
-    jumps the clock directly to that point instead of stepping through
-    dead cycles. Skipped and parked cycles are observationally identical
+    When a cycle ends with the active set empty and nothing committed,
+    the simulator is {e quiescent}: ticking further cycles would be a
+    pure no-op until the next heap event or the earliest [Idle_until]
+    wake fires. [run_until] then jumps the clock directly to that point
+    instead of stepping through dead cycles. Skipped and parked cycles are observationally identical
     to executed ones, so a run remains a pure function of its inputs
     (bit-identical results, same event order, same RNG streams).
 
     The contract for an [Idle] report: until this ticker is re-armed
-    (owner-FIFO commit/inject, explicit {!rearm}/{!wake}, or its
-    [Idle_until] cycle), calling it again would change no state.
+    (owner-FIFO commit/inject, explicit {!rearm}, or its [Idle_until]
+    cycle), calling it again would change no state.
     Components that consume entropy or count every cycle must either
     report [Busy] or precompute their future (see {!Traffic}) and report
     an honest [Idle_until]. *)
@@ -65,8 +64,8 @@ type activity =
   | Busy  (** Did work, or may do work next cycle — keep stepping. *)
   | Idle
       (** No work possible until re-armed (owner-FIFO commit/inject,
-          explicit {!rearm}, {!wake}); the scheduler parks this
-          component and stops calling it. *)
+          explicit {!rearm}); the scheduler parks this component and
+          stops calling it. *)
   | Idle_until of int
       (** Like [Idle], but the component can act on its own at the given
           cycle (timer expiry, token-bucket refill, precomputed
@@ -113,11 +112,6 @@ val add_clocked_h : ?name:string -> t -> (unit -> activity) -> handle
 (** Like {!add_clocked} but returns the component's {!handle} so
     producers (FIFOs, NIC send paths, monitor ingress) can re-arm it. *)
 
-val add_ticker : ?name:string -> t -> (unit -> unit) -> unit
-(** [add_ticker t f] is [add_clocked t (fun () -> f (); Busy)]: a legacy
-    always-active ticker. Its presence disables idle fast-forward, since
-    the simulator must assume it does work every cycle. *)
-
 val rearm : t -> handle -> unit
 (** Put a parked component back in the active set ({!no_handle} and
     already-armed handles are no-ops). Timing follows the re-arm rules
@@ -132,11 +126,6 @@ val active_tickers : t -> int
     executed cycle). {!Par_sim}'s work stealing orders partitions by
     this load estimate. *)
 
-val add_committer : t -> (unit -> unit) -> unit
-(** Register an always-run commit step (phase 3). Prefer {!mark_dirty}:
-    a registered committer runs every cycle {e and} disables idle
-    fast-forward. *)
-
 val mark_dirty : t -> (unit -> unit) -> unit
 (** [mark_dirty t commit] schedules [commit] to run once, in this
     cycle's commit phase (or the next commit phase to execute, if called
@@ -145,13 +134,6 @@ val mark_dirty : t -> (unit -> unit) -> unit
     containers — O(containers written) rather than O(all containers).
     [commit] must not stage new two-phase writes (it may {!rearm} parked
     consumers, which lands next cycle). *)
-
-val wake : t -> unit
-(** Re-arm {e every} parked component and clear the quiescent flag.
-    Components mutated directly from outside the simulation loop call
-    this (or better, {!rearm} on the specific handle) so the next
-    [run_until] cannot fast-forward past the new work. FIFO pushes wake
-    the simulator automatically via {!mark_dirty}. *)
 
 val step : t -> unit
 (** Advance exactly one cycle (never fast-forwards). *)

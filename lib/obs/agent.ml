@@ -8,6 +8,9 @@
    cluster layer wires to the board's own NIC — telemetry shares the
    uplink with the workload and is accounted for, not assumed free.
 
+   It is the board's only management sender: load reports and alarms
+   are [push]ed records, and any batch's arrival is a heartbeat.
+
    The queue is bounded: when the uplink is congested (send keeps
    returning false) or the harvest outruns the wire, the oldest records
    are dropped first — fresh telemetry about a struggling board beats a
@@ -43,6 +46,8 @@ module Wire = struct
        kind 4  span done:      name | cat | corr u32 | track u16
                                | ts u32 | dur u32
                                | n_args u8 | (key, val)*n_args
+       kind 5  load report:    msgs u32 | n u8 | tile msgs u16*n
+       kind 6  health alarm:   kind u8 | tile u8
 
      where strings are [u8 length | bytes] (truncated to 255). The
      per-record length prefix lets a decoder skip kinds it does not
@@ -69,6 +74,8 @@ module Wire = struct
     | Gauge_value of string * float
     | Hist_delta of string * (int * int) list
     | Span_done of span_done
+    | Load of { msgs : int; tile_msgs : int array }
+    | Alarm of { kind : int; tile : int }
 
   type batch = {
     b_board : int;
@@ -125,7 +132,19 @@ module Wire = struct
         (fun (k, v) ->
           add_str b k;
           add_str b v)
-        args);
+        args
+    | Load { msgs; tile_msgs } ->
+      add_u8 b 5;
+      add_u32 b msgs;
+      let n = min 255 (Array.length tile_msgs) in
+      add_u8 b n;
+      for i = 0 to n - 1 do
+        add_u16 b (min 0xffff (max 0 tile_msgs.(i)))
+      done
+    | Alarm { kind; tile } ->
+      add_u8 b 6;
+      add_u8 b kind;
+      add_u8 b tile);
     let body = Buffer.contents b in
     let out = Buffer.create (String.length body + 2) in
     add_u16 out (String.length body);
@@ -212,6 +231,13 @@ module Wire = struct
               (k, get_str p off))
         in
         Some (Span_done { s_name; s_cat; s_corr; s_track; s_ts; s_dur; s_args })
+      | 5 ->
+        let msgs = get_u32 p off in
+        let n = get_u8 p off in
+        Some (Load { msgs; tile_msgs = Array.init n (fun _ -> get_u16 p off) })
+      | 6 ->
+        let kind = get_u8 p off in
+        Some (Alarm { kind; tile = get_u8 p off })
       | _ -> None (* unknown kind: skip via the length prefix *)
     in
     off := stop;
@@ -279,7 +305,6 @@ let dq_push q s =
 type t = {
   board : int;
   prefix : string;
-  period : int;
   batch_bytes : int;
   max_frames : int;
   send : bytes -> bool;
@@ -296,12 +321,14 @@ type t = {
   mutable sent_batches : int;
   mutable sent_bytes : int;
   mutable backpressure : int;
+  mutable beat_mark : int;  (* sent_batches as of the previous beat *)
   mutable detached : bool;
 }
 
 let default_period = Env.int "APIARY_AGENT_PERIOD" ~default:2_000
 let default_queue = Env.int "APIARY_AGENT_QUEUE" ~default:1_024
 let default_batch_bytes = Env.int ~min:64 "APIARY_AGENT_BATCH" ~default:1_200
+let heartbeat_period = 500
 
 let enqueue t encoded =
   t.emitted <- t.emitted + 1;
@@ -372,6 +399,24 @@ let harvest t =
           enqueue t (Wire.encode_record (Wire.Hist_delta (name, deltas))))
     (Registry.snapshot_prefix t.prefix)
 
+(* The one send path: a batch of [n] encoded records (none for a
+   heartbeat) stamped with the next sequence number and the cumulative
+   books. *)
+let send_batch t ~now ~n records =
+  let payload =
+    Wire.encode_batch ~board:t.board ~seq:(t.seq + 1) ~ts:now
+      ~cum_records:t.sent_records ~cum_dropped:t.dropped records
+  in
+  let ok = t.send payload in
+  if ok then begin
+    t.seq <- t.seq + 1;
+    t.sent_records <- t.sent_records + n;
+    t.sent_batches <- t.sent_batches + 1;
+    t.sent_bytes <- t.sent_bytes + Bytes.length payload
+  end
+  else t.backpressure <- t.backpressure + 1;
+  ok
+
 let flush t ~now =
   let frames = ref 0 in
   while !frames < t.max_frames && t.q.len > 0 do
@@ -395,31 +440,32 @@ let flush t ~now =
       dq_drop_front t.q 1;
       t.dropped <- t.dropped + 1
     end
-    else begin
-      let payload =
-        Wire.encode_batch ~board:t.board ~seq:(t.seq + 1) ~ts:now
-          ~cum_records:t.sent_records ~cum_dropped:t.dropped
-          (List.rev !records)
-      in
-      if t.send payload then begin
-        dq_drop_front t.q !taken;
-        t.seq <- t.seq + 1;
-        t.sent_records <- t.sent_records + !taken;
-        t.sent_batches <- t.sent_batches + 1;
-        t.sent_bytes <- t.sent_bytes + Bytes.length payload;
-        incr frames
-      end
-      else begin
-        t.backpressure <- t.backpressure + 1;
-        frames := t.max_frames (* device is full; retry next tick *)
-      end
+    else if send_batch t ~now ~n:!taken (List.rev !records) then begin
+      dq_drop_front t.q !taken;
+      incr frames
     end
+    else frames := t.max_frames (* device is full; retry next tick *)
   done
 
 let tick t ~now =
   if not t.detached then begin
     harvest t;
     flush t ~now
+  end
+
+let push t ~now r =
+  if not t.detached then begin
+    enqueue t (Wire.encode_record r);
+    flush t ~now
+  end
+
+(* The heartbeat: any batch proves the board alive, so a beat ships a
+   header-only batch only when nothing went out since the previous
+   beat. A refused beat is skipped (counted as backpressure). *)
+let beat t ~now =
+  if not t.detached then begin
+    if t.sent_batches = t.beat_mark then ignore (send_batch t ~now ~n:0 []);
+    t.beat_mark <- t.sent_batches
   end
 
 let create ?(period = default_period) ?(queue_cap = default_queue)
@@ -433,7 +479,6 @@ let create ?(period = default_period) ?(queue_cap = default_queue)
     {
       board;
       prefix;
-      period;
       batch_bytes;
       max_frames;
       send;
@@ -448,27 +493,28 @@ let create ?(period = default_period) ?(queue_cap = default_queue)
       sent_batches = 0;
       sent_bytes = 0;
       backpressure = 0;
+      beat_mark = 0;
       detached = false;
     }
   in
   Span.set_sink ~board (fun ev -> on_span t ev);
-  (* Staggered by board id so the ToR never sees a synchronized burst
-     of telemetry from every board at once (same discipline as the
-     health beacons). *)
+  (* Ticks and beats are staggered by board id so the ToR never sees a
+     synchronized burst of telemetry from every board at once. *)
   Sim.every sim ~start:(period + board) period (fun () ->
       (* [until] quiesces the uplink before a run's end so conservation
          can be read with the wire provably empty: whatever the agent
          still holds then is exactly "in flight". *)
       if Sim.now sim <= until then tick t ~now:(Sim.now sim));
+  (* Beats ignore [until]: the rack watchdog must keep hearing a board
+     whose telemetry has gone quiet. *)
+  Sim.every sim ~start:(heartbeat_period + board) heartbeat_period (fun () ->
+      beat t ~now:(Sim.now sim));
   t
 
 let detach t =
   t.detached <- true;
   Span.clear_sink ~board:t.board
 
-let board t = t.board
-let period t = t.period
-let seq t = t.seq
 let emitted t = t.emitted
 let dropped t = t.dropped
 let queued t = t.q.len

@@ -16,6 +16,9 @@
     ([emitted = delivered + dropped + in-flight], per board) stays
     exact even when drop notifications themselves are lost.
 
+    The agent is the board's only management sender: load reports and
+    alarms are {!push}ed records, and any batch is a heartbeat.
+
     This module knows nothing about frames or MACs: [send] receives the
     encoded batch payload and returns [false] on device backpressure
     (the records stay queued and retry next tick).
@@ -44,6 +47,9 @@ module Wire : sig
         (** [(bucket, count-delta)] pairs on the
             {!Apiary_engine.Stats.Histogram} grid *)
     | Span_done of span_done
+    | Load of { msgs : int; tile_msgs : int array }
+        (** [msgs_in] deltas; tile deltas clamp to [0..0xffff] *)
+    | Alarm of { kind : int; tile : int }  (** 0 stuck tile, 1 congested *)
 
   type batch = {
     b_board : int;
@@ -83,6 +89,10 @@ val default_batch_bytes : int
     [APIARY_AGENT_QUEUE] / [APIARY_AGENT_BATCH]), resolved once at
     startup with {!Env}'s tolerant parsing. *)
 
+val heartbeat_period : int
+(** 500 cycles. A beat with no batch sent since the previous beat ships
+    a header-only batch. *)
+
 val create :
   ?period:int ->
   ?queue_cap:int ->
@@ -96,30 +106,31 @@ val create :
   unit ->
   t
 (** Create the agent, install its span sink for [board], and arm its
-    harvest/flush tick on [sim] (staggered by board id). [max_frames]
-    (default 2) caps batches flushed per tick so telemetry cannot
-    monopolize the NIC's descriptor ring against workload replies.
-    Ticks after cycle [until] (default unbounded) are skipped — a
-    benchmark sets it a safe margin before its run ends, so the wire
-    is provably drained when conservation is read. *)
+    harvest/flush tick and its heartbeat on [sim] (both staggered by
+    board id). [max_frames] (default 2) caps batches flushed per tick
+    so telemetry cannot monopolize the NIC's descriptor ring against
+    workload replies. Ticks after cycle [until] (default unbounded) are
+    skipped — a benchmark sets it a safe margin before its run ends, so
+    the wire is provably drained when conservation is read. Beats
+    ignore [until]. *)
 
 val detach : t -> unit
-(** Stop ticking (the periodic event becomes a no-op) and remove the
-    span sink. Always detach before reusing the obs layer for an
-    unrelated run. *)
+(** Stop ticking and beating (the periodic events become no-ops) and
+    remove the span sink. Always detach before reusing the obs layer
+    for an unrelated run. *)
 
 val tick : t -> now:int -> unit
 (** One harvest + flush, driven manually (tests). *)
 
-val board : t -> int
-val period : t -> int
+val push : t -> now:int -> Wire.record -> unit
+(** Enqueue one record and flush at once (load reports, alarms). Call
+    from the board's own simulator. *)
 
 (** {2 Accounting} — the agent's side of the conservation identity:
     [emitted = sent_records + dropped + queued] locally, and
     rack-wide [emitted = delivered + dropped + lost + queued] once the
     collector adds wire-loss from the cumulative headers. *)
 
-val seq : t -> int
 val emitted : t -> int
 val dropped : t -> int
 val queued : t -> int
@@ -129,4 +140,4 @@ val sent_bytes : t -> int
 (** Sum of batch payload bytes handed to [send] successfully. *)
 
 val backpressure : t -> int
-(** Flush attempts refused by the device ([send] returned false). *)
+(** Batches (beats included) refused by the device. *)

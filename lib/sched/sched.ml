@@ -3,8 +3,8 @@
 
    Partition discipline (what keeps Seq and Par byte-identical): every
    piece of scheduler state here is member-0 (controller) state, touched
-   only from controller events — the epoch timer, beacon/alarm frame
-   receipt on the controller NIC, and Cluster's board up/down
+   only from controller events — the epoch timer, load-report/alarm
+   records delivered by the rack Collector, and Cluster's board up/down
    announcements. Board fabrics are touched only through thunks staged
    with Cluster.post_to_board (>= one uplink of latency) and through
    board-side periodic events armed before the run starts. Completion
@@ -23,9 +23,8 @@ module Kernel = Apiary_core.Kernel
 module Shell = Apiary_core.Shell
 module Health = Apiary_core.Health
 module Statsvc = Apiary_core.Statsvc
-module Mac = Apiary_net.Mac
-module Frame = Apiary_net.Frame
-module Board = Apiary_apps.Board
+module Agent = Apiary_obs.Agent
+module Wire = Apiary_obs.Agent.Wire
 module Cluster = Apiary_cluster.Cluster
 module Node = Apiary_cluster.Node
 module Collector = Apiary_cluster.Collector
@@ -127,19 +126,16 @@ type bstate = {
   caps : Placer.board_caps;
   mutable pool : int list;  (* free schedulable tiles *)
   mutable alive : bool;
-  mutable load : int;  (* msgs_in delta, last beacon *)
-  mutable busy : int;  (* router-busy delta, last beacon *)
-  mutable tile_msgs : int array;  (* per-tile msgs_in delta, last beacon *)
+  mutable load : int;  (* msgs_in delta, last load report *)
+  mutable tile_msgs : int array;  (* per-tile msgs_in delta, last report *)
   mutable congested : bool;  (* router-congestion alarm this epoch *)
-  mutable stuck_alarms : int;
 }
 
 type t = {
   cluster : Cluster.t;
   sim : Sim.t;
   cfg : config;
-  mac : Mac.t;
-  my_mac : int;
+  collector : Collector.t;
   flight : Flight.t;  (* controller flight ring: burn alerts land here *)
   boards : bstate array;
   mutable tenants : tenant list;  (* add_tenant order *)
@@ -536,86 +532,54 @@ let handle_board_up t _b =
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane *)
 
-let lr_magic = "LR"
-let sa_magic = "SA"
+(* Rack side: load reports and alarms arrive as records on the boards'
+   management streams, through the Collector. A dead board's records
+   are ignored (its reports die at the downed port anyway). *)
+let on_record t ~board r =
+  let bs = t.boards.(board) in
+  if bs.alive then
+    match r with
+    | Wire.Load { msgs; tile_msgs } ->
+      bs.load <- msgs;
+      bs.tile_msgs <- tile_msgs
+    | Wire.Alarm { kind = 1; _ } -> bs.congested <- true
+    | _ -> ()
 
-let handle_frame t (f : Frame.t) =
-  if f.Frame.dst <> t.my_mac then ()
-  else
-    let p = f.Frame.payload in
-    if Bytes.length p < 4 then ()
-    else
-      match Bytes.sub_string p 0 2 with
-      | "LR" when Bytes.length p >= 12 ->
-        let b = Bytes.get_uint8 p 2 in
-        if b < Array.length t.boards && t.boards.(b).alive then begin
-          let bs = t.boards.(b) in
-          let ntiles = Bytes.get_uint8 p 3 in
-          bs.busy <- Int32.to_int (Bytes.get_int32_be p 4);
-          bs.load <- Int32.to_int (Bytes.get_int32_be p 8);
-          if Bytes.length p >= 12 + (2 * ntiles) then begin
-            if Array.length bs.tile_msgs <> ntiles then
-              bs.tile_msgs <- Array.make ntiles 0;
-            for tl = 0 to ntiles - 1 do
-              bs.tile_msgs.(tl) <- Bytes.get_uint16_be p (12 + (2 * tl))
-            done
-          end
-        end
-      | "SA" when Bytes.length p >= 5 ->
-        let b = Bytes.get_uint8 p 2 in
-        if b < Array.length t.boards && t.boards.(b).alive then
-          if Bytes.get_uint8 p 3 = 1 then t.boards.(b).congested <- true
-          else t.boards.(b).stuck_alarms <- t.boards.(b).stuck_alarms + 1
-      | _ -> ()
-
-(* Board-side: periodic load beacons off the stat service's counter
-   blocks, plus health alarms, both as fire-and-forget raw Ethernet to
-   the controller NIC (the Rack_health heartbeat pattern). Armed before
-   the run, so each board's events live wholly in its own partition. *)
+(* Board side: periodic load reports off the stat service's counter
+   blocks, plus health alarms, both pushed into the board's telemetry
+   agent. Armed before the run, so each board's events live wholly in
+   its own partition. *)
 let arm_telemetry t =
-  (* Teach the ToR switch our port before the first beacon arrives (a
-     self-addressed frame the switch learns from, then discards). *)
-  Sim.after t.sim 1 (fun () ->
-      ignore
-        (Mac.send t.mac
-           (Frame.make ~dst:t.my_mac ~src:t.my_mac
-              (Bytes.of_string (lr_magic ^ "\xff\x00")))));
+  Collector.on_record t.collector (on_record t);
   List.iteri
     (fun i nd ->
       let kernel = Node.kernel nd in
-      let bmac = (Node.board nd).Board.fpga_mac in
-      let src = Node.mac_addr nd in
+      let sim = Node.sim nd in
+      let agent = Collector.agent t.collector i in
       let ntiles = Kernel.n_tiles kernel in
-      let last_busy = ref 0 and last_msgs = ref 0 in
+      let last_msgs = ref 0 in
       let last_tile = Array.make ntiles 0 in
-      Sim.every (Node.sim nd) ~start:(t.cfg.report_period + i)
-        t.cfg.report_period (fun () ->
+      Sim.every sim ~start:(t.cfg.report_period + i) t.cfg.report_period
+        (fun () ->
           match Statsvc.answer kernel Statsvc.Board with
           | None -> ()
           | Some blk ->
-            let busy = Perf.read blk Perf.busy in
             let msgs = Perf.read blk Perf.msgs_in in
-            let db = busy - !last_busy and dm = msgs - !last_msgs in
-            last_busy := busy;
+            let dm = msgs - !last_msgs in
             last_msgs := msgs;
-            let payload = Bytes.create (12 + (2 * ntiles)) in
-            Bytes.blit_string lr_magic 0 payload 0 2;
-            Bytes.set_uint8 payload 2 i;
-            Bytes.set_uint8 payload 3 ntiles;
-            Bytes.set_int32_be payload 4 (Int32.of_int db);
-            Bytes.set_int32_be payload 8 (Int32.of_int dm);
-            for tl = 0 to ntiles - 1 do
-              let m =
-                match Statsvc.answer kernel (Statsvc.Tile tl) with
-                | Some p -> Perf.read p Perf.msgs_in
-                | None -> 0
-              in
-              let d = m - last_tile.(tl) in
-              last_tile.(tl) <- m;
-              Bytes.set_uint16_be payload (12 + (2 * tl)) (min 0xffff (max 0 d))
-            done;
-            (* Lossy by design: backpressure just skips a report. *)
-            ignore (Mac.send bmac (Frame.make ~dst:t.my_mac ~src payload)));
+            let tile_msgs =
+              Array.init ntiles (fun tl ->
+                  let m =
+                    match Statsvc.answer kernel (Statsvc.Tile tl) with
+                    | Some p -> Perf.read p Perf.msgs_in
+                    | None -> 0
+                  in
+                  let d = m - last_tile.(tl) in
+                  last_tile.(tl) <- m;
+                  d)
+            in
+            Agent.push agent ~now:(Sim.now sim)
+              (Wire.Load { msgs = dm; tile_msgs }));
       let health = Health.create kernel in
       Health.on_alarm health (fun alarm ->
           let kind, tile =
@@ -623,19 +587,13 @@ let arm_telemetry t =
             | Health.Stuck_tile { tile; _ } -> (0, tile)
             | Health.Congested_router { tile; _ } -> (1, tile)
           in
-          let p = Bytes.create 5 in
-          Bytes.blit_string sa_magic 0 p 0 2;
-          Bytes.set_uint8 p 2 i;
-          Bytes.set_uint8 p 3 kind;
-          Bytes.set_uint8 p 4 tile;
-          ignore (Mac.send bmac (Frame.make ~dst:t.my_mac ~src p))))
+          Agent.push agent ~now:(Sim.now sim) (Wire.Alarm { kind; tile })))
     (Cluster.nodes t.cluster)
 
 (* ------------------------------------------------------------------ *)
 (* Construction and start-up *)
 
-let create ?(config = default_config) cluster ~slot_cells =
-  let mac, my_mac = Cluster.add_client ~gbps:10.0 cluster in
+let create ?(config = default_config) cluster ~collector ~slot_cells =
   (* Controller flight ring, built and armed like the kernels': burn-rate
      alerts and other controller events land here for postmortems. *)
   let flight = Flight.of_env () in
@@ -653,10 +611,8 @@ let create ?(config = default_config) cluster ~slot_cells =
           pool;
           alive = true;
           load = 0;
-          busy = 0;
           tile_msgs = [||];
           congested = false;
-          stuck_alarms = 0;
         })
   in
   let t =
@@ -664,8 +620,7 @@ let create ?(config = default_config) cluster ~slot_cells =
       cluster;
       sim = Cluster.sim cluster;
       cfg = config;
-      mac;
-      my_mac;
+      collector;
       flight;
       boards;
       tenants = [];
@@ -675,7 +630,6 @@ let create ?(config = default_config) cluster ~slot_cells =
       started = false;
     }
   in
-  Mac.set_rx mac (handle_frame t);
   t
 
 let add_tenant t ~spec ~behavior =
@@ -750,9 +704,9 @@ let watch t ~tenant client =
    honest trade of moving the SLO signal in-band; E16e measures the
    difference. The client is still bound via [watch]-less
    [sync_client], so placement changes keep re-syncing its ring. *)
-let watch_collected t ~tenant collector =
+let watch_collected t ~tenant =
   let ten = tenant_of t tenant in
-  Collector.on_service_outcome collector (fun ~now (o : Collector.outcome) ->
+  Collector.on_service_outcome t.collector (fun ~now (o : Collector.outcome) ->
       if o.Collector.o_service = ten.spec.Placer.name then begin
         let good = o.Collector.o_ok && o.Collector.o_dur <= ten.spec.Placer.slo_cycles in
         Slo.observe ten.slo ~now ~good

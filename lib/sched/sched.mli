@@ -8,16 +8,15 @@
     {2 Control and telemetry planes}
 
     All scheduler state lives on the rack controller (the rack engine's
-    member 0). Telemetry flows {e up} as raw-Ethernet beacons
-    on the boards' uplinks: each board periodically reads its own
-    {!Apiary_core.Statsvc} counter blocks and emits a compact load
-    report (board busy/message deltas plus per-tile message deltas), and
-    an {!Apiary_core.Health} watchdog per board turns stuck-tile and
-    router-congestion alarms into alarm frames. Commands flow {e down}
+    member 0). Telemetry flows {e up} as records on each board's
+    {!Apiary_obs.Agent} stream: a periodic load report from the board's
+    own {!Apiary_core.Statsvc} counter blocks (board and per-tile
+    message deltas), and the stuck-tile and router-congestion alarms of
+    an {!Apiary_core.Health} watchdog per board. Commands flow {e down}
     through {!Apiary_cluster.Cluster.post_to_board} with at least one
     uplink of latency — the same staging protocol as frames and
     directory announcements — so Seq and Par engine runs are
-    byte-identical. A killed board's beacons die at its downed switch
+    byte-identical. A killed board's reports die at its downed switch
     port; staleness is exactly what the controller should see.
 
     {2 Decisions}
@@ -47,11 +46,12 @@
 module Shell := Apiary_core.Shell
 module Cluster := Apiary_cluster.Cluster
 module Shard_client := Apiary_cluster.Shard_client
+module Collector := Apiary_cluster.Collector
 module Slo := Apiary_obs.Slo
 module Flight := Apiary_obs.Flight
 
 type config = {
-  report_period : int;  (** cycles between board load beacons *)
+  report_period : int;  (** cycles between board load reports *)
   epoch : int;  (** cycles between autoscale/migration evaluations *)
   up_epochs : int;  (** consecutive bad epochs before scaling up *)
   down_epochs : int;  (** consecutive idle epochs before scaling down *)
@@ -59,8 +59,8 @@ type config = {
   hi_util_pct : int;  (** per-replica demand (as % of capacity hint) treated as saturation *)
   lo_util_pct : int;  (** per-replica demand below this % is idle *)
   min_samples : int;  (** completions per epoch below which attainment is not judged *)
-  hot_load : int;  (** board msgs/beacon above which it sheds load *)
-  cold_load : int;  (** board msgs/beacon below which it accepts migrations *)
+  hot_load : int;  (** board msgs/load report above which it sheds load *)
+  cold_load : int;  (** board msgs/load report below which it accepts migrations *)
   cooldown : int;  (** min cycles between migrations of one tenant *)
   drain_delay : int;
       (** cycles a cut-over replica keeps serving before its tile is
@@ -82,16 +82,19 @@ type config = {
 }
 
 val default_config : config
-(** beacons every 1000, epoch 20_000, 2 up / 3 down epochs, 99% SLO
-    target, 90/25% utilization bands, hot 2000 / cold 800 msgs/beacon,
+(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, 99% SLO
+    target, 90/25% utilization bands, hot 2000 / cold 800 msgs/report,
     cooldown 60_000, drain 30_000, margin 128, PR 8 B/cycle, 1
     migration per epoch, SLO window 5_000 with 20 min samples. *)
 
 type t
 
-val create : ?config:config -> Cluster.t -> slot_cells:(int -> int) -> t
-(** Attach a scheduler to the rack: adds a controller NIC for telemetry
-    and snapshots each board's free tiles as its schedulable slots.
+val create :
+  ?config:config -> Cluster.t -> collector:Collector.t ->
+  slot_cells:(int -> int) -> t
+(** Attach a scheduler to the rack, with its telemetry riding
+    [collector]'s agents, and snapshot each board's free tiles as its
+    schedulable slots.
     [slot_cells board] is the per-slot logic-cell budget (a
     {!Apiary_resource.Floorplan.plan}'s [slot_logic_cells]) — boards
     built from different parts get different budgets. Boards the
@@ -111,9 +114,9 @@ val watch : t -> tenant:string -> Shard_client.t -> unit
     shard ring so traffic follows the placement. Claims the client's
     [set_on_outcome] hook. *)
 
-val watch_collected : t -> tenant:string -> Apiary_cluster.Collector.t -> unit
+val watch_collected : t -> tenant:string -> unit
 (** In-band alternative to {!watch}: feed the tenant's error budget
-    from the rack {!Apiary_cluster.Collector}'s service-outcome stream
+    from the scheduler's collector's service-outcome stream
     (server-observed latency and status from collected [serve] spans,
     delivered over the fabric) instead of the client's local hook.
     Honestly blind to requests no replica ever saw — client-side
@@ -128,7 +131,7 @@ val watch_client_only : t -> tenant:string -> Shard_client.t -> unit
 
 val start : t -> unit
 (** Place initial replicas (each tenant at its reservation, in
-    [add_tenant] order), arm board beacons and health watchdogs, and
+    [add_tenant] order), arm board load reports and health watchdogs, and
     subscribe to the cluster's failure/recovery announcements. Call
     after tenants are declared and clients watched, before running the
     engine. *)
@@ -176,7 +179,7 @@ val replica_cycles : t -> tenant:string -> now:int -> int
     run length for average provisioned replicas. *)
 
 val board_load : t -> int -> int
-(** Last beaconed message delta for a board (the controller's view). *)
+(** Last reported message delta for a board (the controller's view). *)
 
 val slo : t -> tenant:string -> Slo.t
 (** The tenant's SLO object: error-budget totals, burn rates, the alert

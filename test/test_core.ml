@@ -446,8 +446,9 @@ let test_rate_limit_caps_flood () =
                  match r with
                  | Error _ -> ()
                  | Ok conn ->
-                   Sim.add_ticker (Shell.sim sh) (fun () ->
-                       Shell.send_data sh conn ~opcode:0 (b "x"))))));
+                   Sim.add_clocked (Shell.sim sh) (fun () ->
+                       Shell.send_data sh conn ~opcode:0 (b "x");
+                       Sim.Busy)))));
   Sim.run_for sim 10_000;
   let out = Monitor.msgs_out (Kernel.monitor k 2) in
   let dropped = Monitor.dropped (Kernel.monitor k 2) in
@@ -743,13 +744,14 @@ let test_per_connection_rate_limit () =
                 match r with
                 | Error _ -> ()
                 | Ok oconn ->
-                  Sim.add_ticker (Shell.sim sh) (fun () ->
+                  Sim.add_clocked (Shell.sim sh) (fun () ->
                       (* Flood the limited victim on class 0... *)
                       Shell.send_data sh vconn ~opcode:1 ~cls:0 (b "flood!");
                       (* ...while talking to the open service on class 1
                          every 50 cycles. *)
                       if Shell.now sh mod 50 = 0 then
-                        Shell.send_data sh oconn ~opcode:2 ~cls:1 (b "legit")))));
+                        Shell.send_data sh oconn ~opcode:2 ~cls:1 (b "legit");
+                      Sim.Busy))));
   Sim.run_for sim 20_000;
   let attacker = Kernel.monitor k 2 in
   let out = Monitor.msgs_out attacker in

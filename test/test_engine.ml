@@ -278,7 +278,9 @@ let test_sim_every () =
 let test_sim_ticker_runs_each_cycle () =
   let sim = Sim.create () in
   let n = ref 0 in
-  Sim.add_ticker sim (fun () -> incr n);
+  Sim.add_clocked sim (fun () ->
+      incr n;
+      Sim.Busy);
   Sim.run_for sim 17;
   Alcotest.(check int) "17 ticks" 17 !n
 
@@ -292,7 +294,9 @@ let test_sim_fast_forward () =
 
 let test_sim_stop () =
   let sim = Sim.create () in
-  Sim.add_ticker sim (fun () -> if Sim.now sim = 5 then Sim.stop sim);
+  Sim.add_clocked sim (fun () ->
+      if Sim.now sim = 5 then Sim.stop sim;
+      Sim.Busy);
   Sim.run_for sim 100;
   Alcotest.(check int) "stopped early" 6 (Sim.now sim)
 
@@ -453,15 +457,17 @@ let test_sim_idle_until_cadence () =
   Alcotest.(check int) "one tick per wake" 20 !runs;
   Alcotest.(check int) "gaps skipped" 80 (Sim.cycles_skipped sim)
 
-let test_sim_wake_reruns_idle_ticker () =
+let test_sim_rearm_reruns_idle_ticker () =
   let sim = Sim.create () in
   let runs = ref 0 in
-  Sim.add_clocked sim (fun () ->
-      incr runs;
-      Sim.Idle);
+  let h =
+    Sim.add_clocked_h sim (fun () ->
+        incr runs;
+        Sim.Idle)
+  in
   Sim.run_for sim 10;
   Alcotest.(check int) "quiesced after first tick" 1 !runs;
-  Sim.wake sim;
+  Sim.rearm sim h;
   Sim.run_for sim 5;
   Alcotest.(check int) "woken ticker ran again" 2 !runs
 
@@ -662,8 +668,8 @@ let () =
           Alcotest.test_case "after-zero in event phase" `Quick
             test_sim_after_zero_in_event_phase;
           Alcotest.test_case "idle-until cadence" `Quick test_sim_idle_until_cadence;
-          Alcotest.test_case "wake reruns idle ticker" `Quick
-            test_sim_wake_reruns_idle_ticker;
+          Alcotest.test_case "rearm reruns idle ticker" `Quick
+            test_sim_rearm_reruns_idle_ticker;
           qc prop_fast_forward_equiv;
         ] );
       ( "sim_extra",

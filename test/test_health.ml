@@ -21,6 +21,7 @@ module Router = Apiary_noc.Router
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Rack_health = Apiary_cluster.Rack_health
+module Collector = Apiary_cluster.Collector
 module Shard_client = Apiary_cluster.Shard_client
 module Node = Apiary_cluster.Node
 module Sched = Apiary_sched.Sched
@@ -257,7 +258,9 @@ let test_flight_of_env_sizes_all_rings () =
     Unix.putenv "APIARY_FLIGHT_CAP" cap;
     let eng = Cluster.engine ~boards:1 () in
     let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:1 in
-    let sched = Sched.create cluster ~slot_cells:(fun _ -> 50_000) in
+    let collector = Collector.create cluster in
+    let sched = Sched.create cluster ~collector ~slot_cells:(fun _ -> 50_000) in
+    Collector.detach collector;
     ( Flight.capacity (Kernel.flight (Node.kernel (Cluster.node cluster 0))),
       Flight.capacity (Sched.flight sched) )
   in
@@ -313,6 +316,61 @@ let test_critical_path_decomposition () =
   Span.reset ()
 
 (* ------------------------------------------------------------------ *)
+(* Rack watchdog over the management stream *)
+
+let hb = Apiary_obs.Agent.heartbeat_period
+
+(* An idle rack sends nothing but heartbeats. Created before the
+   collector (the order perfbench uses), the watchdog must hear every
+   board, accuse none, and then catch a kill within the deadline plus
+   two heartbeat periods. *)
+let test_rack_watchdog_hears_heartbeats () =
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
+  let watchdog = Rack_health.create ~deadline:3_000 cluster in
+  let collector = Collector.create cluster in
+  let heard = Array.make 2 0 in
+  Cluster.on_board_alive cluster (fun b -> heard.(b) <- heard.(b) + 1);
+  let kill_at = 20_000 in
+  Sim.at (Cluster.sim cluster) kill_at (fun () -> Cluster.kill cluster ~board:1);
+  Par_sim.run_until eng kill_at;
+  Alcotest.(check (list (pair int int))) "no false detections" []
+    (Rack_health.detections watchdog);
+  Array.iteri
+    (fun b n ->
+      Alcotest.(check bool) (Printf.sprintf "board %d heard" b) true (n > 0))
+    heard;
+  Alcotest.(check int) "every batch counts as a heartbeat"
+    (heard.(0) + heard.(1))
+    (Rack_health.heartbeats_seen watchdog);
+  Par_sim.run_until eng (kill_at + 10_000);
+  Par_sim.shutdown eng;
+  Collector.detach collector;
+  match Rack_health.detections watchdog with
+  | [ (cyc, 1) ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "kill detected after %d cycles" (cyc - kill_at))
+      true
+      (cyc - kill_at <= 3_000 + (2 * hb))
+  | ds -> Alcotest.failf "expected one detection of board 1, got %d" (List.length ds)
+
+(* Without a Collector nobody reports proof of life: the first sweep
+   must fail loudly instead of declaring every board dead. *)
+let test_rack_watchdog_needs_collector () =
+  let eng = Cluster.engine ~boards:2 () in
+  let cluster = Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards:2 in
+  let _watchdog = Rack_health.create ~deadline:3_000 cluster in
+  match Par_sim.run_until eng 10_000 with
+  | () -> Alcotest.fail "a watchdog without a collector kept running"
+  | exception Failure msg ->
+    let has sub =
+      let n = String.length msg and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("names the collector: " ^ msg) true (has "Collector")
+
+(* ------------------------------------------------------------------ *)
 (* Engine invariance: counters are byte-identical across engines *)
 
 (* A rack with echo replicas, a sharded client, per-board health layers
@@ -335,7 +393,8 @@ let rack_counter_fingerprint mode ~cycles =
       (fun nd -> Health.create (Apiary_cluster.Node.kernel nd))
       (Cluster.nodes cluster)
   in
-  let watchdog = Rack_health.create ~hb_period:500 ~deadline:3_000 cluster in
+  let collector = Collector.create cluster in
+  let watchdog = Rack_health.create ~deadline:3_000 cluster in
   let client =
     Shard_client.create cluster ~timeout:15_000 ~service:"mirror"
       ~op:Accels.op_echo ~route:Shard_client.By_key
@@ -348,6 +407,7 @@ let rack_counter_fingerprint mode ~cycles =
   Par_sim.run_until eng cycles;
   Shard_client.stop client;
   Par_sim.shutdown eng;
+  Collector.detach collector;
   let buf = Buffer.create 4096 in
   List.iter
     (fun nd ->
@@ -397,6 +457,13 @@ let () =
             test_watchdog_quiet_on_idle_fastforward;
           Alcotest.test_case "stuck tile trips" `Quick
             test_watchdog_trips_on_stuck_tile;
+        ] );
+      ( "rack_watchdog",
+        [
+          Alcotest.test_case "hears heartbeats through the collector" `Quick
+            test_rack_watchdog_hears_heartbeats;
+          Alcotest.test_case "fails without a collector" `Quick
+            test_rack_watchdog_needs_collector;
         ] );
       ( "statsvc",
         [

@@ -12,6 +12,7 @@ module Stats = Apiary_engine.Stats
 module Accels = Apiary_accel.Accels
 module Cluster = Apiary_cluster.Cluster
 module Directory = Apiary_cluster.Directory
+module Collector = Apiary_cluster.Collector
 module Shard_client = Apiary_cluster.Shard_client
 module Placer = Apiary_sched.Placer
 module Sched = Apiary_sched.Sched
@@ -272,8 +273,9 @@ let test_sync_boards_reconciles_ring () =
 (* Determinism: a scheduled rack with migrations, Seq vs Par *)
 
 (* Aggressive mini config so the 120k-cycle run sees real scheduler
-   traffic: 1k beacons, 8k epochs, migration thresholds matched to the
-   ~6-15 msgs/beacon a saturated board moves at cost-300 service. *)
+   traffic: 1k-cycle load reports, 8k epochs, migration thresholds
+   matched to the ~6-15 msgs/report a saturated board moves at cost-300
+   service. *)
 let mini_cfg =
   {
     Sched.default_config with
@@ -307,7 +309,11 @@ let run_sched_rack mode =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2
   in
   let sim = Cluster.sim cluster in
-  let sched = Sched.create ~config:mini_cfg cluster ~slot_cells:(fun _ -> 50_000) in
+  let collector = Collector.create cluster in
+  let sched =
+    Sched.create ~config:mini_cfg cluster ~collector
+      ~slot_cells:(fun _ -> 50_000)
+  in
   Sched.add_tenant sched ~spec:mini_spec
     ~behavior:(fun () -> Accels.echo ~service:"svc" ~cost:300 ());
   let client =
@@ -321,6 +327,7 @@ let run_sched_rack mode =
   Par_sim.run_until eng cycles;
   Shard_client.stop client;
   Par_sim.shutdown eng;
+  Collector.detach collector;
   let t = Sched.totals sched in
   let stats =
     Printf.sprintf

@@ -33,6 +33,8 @@ let sample_records =
         s_dur = 250;
         s_args = [ ("req_id", "17"); ("status", "ok") ];
       };
+    Wire.Load { msgs = 1_234; tile_msgs = [| 0; 7; 0xffff |] };
+    Wire.Alarm { kind = 1; tile = 5 };
   ]
 
 let test_wire_roundtrip () =
@@ -50,7 +52,22 @@ let test_wire_roundtrip () =
     Alcotest.(check int) "cum records" 100 b.Wire.b_cum_records;
     Alcotest.(check int) "cum dropped" 7 b.Wire.b_cum_dropped;
     Alcotest.(check bool) "records round-trip" true
-      (b.Wire.b_records = sample_records)
+      (b.Wire.b_records = sample_records);
+    (* A heartbeat is a header-only batch. *)
+    let beat =
+      Wire.encode_batch ~board:2 ~seq:4 ~ts:500 ~cum_records:3 ~cum_dropped:0 []
+    in
+    Alcotest.(check bool) "header-only batch round-trips" true
+      (Wire.decode_batch beat
+      = Some
+          {
+            Wire.b_board = 2;
+            b_seq = 4;
+            b_ts = 500;
+            b_cum_records = 3;
+            b_cum_dropped = 0;
+            b_records = [];
+          })
 
 let test_wire_rejects_garbage () =
   let payload =
@@ -67,7 +84,13 @@ let test_wire_rejects_garbage () =
     ignore (Wire.decode_batch (Bytes.sub payload 0 len))
   done;
   Alcotest.(check bool) "truncated header rejected" true
-    (Wire.decode_batch (Bytes.sub payload 0 (Wire.header_bytes - 1)) = None)
+    (Wire.decode_batch (Bytes.sub payload 0 (Wire.header_bytes - 1)) = None);
+  let load =
+    Wire.encode_batch ~board:0 ~seq:1 ~ts:0 ~cum_records:0 ~cum_dropped:0
+      [ Wire.encode_record (Wire.Load { msgs = 9; tile_msgs = [| 1; 2; 3 |] }) ]
+  in
+  Alcotest.(check bool) "truncated load report rejected" true
+    (Wire.decode_batch (Bytes.sub load 0 (Bytes.length load - 1)) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Agent queue accounting *)
@@ -123,6 +146,52 @@ let test_agent_drop_oldest () =
         [ "t9.c4"; "t9.c5"; "t9.c6"; "t9.c7" ] names)
   | l -> Alcotest.failf "expected exactly one batch, got %d" (List.length l));
   Agent.detach a;
+  Registry.clear ()
+
+(* Heartbeats: a beat ships a header-only batch only when nothing else
+   went out since the previous beat; beats outlive [until] (the
+   watchdog must keep hearing a board whose telemetry stopped) and stop
+   at [detach]. *)
+let test_agent_heartbeat () =
+  Registry.clear ();
+  let sim = Sim.create () in
+  let sent = ref [] in
+  let send payload =
+    (match Wire.decode_batch payload with
+    | Some b -> sent := b :: !sent
+    | None -> Alcotest.fail "agent sent an undecodable batch");
+    true
+  in
+  let a =
+    Agent.create ~period:2_000 ~until:3_000 ~sim ~board:0 ~prefix:"hb9."
+      ~send ()
+  in
+  let hb = Agent.heartbeat_period in
+  let newest () = List.hd !sent in
+  Sim.run_until sim (hb + 1);
+  Alcotest.(check int) "first beat shipped" 1 (List.length !sent);
+  Alcotest.(check int) "first beat is seq 1" 1 (newest ()).Wire.b_seq;
+  Alcotest.(check bool) "header only" true ((newest ()).Wire.b_records = []);
+  Sim.run_until sim (hb + 100);
+  Agent.push a ~now:(Sim.now sim) (Wire.Alarm { kind = 0; tile = 3 });
+  Alcotest.(check int) "push flushes at once" 2 (List.length !sent);
+  Alcotest.(check int) "pushed batch is seq 2" 2 (newest ()).Wire.b_seq;
+  Sim.run_until sim ((2 * hb) + 1);
+  Alcotest.(check int) "beat after a push is skipped" 2 (List.length !sent);
+  Sim.run_until sim ((3 * hb) + 1);
+  let b = newest () in
+  Alcotest.(check int) "quiet beat ships seq + 1" 3 b.Wire.b_seq;
+  Alcotest.(check bool) "still header only" true (b.Wire.b_records = []);
+  Alcotest.(check int) "cum_records unchanged by a beat" 1 b.Wire.b_cum_records;
+  Sim.run_until sim 5_001;
+  Alcotest.(check int) "beats continue past until" 5_000 (newest ()).Wire.b_ts;
+  Alcotest.(check (list int)) "sequence has no gaps"
+    (List.init (List.length !sent) (fun i -> i + 1))
+    (List.rev_map (fun b -> b.Wire.b_seq) !sent);
+  Agent.detach a;
+  let n = List.length !sent in
+  Sim.run_until sim 8_000;
+  Alcotest.(check int) "beats stop at detach" n (List.length !sent);
   Registry.clear ()
 
 (* ------------------------------------------------------------------ *)
@@ -223,6 +292,7 @@ let () =
         [
           Alcotest.test_case "drop-oldest accounting" `Quick
             test_agent_drop_oldest;
+          Alcotest.test_case "heartbeats" `Quick test_agent_heartbeat;
         ] );
       ( "collector",
         [
