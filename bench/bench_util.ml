@@ -162,9 +162,17 @@ type perf_record = {
   pr_win_max : int;
   pr_domains : int;  (* OS domains per Par window, mean over the run's
                         Par windows (rounded); 1 when none ran *)
+  pr_alloc_words : float;  (* words allocated, all domains *)
 }
 
 let perf_records : perf_record list ref = ref []
+
+(* Words allocated by every domain so far, as perfbench counts them:
+   [Gc.quick_stat] folds in running and joined domains, and is exact to
+   one minor heap. *)
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* Wall-clock an experiment and record simulated cycles advanced across
    all sims (including parallel domains) while it ran. *)
@@ -178,9 +186,11 @@ let timed id f () =
     let stall0 = Par_sim.total_barrier_stall_s () in
     let windows0, _, _ = Par_sim.total_window_stats () in
     let par0, dom0 = Par_sim.total_par_windows () in
+    let alloc0 = alloc_words () in
     let t0 = Unix.gettimeofday () in
     f ();
     let dt = Unix.gettimeofday () -. t0 in
+    let alloc = alloc_words () -. alloc0 in
     (* Window count is differenced per experiment; the min/max widths
        are process-wide high/low watermarks (windows from earlier
        experiments included), which is all the atomic accounting can
@@ -201,6 +211,7 @@ let timed id f () =
         pr_win_min = win_min;
         pr_win_max = win_max;
         pr_domains = (if par = 0 then 1 else (dom1 - dom0 + (par / 2)) / par);
+        pr_alloc_words = alloc;
       }
       :: !perf_records
   end
@@ -220,11 +231,12 @@ let write_perf_json path =
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"domains_used\": %d%s}%s\n"
+        "    {\"id\": \"%s\", \"wall_s\": %.3f, \"sim_cycles\": %d, \"cycles_per_s\": %.0f, \"skipped_cycles\": %d, \"active_ticks\": %d, \"skipped_ticks\": %d, \"domains_used\": %d, \"alloc_words\": %.0f%s}%s\n"
         r.pr_id r.pr_wall_s r.pr_cycles
         (if r.pr_wall_s > 0.0 then float_of_int r.pr_cycles /. r.pr_wall_s
          else 0.0)
         r.pr_skipped r.pr_active_ticks r.pr_skipped_ticks r.pr_domains
+        r.pr_alloc_words
         ((if r.pr_stall_s > 0.0 then
             Printf.sprintf ", \"barrier_stall_s\": %.3f" r.pr_stall_s
           else "")

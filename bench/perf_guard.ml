@@ -19,6 +19,12 @@
    guard still passes on a fast runner. Skipped when either side lacks
    the field (old baselines) or the cycle counts differ (resized runs).
 
+   A third, also machine-independent, check guards allocation: at equal
+   [sim_cycles], [alloc_words] (OCaml words allocated by all domains
+   while the experiment ran) may not exceed 1.10 x baseline + 262,144
+   words, one minor heap, which is the counter's resolution. Skipped
+   under the same conditions as the activity check.
+
    The parser handles exactly the format bench_util.write_perf_json
    emits — one record per line — not general JSON; both inputs come
    from our own harness. *)
@@ -28,6 +34,7 @@ type rec_t = {
   sim_cycles : int;
   cycles_per_s : float;
   active_ticks : int option;
+  alloc_words : float option;
 }
 
 let field_str line key =
@@ -86,7 +93,9 @@ let parse path =
          let active_ticks =
            Option.map int_of_float (field_num line "active_ticks")
          in
-         out := { id; sim_cycles; cycles_per_s; active_ticks } :: !out
+         let alloc_words = field_num line "alloc_words" in
+         out :=
+           { id; sim_cycles; cycles_per_s; active_ticks; alloc_words } :: !out
      done
    with End_of_file -> ());
   close_in ic;
@@ -143,12 +152,26 @@ let () =
               "perf-guard: %-6s activity ok  baseline %d active ticks, current \
                %d (cap %d)\n"
               b.id ba ca cap
-        | _ -> ()))
+        | _ -> ());
+        (* Deterministic allocation guard, same skip rules. *)
+        match (b.alloc_words, c.alloc_words) with
+        | Some ba, Some ca when b.sim_cycles = c.sim_cycles ->
+          let cap = (1.10 *. ba) +. 262_144.0 in
+          let ok = ca <= cap in
+          Printf.printf
+            "perf-guard: %-6s %s  baseline %.0f allocated words, current %.0f \
+             (cap %.0f)\n"
+            b.id
+            (if ok then "alloc ok" else "ALLOC REGRESSION")
+            ba ca cap;
+          if not ok then incr failures
+        | _ -> ())
     baseline;
   if !failures > 0 then begin
-    Printf.printf "perf-guard: %d experiment(s) regressed >%.0f%% below baseline\n"
-      !failures
-      ((1.0 -. threshold) *. 100.0);
+    Printf.printf
+      "perf-guard: %d check(s) failed (rate floor x%.2f, activity and \
+       allocation caps)\n"
+      !failures threshold;
     exit 1
   end
   else print_endline "perf-guard: no regressions"

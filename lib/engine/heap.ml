@@ -46,22 +46,14 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty heap";
+  h.data.(0)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top
+let drop h =
+  if h.size = 0 then invalid_arg "Heap.drop: empty heap";
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
   end
-
-let clear h = h.size <- 0
-
-let to_list h =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (h.data.(i) :: acc) in
-  loop (h.size - 1) []

@@ -16,14 +16,11 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Insert an element. O(log n). *)
 
-val peek : 'a t -> 'a option
-(** Smallest element without removing it, or [None] if empty. *)
+val top : 'a t -> 'a
+(** Smallest element, left in place. Allocates nothing, so the
+    simulator's per-cycle loops can test [is_empty] and read [top].
+    @raise Invalid_argument if the heap is empty. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element, or [None] if empty. O(log n). *)
-
-val clear : 'a t -> unit
-(** Remove all elements. *)
-
-val to_list : 'a t -> 'a list
-(** All elements in unspecified order (for debugging/tests). *)
+val drop : 'a t -> unit
+(** Remove the smallest element. O(log n).
+    @raise Invalid_argument if the heap is empty. *)

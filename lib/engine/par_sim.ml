@@ -217,16 +217,15 @@ let collect t =
 
 (* Flush pending posts due before [wend] into the member's simulator, in
    canonical (time, src, seq) order. *)
-let flush_member m wend =
-  let rec go () =
-    match Heap.peek m.pending with
-    | Some r when r.p_time < wend ->
-      ignore (Heap.pop m.pending);
+let rec flush_member m wend =
+  if not (Heap.is_empty m.pending) then begin
+    let r = Heap.top m.pending in
+    if r.p_time < wend then begin
+      Heap.drop m.pending;
       Sim.at m.msim r.p_time r.p_fn;
-      go ()
-    | _ -> ()
-  in
-  go ()
+      flush_member m wend
+    end
+  end
 
 (* Adaptive window bound: no member can execute anything before the
    earliest of (its own next activity, its earliest pending post), so
@@ -238,7 +237,7 @@ let earliest_activity t =
     (fun acc m ->
       let a = Sim.next_activity m.msim in
       let p =
-        match Heap.peek m.pending with Some r -> r.p_time | None -> max_int
+        if Heap.is_empty m.pending then max_int else (Heap.top m.pending).p_time
       in
       min acc (min a p))
     max_int t.members

@@ -254,45 +254,54 @@ let mark_dirty t fn =
 let run_due_events t =
   t.in_event_phase <- true;
   let rec loop () =
-    match Heap.peek t.events with
-    | Some e when e.time = t.clock ->
-      ignore (Heap.pop t.events);
-      e.fn ();
-      loop ()
-    | Some e when e.time < t.clock -> assert false
-    | Some _ | None -> ()
+    if not (Heap.is_empty t.events) then begin
+      let e = Heap.top t.events in
+      assert (e.time >= t.clock);
+      if e.time = t.clock then begin
+        Heap.drop t.events;
+        e.fn ();
+        loop ()
+      end
+    end
   in
   loop ();
   t.in_event_phase <- false
 
 (* Arm every parked ticker whose [Idle_until] wake is due, discarding
    stale heap entries (ticker re-armed or re-parked since the push). *)
-let drain_due_wakes t =
-  let continue_ = ref true in
-  while !continue_ do
-    match Heap.peek t.time_heap with
-    | Some (w, idx) when w <= t.clock ->
-      ignore (Heap.pop t.time_heap);
+let rec drain_due_wakes t =
+  if not (Heap.is_empty t.time_heap) then begin
+    let w, idx = Heap.top t.time_heap in
+    if w <= t.clock then begin
+      Heap.drop t.time_heap;
       let tk = t.tickers.(idx) in
       if (not tk.armed) && tk.wake = w then begin
         tk.armed <- true;
         tk.wake <- max_int;
         push_wake_next t idx
-      end
-    | _ -> continue_ := false
-  done
+      end;
+      drain_due_wakes t
+    end
+  end
 
 (* Earliest valid [Idle_until] wake, pruning stale entries. *)
 let rec next_time_wake t =
-  match Heap.peek t.time_heap with
-  | None -> max_int
-  | Some (w, idx) ->
+  if Heap.is_empty t.time_heap then max_int
+  else begin
+    let w, idx = Heap.top t.time_heap in
     let tk = t.tickers.(idx) in
     if tk.armed || tk.wake <> w then begin
-      ignore (Heap.pop t.time_heap);
+      Heap.drop t.time_heap;
       next_time_wake t
     end
     else w
+  end
+
+(* Earliest heap event or valid [Idle_until] wake; [max_int] when
+   neither exists. *)
+let next_wake t =
+  let e = if Heap.is_empty t.events then max_int else (Heap.top t.events).time in
+  min e (next_time_wake t)
 
 let run_ticker tk =
   match tk.row with
@@ -325,12 +334,12 @@ let step t =
   let continue_ = ref true in
   while !continue_ do
     let a = if !i < n then run.(!i) else max_int in
-    let b = match Heap.peek t.wake_now with Some x -> x | None -> max_int in
+    let b = if Heap.is_empty t.wake_now then max_int else Heap.top t.wake_now in
     if a = max_int && b = max_int then continue_ := false
     else begin
       let idx = if a <= b then a else b in
       if a <= b then incr i;
-      if b <= a then ignore (Heap.pop t.wake_now);
+      if b <= a then Heap.drop t.wake_now;
       t.cur_idx <- idx;
       t.self_rearm <- false;
       let tk = t.tickers.(idx) in
@@ -407,12 +416,7 @@ let run_until t time =
        or quiescent and no two-phase state is pending commit: jump to
        the next heap event or the earliest Idle_until wake-up. *)
     if t.quiescent then begin
-      let next =
-        match Heap.peek t.events with
-        | Some e -> min e.time (next_time_wake t)
-        | None -> next_time_wake t
-      in
-      let next = min next time in
+      let next = min (next_wake t) time in
       if next > t.clock then begin
         t.skipped <- t.skipped + (next - t.clock);
         t.clock <- next
@@ -434,12 +438,4 @@ let pending_events t = Heap.length t.events
    wake-up (max_int when neither exists — fully drained). The adaptive
    parallel engine widens its windows to this bound. *)
 let next_activity t =
-  if not t.quiescent then t.clock
-  else begin
-    let next =
-      match Heap.peek t.events with
-      | Some e -> min e.time (next_time_wake t)
-      | None -> next_time_wake t
-    in
-    if next < t.clock then t.clock else next
-  end
+  if not t.quiescent then t.clock else max t.clock (next_wake t)

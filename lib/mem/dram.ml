@@ -39,10 +39,18 @@ type bank = {
 
 type channel = { banks : bank array; mutable bus_free_at : int }
 
+(* Demand paging: a run writes little of a board's DRAM, so a page is
+   allocated on its first write. Pages never written share the
+   [absent] sentinel and read as zeros. *)
+let page_bits = 12
+let page_bytes = 1 lsl page_bits
+let absent = Bytes.empty
+
 type t = {
   sim : Sim.t;
   cfg : config;
-  data : Bytes.t;
+  size : int;
+  pages : Bytes.t array;
   chans : channel array;
   mutable n_reads : int;
   mutable n_writes : int;
@@ -56,7 +64,8 @@ let create sim cfg ~size_bytes =
   {
     sim;
     cfg;
-    data = Bytes.make size_bytes '\000';
+    size = size_bytes;
+    pages = Array.make ((size_bytes + page_bytes - 1) lsr page_bits) absent;
     chans =
       Array.init cfg.channels (fun _ ->
           {
@@ -72,7 +81,7 @@ let create sim cfg ~size_bytes =
     n_bytes = 0;
   }
 
-let size t = Bytes.length t.data
+let size t = t.size
 let config t = t.cfg
 let reads t = t.n_reads
 let writes t = t.n_writes
@@ -89,16 +98,42 @@ let locate t addr =
   let row = row_global / t.cfg.channels / t.cfg.banks_per_channel in
   (t.chans.(chan_i), t.chans.(chan_i).banks.(bank_i), row)
 
+let check t addr len =
+  if not (addr >= 0 && len >= 0 && addr + len <= t.size) then
+    invalid_arg "Dram: access out of physical range"
+
+(* Split the [len] bytes at [addr] into page-bounded chunks: call
+   [f page page_off buf_off n] for each. *)
+let rec chunks addr off len f =
+  if off < len then begin
+    let po = addr land (page_bytes - 1) in
+    let n = min (len - off) (page_bytes - po) in
+    f (addr lsr page_bits) po off n;
+    chunks (addr + n) (off + n) len f
+  end
+
+let load t addr len =
+  let b = Bytes.create len in
+  chunks addr 0 len (fun pi po off n ->
+      let p = t.pages.(pi) in
+      if p == absent then Bytes.fill b off n '\000' else Bytes.blit p po b off n);
+  b
+
+let store t addr b =
+  chunks addr 0 (Bytes.length b) (fun pi po off n ->
+      if t.pages.(pi) == absent then t.pages.(pi) <- Bytes.make page_bytes '\000';
+      Bytes.blit b off t.pages.(pi) po n)
+
 let perform t r =
   match r.kind with
   | Read cb ->
     t.n_reads <- t.n_reads + 1;
     t.n_bytes <- t.n_bytes + r.len;
-    cb (Bytes.sub t.data r.addr r.len)
+    cb (load t r.addr r.len)
   | Write (b, cb) ->
     t.n_writes <- t.n_writes + 1;
     t.n_bytes <- t.n_bytes + Bytes.length b;
-    Bytes.blit b 0 t.data r.addr (Bytes.length b);
+    store t r.addr b;
     cb ()
 
 (* Serve the head of a bank's queue; reschedules itself until empty. *)
@@ -134,8 +169,7 @@ let rec kick t chan bank =
   end
 
 let submit t r =
-  if r.addr < 0 || r.addr + r.len > Bytes.length t.data then
-    invalid_arg "Dram: access out of physical range";
+  check t r.addr r.len;
   let chan, bank, _ = locate t r.addr in
   if Queue.length bank.queue >= t.cfg.queue_depth then false
   else begin
@@ -146,5 +180,11 @@ let submit t r =
 
 let read t ~addr ~len cb = submit t { addr; len; kind = Read cb }
 let write t ~addr b cb = submit t { addr; len = Bytes.length b; kind = Write (b, cb) }
-let peek t ~addr ~len = Bytes.sub t.data addr len
-let poke t ~addr b = Bytes.blit b 0 t.data addr (Bytes.length b)
+
+let peek t ~addr ~len =
+  check t addr len;
+  load t addr len
+
+let poke t ~addr b =
+  check t addr (Bytes.length b);
+  store t addr b

@@ -6,7 +6,12 @@
     complete asynchronously via callbacks. The array is backed by real
     bytes, so accelerators that store data in "DRAM" read back exactly what
     they wrote — memory-isolation experiments corrupt and verify real
-    contents. *)
+    contents. The bytes are demand-paged in 4 KiB pages, allocated on
+    first write; never-written bytes read as zero. Paging costs host
+    memory only where a run writes and does not affect timing.
+
+    Every access below raises [Invalid_argument] at the call unless
+    [addr >= 0], [len >= 0] and [addr + len <= size]. *)
 
 module Sim := Apiary_engine.Sim
 

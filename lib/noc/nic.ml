@@ -53,28 +53,31 @@ let tx_backlog t =
 let injected t = t.injected
 let delivered t = t.delivered
 
-(* Pick the class to inject from this cycle: highest class with work when
-   QoS is on, else round-robin over ready classes so no class starves the
-   injection port. *)
+(* The per-tick helpers below are top-level loops, not closures, so a
+   busy NIC allocates nothing to decide what to do. *)
+
+(* Class [c] has a packet in flight or queued. *)
+let ready t c =
+  match t.cur.(c) with Some _ -> true | None -> not (Queue.is_empty t.tx.(c))
+
+let rec find_class t n k =
+  if k >= n then -1
+  else
+    let c = if t.qos then n - 1 - k else (t.rr_cls + k) mod n in
+    if ready t c then c else find_class t n (k + 1)
+
+(* Pick the class to inject from this cycle, or -1 when none is ready:
+   highest class with work when QoS is on, else round-robin over ready
+   classes so no class starves the injection port. *)
 let pick_class t =
   let n = Array.length t.tx in
-  let ready c = t.cur.(c) <> None || not (Queue.is_empty t.tx.(c)) in
-  let rec find k =
-    if k >= n then None
-    else
-      let c = if t.qos then n - 1 - k else (t.rr_cls + k) mod n in
-      if ready c then begin
-        if not t.qos then t.rr_cls <- (c + 1) mod n;
-        Some c
-      end
-      else find (k + 1)
-  in
-  find 0
+  let c = find_class t n 0 in
+  if c >= 0 && not t.qos then t.rr_cls <- (c + 1) mod n;
+  c
 
 let inject t =
-  match pick_class t with
-  | None -> ()
-  | Some c ->
+  let c = pick_class t in
+  if c >= 0 then begin
     let inf =
       match t.cur.(c) with
       | Some inf -> inf
@@ -104,29 +107,25 @@ let inject t =
         t.injected <- t.injected + 1
       end
     end
+  end
+
+let deliver t (f : 'a Packet.Flit.t) =
+  if Packet.Flit.is_tail f then begin
+    t.delivered <- t.delivered + 1;
+    if Span.on () then
+      Span.instant ~board:t.obs_board ~corr:f.pkt.Packet.corr ~cat:"noc"
+        ~name:"eject" ~track:t.obs_track ~ts:(Sim.now t.sim) ();
+    t.rx_cb f.pkt
+  end
 
 let eject t =
-  let deliver (f : 'a Packet.Flit.t) =
-    if Packet.Flit.is_tail f then begin
-      t.delivered <- t.delivered + 1;
-      if Span.on () then
-        Span.instant ~board:t.obs_board ~corr:f.pkt.Packet.corr ~cat:"noc"
-          ~name:"eject" ~track:t.obs_track ~ts:(Sim.now t.sim) ();
-      t.rx_cb f.pkt
-    end
-  in
-  Array.iter
-    (fun chan ->
-      if not (Fifo.is_empty chan.Router.buf) then
-        deliver (Router.chan_pop_exn chan))
-    t.eject
+  for v = 0 to Array.length t.eject - 1 do
+    let chan = t.eject.(v) in
+    if not (Fifo.is_empty chan.Router.buf) then
+      deliver t (Router.chan_pop_exn chan)
+  done
 
-let has_tx t =
-  let n = Array.length t.tx in
-  let rec go c =
-    c < n && (t.cur.(c) <> None || not (Queue.is_empty t.tx.(c)) || go (c + 1))
-  in
-  go 0
+let has_tx t = find_class t (Array.length t.tx) 0 >= 0
 
 let tick t =
   let txw = has_tx t in

@@ -94,6 +94,115 @@ let test_dram_poke_peek () =
   Dram.poke d ~addr:100 (Bytes.of_string "xyz");
   Alcotest.(check string) "peek" "xyz" (Bytes.to_string (Dram.peek d ~addr:100 ~len:3))
 
+(* A bad range must raise at the call: a queued request with a
+   negative length would otherwise fail inside a later event callback,
+   far from the caller. *)
+let test_dram_negative_len_rejected () =
+  let sim = Sim.create () in
+  let d = mk_dram ~size:4096 sim in
+  let oob = Invalid_argument "Dram: access out of physical range" in
+  Alcotest.check_raises "read" oob (fun () ->
+      ignore (Dram.read d ~addr:0 ~len:(-1) (fun _ -> ())));
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending_events sim);
+  Alcotest.check_raises "peek" oob (fun () -> ignore (Dram.peek d ~addr:8 ~len:(-1)));
+  Alcotest.check_raises "negative addr" oob (fun () ->
+      ignore (Dram.write d ~addr:(-1) (Bytes.make 4 'x') (fun () -> ())));
+  Alcotest.check_raises "poke past end" oob (fun () ->
+      Dram.poke d ~addr:4094 (Bytes.make 4 'x'));
+  Alcotest.(check int) "still nothing queued" 0 (Sim.pending_events sim);
+  Alcotest.(check int) "no bytes counted" 0 (Dram.bytes_transferred d)
+
+(* The sparse store must be indistinguishable from one flat zeroed
+   array: random backdoor and timed accesses, with spans that cross
+   page boundaries, over a size that ends mid-page. Bytes never written
+   read as zero. *)
+type dram_op =
+  | Poke of int * int * int  (* addr, len, fill seed *)
+  | Peek of int * int
+  | Write of int * int * int
+  | Read of int * int
+
+let dram_op_gen =
+  QCheck.Gen.(
+    let span = pair nat (int_bound 9000) in
+    frequency
+      [
+        (3, map2 (fun (a, l) s -> Poke (a, l, s)) span nat);
+        (3, map (fun (a, l) -> Peek (a, l)) span);
+        (2, map2 (fun (a, l) s -> Write (a, l, s)) span nat);
+        (2, map (fun (a, l) -> Read (a, l)) span);
+      ])
+
+let show_dram_op = function
+  | Poke (a, l, s) -> Printf.sprintf "poke %d+%d #%d" a l s
+  | Peek (a, l) -> Printf.sprintf "peek %d+%d" a l
+  | Write (a, l, s) -> Printf.sprintf "write %d+%d #%d" a l s
+  | Read (a, l) -> Printf.sprintf "read %d+%d" a l
+
+let prop_dram_sparse_matches_flat =
+  QCheck.Test.make ~name:"sparse dram matches a flat byte array" ~count:200
+    QCheck.(
+      make
+        ~print:(fun ((pages, tail), ops) ->
+          Printf.sprintf "size %d: %s" ((pages * 4096) + tail)
+            (String.concat "; " (List.map show_dram_op ops)))
+        Gen.(pair (pair (int_bound 4) (int_range 1 4095)) (list_size (int_bound 40) dram_op_gen)))
+    (fun ((pages, tail), ops) ->
+      let size = (pages * 4096) + tail in
+      let sim = Sim.create () in
+      let d = mk_dram ~size sim in
+      let flat = Bytes.make size '\000' in
+      (* Clamp a generated span into [0, size]. *)
+      let clamp a l =
+        let a = a mod size in
+        (a, min l (size - a))
+      in
+      let data l seed = Rng.bytes (Rng.create ~seed) l in
+      let timed submit =
+        let fired = ref false in
+        assert (submit (fun () -> fired := true));
+        Sim.run_for sim 1000;
+        !fired
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Poke (a, l, seed) ->
+            let a, l = clamp a l in
+            let b = data l seed in
+            Dram.poke d ~addr:a b;
+            Bytes.blit b 0 flat a l;
+            true
+          | Peek (a, l) ->
+            let a, l = clamp a l in
+            Bytes.equal (Dram.peek d ~addr:a ~len:l) (Bytes.sub flat a l)
+          | Write (a, l, seed) ->
+            let a, l = clamp a l in
+            let b = data l seed in
+            Bytes.blit b 0 flat a l;
+            timed (fun k -> Dram.write d ~addr:a b k)
+          | Read (a, l) ->
+            let a, l = clamp a l in
+            let got = ref Bytes.empty in
+            timed (fun k -> Dram.read d ~addr:a ~len:l (fun b -> got := b; k ()))
+            && Bytes.equal !got (Bytes.sub flat a l))
+        ops
+      && Bytes.equal (Dram.peek d ~addr:0 ~len:size) flat)
+
+(* Building a board must not pay for DRAM it never touches: the default
+   64 MiB array costs only its page table until something is written. *)
+let test_dram_kernel_footprint () =
+  let module Kernel = Apiary_core.Kernel in
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let sim = Sim.create () in
+  let k = Kernel.create sim Kernel.default_config in
+  let grown = (Gc.quick_stat ()).Gc.heap_words - before in
+  ignore (Sys.opaque_identity k);
+  let limit = 1 lsl 20 / (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words (limit %d)" grown limit)
+    true (grown < limit)
+
 (* ------------------------------------------------------------------ *)
 (* Segment allocator *)
 
@@ -264,6 +373,10 @@ let () =
           Alcotest.test_case "bank behaviour" `Quick test_dram_parallel_banks_faster_than_one;
           Alcotest.test_case "oob" `Quick test_dram_oob_raises;
           Alcotest.test_case "poke/peek" `Quick test_dram_poke_peek;
+          Alcotest.test_case "negative length rejected" `Quick
+            test_dram_negative_len_rejected;
+          Alcotest.test_case "kernel footprint" `Quick test_dram_kernel_footprint;
+          qc prop_dram_sparse_matches_flat;
         ] );
       ( "seg_alloc",
         [
