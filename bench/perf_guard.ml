@@ -16,8 +16,9 @@
    ran the same [sim_cycles] the current count may not exceed the
    baseline by more than 10% + 1000 calls. A regression here means
    tickers stopped parking (idle-skipping broke) even if the wall-clock
-   guard still passes on a fast runner. Skipped when either side lacks
-   the field (old baselines) or the cycle counts differ (resized runs).
+   guard still passes on a fast runner. Skipped, with a line saying
+   why, when either side lacks the field (old baselines) or the cycle
+   counts differ (resized runs).
 
    A third, also machine-independent, check guards allocation: at equal
    [sim_cycles], [alloc_words] (OCaml words allocated by all domains
@@ -135,10 +136,34 @@ let () =
           "perf-guard: %-6s %s  baseline %.2e cyc/s, current %.2e, floor %.2e (x%.2f)\n"
           b.id verdict b.cycles_per_s c.cycles_per_s floor threshold;
         if c.cycles_per_s < floor then incr failures;
+        (* The deterministic checks compare counts over the same
+           simulated span; say so when one cannot run. *)
+        let skipped what why =
+          Printf.printf "perf-guard: %-6s %s check skipped: %s\n" b.id what why
+        in
+        let comparable what ~baseline ~current =
+          if b.sim_cycles <> c.sim_cycles then begin
+            skipped what
+              (Printf.sprintf "sim_cycles differ (baseline %d, current %d)"
+                 b.sim_cycles c.sim_cycles);
+            None
+          end
+          else
+            match (baseline, current) with
+            | Some ba, Some ca -> Some (ba, ca)
+            | None, _ ->
+              skipped what "baseline has no count";
+              None
+            | _, None ->
+              skipped what "current run has no count";
+              None
+        in
         (* Deterministic activity guard: same simulated span must not
            execute meaningfully more ticker calls than the baseline. *)
-        (match (b.active_ticks, c.active_ticks) with
-        | Some ba, Some ca when b.sim_cycles = c.sim_cycles ->
+        (match
+           comparable "activity" ~baseline:b.active_ticks ~current:c.active_ticks
+         with
+        | Some (ba, ca) ->
           let cap = ba + (ba / 10) + 1000 in
           if ca > cap then begin
             Printf.printf
@@ -152,10 +177,10 @@ let () =
               "perf-guard: %-6s activity ok  baseline %d active ticks, current \
                %d (cap %d)\n"
               b.id ba ca cap
-        | _ -> ());
+        | None -> ());
         (* Deterministic allocation guard, same skip rules. *)
-        match (b.alloc_words, c.alloc_words) with
-        | Some ba, Some ca when b.sim_cycles = c.sim_cycles ->
+        match comparable "alloc" ~baseline:b.alloc_words ~current:c.alloc_words with
+        | Some (ba, ca) ->
           let cap = (1.10 *. ba) +. 262_144.0 in
           let ok = ca <= cap in
           Printf.printf
@@ -165,7 +190,7 @@ let () =
             (if ok then "alloc ok" else "ALLOC REGRESSION")
             ba ca cap;
           if not ok then incr failures
-        | _ -> ())
+        | None -> ())
     baseline;
   if !failures > 0 then begin
     Printf.printf

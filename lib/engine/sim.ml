@@ -42,10 +42,13 @@ type t = {
   wake_now : int Heap.t;
   mutable wake_next : int array;
   mutable n_wake_next : int;
-  (* Pending [Idle_until] wakes as [(wake_cycle, idx)]; entries are
-     lazily discarded when the ticker was re-armed (or re-parked) in the
-     meantime. *)
-  time_heap : (int * int) Heap.t;
+  (* Pending [Idle_until] wakes as (wake cycle, ticker index) int pairs:
+     a binary min-heap over two parallel arrays, ordered by cycle, then
+     index. Entries are lazily discarded when the ticker was re-armed (or
+     re-parked) in the meantime. *)
+  mutable th_wake : int array;
+  mutable th_idx : int array;
+  mutable th_n : int;
   mutable dirty_fns : (unit -> unit) array;
   mutable n_dirty : int;
   mutable stop_requested : bool;
@@ -71,10 +74,6 @@ type t = {
 let cmp_event a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
-
-let cmp_wake (w1, i1) (w2, i2) =
-  let c = compare (w1 : int) w2 in
-  if c <> 0 then c else compare (i1 : int) i2
 
 let cmp_int (a : int) (b : int) = compare a b
 
@@ -120,7 +119,9 @@ let create () =
     wake_now = Heap.create ~cmp:cmp_int;
     wake_next = Array.make 8 0;
     n_wake_next = 0;
-    time_heap = Heap.create ~cmp:cmp_wake;
+    th_wake = Array.make 8 0;
+    th_idx = Array.make 8 0;
+    th_n = 0;
     dirty_fns = Array.make 8 (fun () -> ());
     n_dirty = 0;
     stop_requested = false;
@@ -267,13 +268,63 @@ let run_due_events t =
   loop ();
   t.in_event_phase <- false
 
+(* The [Idle_until] time heap. *)
+
+let th_less t i j =
+  let wi = t.th_wake.(i) and wj = t.th_wake.(j) in
+  wi < wj || (wi = wj && t.th_idx.(i) < t.th_idx.(j))
+
+let th_swap t i j =
+  let w = t.th_wake.(i) and x = t.th_idx.(i) in
+  t.th_wake.(i) <- t.th_wake.(j);
+  t.th_idx.(i) <- t.th_idx.(j);
+  t.th_wake.(j) <- w;
+  t.th_idx.(j) <- x
+
+let rec th_sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if th_less t i parent then begin
+      th_swap t i parent;
+      th_sift_up t parent
+    end
+  end
+
+let rec th_sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let m = if l < t.th_n && th_less t l i then l else i in
+  let m = if r < t.th_n && th_less t r m then r else m in
+  if m <> i then begin
+    th_swap t i m;
+    th_sift_down t m
+  end
+
+let th_push t w idx =
+  if t.th_n = Array.length t.th_wake then begin
+    let grow a = Array.append a (Array.make t.th_n 0) in
+    t.th_wake <- grow t.th_wake;
+    t.th_idx <- grow t.th_idx
+  end;
+  t.th_wake.(t.th_n) <- w;
+  t.th_idx.(t.th_n) <- idx;
+  t.th_n <- t.th_n + 1;
+  th_sift_up t (t.th_n - 1)
+
+let th_drop t =
+  t.th_n <- t.th_n - 1;
+  if t.th_n > 0 then begin
+    t.th_wake.(0) <- t.th_wake.(t.th_n);
+    t.th_idx.(0) <- t.th_idx.(t.th_n);
+    th_sift_down t 0
+  end
+
 (* Arm every parked ticker whose [Idle_until] wake is due, discarding
    stale heap entries (ticker re-armed or re-parked since the push). *)
 let rec drain_due_wakes t =
-  if not (Heap.is_empty t.time_heap) then begin
-    let w, idx = Heap.top t.time_heap in
+  if t.th_n > 0 then begin
+    let w = t.th_wake.(0) and idx = t.th_idx.(0) in
     if w <= t.clock then begin
-      Heap.drop t.time_heap;
+      th_drop t;
       let tk = t.tickers.(idx) in
       if (not tk.armed) && tk.wake = w then begin
         tk.armed <- true;
@@ -286,12 +337,12 @@ let rec drain_due_wakes t =
 
 (* Earliest valid [Idle_until] wake, pruning stale entries. *)
 let rec next_time_wake t =
-  if Heap.is_empty t.time_heap then max_int
+  if t.th_n = 0 then max_int
   else begin
-    let w, idx = Heap.top t.time_heap in
-    let tk = t.tickers.(idx) in
+    let w = t.th_wake.(0) in
+    let tk = t.tickers.(t.th_idx.(0)) in
     if tk.armed || tk.wake <> w then begin
-      Heap.drop t.time_heap;
+      th_drop t;
       next_time_wake t
     end
     else w
@@ -358,7 +409,7 @@ let step t =
       | Idle_until w ->
         tk.armed <- false;
         tk.wake <- w;
-        Heap.push t.time_heap (w, idx)
+        th_push t w idx
     end
   done;
   t.cur_idx <- -1;

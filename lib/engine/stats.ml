@@ -46,7 +46,9 @@ module Histogram = struct
     buckets : int array;
     mutable count : int;
     mutable sum : int;
-    mutable sumsq : float;
+    (* One cell, so the float stays unboxed and [record] allocates
+       nothing. *)
+    sumsq : float array;
     mutable max_v : int;
     mutable min_v : int;
   }
@@ -57,7 +59,7 @@ module Histogram = struct
       buckets = Array.make nbuckets 0;
       count = 0;
       sum = 0;
-      sumsq = 0.0;
+      sumsq = [| 0.0 |];
       max_v = 0;
       min_v = max_int;
     }
@@ -107,7 +109,7 @@ module Histogram = struct
     h.buckets.(index_of v) <- h.buckets.(index_of v) + n;
     h.count <- h.count + n;
     h.sum <- h.sum + (v * n);
-    h.sumsq <- h.sumsq +. (float_of_int v *. float_of_int v *. float_of_int n);
+    h.sumsq.(0) <- h.sumsq.(0) +. (float_of_int v *. float_of_int v *. float_of_int n);
     if v > h.max_v then h.max_v <- v;
     if v < h.min_v then h.min_v <- v
 
@@ -159,7 +161,7 @@ module Histogram = struct
     else begin
       let n = float_of_int h.count in
       let m = mean h in
-      let var = (h.sumsq /. n) -. (m *. m) in
+      let var = (h.sumsq.(0) /. n) -. (m *. m) in
       if var < 0.0 then 0.0 else sqrt var
     end
 
@@ -167,7 +169,7 @@ module Histogram = struct
     Array.fill h.buckets 0 nbuckets 0;
     h.count <- 0;
     h.sum <- 0;
-    h.sumsq <- 0.0;
+    h.sumsq.(0) <- 0.0;
     h.max_v <- 0;
     h.min_v <- max_int
 
@@ -177,7 +179,7 @@ module Histogram = struct
     done;
     dst.count <- dst.count + src.count;
     dst.sum <- dst.sum + src.sum;
-    dst.sumsq <- dst.sumsq +. src.sumsq;
+    dst.sumsq.(0) <- dst.sumsq.(0) +. src.sumsq.(0);
     if src.max_v > dst.max_v then dst.max_v <- src.max_v;
     if src.min_v < dst.min_v then dst.min_v <- src.min_v
 

@@ -13,4 +13,8 @@ val next_port : t -> at:Coord.t -> dst:Coord.t -> Port.t
 (** Output port a packet at router [at] headed for [dst] must take;
     [Local] when [at = dst]. *)
 
+val next_index : t -> x:int -> y:int -> dx:int -> dy:int -> int
+(** {!next_port} on plain coordinates, as a {!Port.index}: router
+    [(x, y)], destination [(dx, dy)]. *)
+
 val to_string : t -> string
