@@ -7,9 +7,10 @@
       order — used for timed completions (DRAM, timeouts, link delays);
     + {b tickers} run in registration order — clocked components
       (routers, monitors, accelerators) do their per-cycle work;
-    + {b commit} — two-phase state such as {!Fifo} moves staged writes
-      into visible state, so phase-2 components never observe values
-      written in the same cycle regardless of their relative order.
+    + {b commit} — two-phase state such as {!Fifo} or a mesh's flit RAM
+      moves staged writes into visible state, so phase-2 components
+      never observe values written in the same cycle regardless of their
+      relative order.
 
     This mirrors registered (flip-flop) hardware semantics: every
     producer→consumer hop costs at least one cycle, and results do not
@@ -23,8 +24,8 @@
     at all — zero cost per cycle — until something re-arms it:
 
     - its [Idle_until] wake cycle is reached (a wake-heap fires it);
-    - a {!Fifo} it consumes commits or receives an injected entry (the
-      FIFO's registered owner handle is re-armed);
+    - two-phase state it consumes commits new entries (a {!Fifo}, or a
+      NoC channel, re-arms its registered owner handle);
     - a component re-arms it explicitly via {!rearm} (e.g. NIC send,
       monitor ingress).
 
