@@ -24,97 +24,155 @@ let buf_add_float b x =
 (* pid 0 = rack-level (board -1); pid b+1 = board b. *)
 let pid_of_board board = board + 1
 
-let add_args b args =
-  Buffer.add_string b ",\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
-      Buffer.add_char b ':';
-      buf_add_json_string b v)
-    args;
-  Buffer.add_char b '}'
+(* The trace export runs to megabytes, so it is written twice: once
+   counting bytes, once into a string of exactly that length. The
+   result is then the only large block it allocates. A growing [Buffer]
+   would leave each outgrown copy, up to twice the output in all, for
+   the major GC to free, and the peak heap would depend on how many of
+   them it had swept by then. *)
+type out = { fill : bool; bytes : Bytes.t; mutable pos : int }
 
-let add_event b (ev : Span.event) =
-  Buffer.add_string b "{\"name\":";
-  buf_add_json_string b ev.name;
-  Buffer.add_string b ",\"cat\":";
-  buf_add_json_string b ev.cat;
-  let ph, dur =
-    match ev.ph with
-    | Span.Mark -> ("i", None)
-    | Span.Dur -> if ev.dur < 0 then ("B", None) else ("X", Some ev.dur)
-  in
-  Buffer.add_string b (Printf.sprintf ",\"ph\":\"%s\"" ph);
-  Buffer.add_string b
-    (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"ts\":%d" (pid_of_board ev.board)
-       ev.track ev.ts);
-  (match dur with
-  | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%d" d)
-  | None -> ());
-  if ev.ph = Span.Mark then Buffer.add_string b ",\"s\":\"t\"";
-  let args =
-    if ev.corr <> 0 then ("corr", string_of_int ev.corr) :: ev.args else ev.args
-  in
-  if args <> [] then add_args b args;
-  Buffer.add_char b '}'
+let out_string o s =
+  let len = String.length s in
+  if o.fill then Bytes.blit_string s 0 o.bytes o.pos len;
+  o.pos <- o.pos + len
+
+let out_char o c =
+  if o.fill then Bytes.set o.bytes o.pos c;
+  o.pos <- o.pos + 1
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [string_of_int n], written in place for [n >= 0]. *)
+let out_int o n =
+  if n < 0 then out_string o (string_of_int n)
+  else begin
+    let d = digits n in
+    if o.fill then begin
+      let v = ref n in
+      for i = o.pos + d - 1 downto o.pos do
+        Bytes.set o.bytes i (Char.chr (48 + (!v mod 10)));
+        v := !v / 10
+      done
+    end;
+    o.pos <- o.pos + d
+  end
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let out_json_string o s =
+  if String.exists needs_escape s then begin
+    let b = Buffer.create (String.length s + 8) in
+    buf_add_json_string b s;
+    out_string o (Buffer.contents b)
+  end
+  else begin
+    out_char o '"';
+    out_string o s;
+    out_char o '"'
+  end
+
+let out_event o (ev : Span.event) =
+  out_string o "{\"name\":";
+  out_json_string o ev.name;
+  out_string o ",\"cat\":";
+  out_json_string o ev.cat;
+  let closed = ev.ph = Span.Dur && ev.dur >= 0 in
+  out_string o
+    (match ev.ph with
+    | Span.Mark -> ",\"ph\":\"i\""
+    | Span.Dur -> if closed then ",\"ph\":\"X\"" else ",\"ph\":\"B\"");
+  out_string o ",\"pid\":";
+  out_int o (pid_of_board ev.board);
+  out_string o ",\"tid\":";
+  out_int o ev.track;
+  out_string o ",\"ts\":";
+  out_int o ev.ts;
+  if closed then begin
+    out_string o ",\"dur\":";
+    out_int o ev.dur
+  end;
+  if ev.ph = Span.Mark then out_string o ",\"s\":\"t\"";
+  if ev.corr <> 0 || ev.args <> [] then begin
+    out_string o ",\"args\":{";
+    if ev.corr <> 0 then begin
+      out_string o "\"corr\":\"";
+      out_int o ev.corr;
+      out_char o '"'
+    end;
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 || ev.corr <> 0 then out_char o ',';
+        out_json_string o k;
+        out_char o ':';
+        out_json_string o v)
+      ev.args;
+    out_char o '}'
+  end;
+  out_char o '}'
 
 (* Same-cycle ties break by board, then recording order. A board's
    events are all recorded by its own engine member, so their relative
    order is the same in every engine mode; the global interleaving of
    different boards is not. *)
 let chrome_trace_string ?(dropped = 0) events =
-  let events =
-    List.stable_sort
-      (fun (a : Span.event) (b : Span.event) ->
-        if a.ts <> b.ts then compare a.ts b.ts
-        else if a.board <> b.board then compare a.board b.board
-        else compare a.seq b.seq)
-      events
-  in
+  let events = Array.of_list events in
+  Array.stable_sort
+    (fun (a : Span.event) (b : Span.event) ->
+      if a.ts <> b.ts then compare a.ts b.ts
+      else if a.board <> b.board then compare a.board b.board
+      else compare a.seq b.seq)
+    events;
   (* Every (board, track) pair that appears gets a process_name record so
      Perfetto labels the rows; sorted for byte-stable output. *)
   let pids =
-    List.fold_left
+    Array.fold_left
       (fun acc (e : Span.event) ->
         if List.mem e.board acc then acc else e.board :: acc)
       [] events
     |> List.sort compare
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_string b "\n"
+  let write o =
+    out_string o "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+    let first = ref true in
+    let sep () =
+      if !first then first := false else out_char o ',';
+      out_char o '\n'
+    in
+    (* A truncated capture must say so in the artifact itself, not only
+       in the metrics dump: stamp the drop count as a metadata record. *)
+    if dropped > 0 then begin
+      sep ();
+      out_string o
+        "{\"name\":\"trace_truncated\",\"ph\":\"M\",\"pid\":0,\"args\":{\"dropped\":\"";
+      out_int o dropped;
+      out_string o "\"}}"
+    end;
+    List.iter
+      (fun board ->
+        sep ();
+        out_string o "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+        out_int o (pid_of_board board);
+        out_string o ",\"args\":{\"name\":\"";
+        if board < 0 then out_string o "rack"
+        else begin
+          out_string o "board ";
+          out_int o board
+        end;
+        out_string o "\"}}")
+      pids;
+    Array.iter
+      (fun ev ->
+        sep ();
+        out_event o ev)
+      events;
+    out_string o "\n]}\n"
   in
-  (* A truncated capture must say so in the artifact itself, not only in
-     the metrics dump: stamp the drop count as a metadata record. *)
-  if dropped > 0 then begin
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"trace_truncated\",\"ph\":\"M\",\"pid\":0,\"args\":{\"dropped\":\"%d\"}}"
-         dropped)
-  end;
-  List.iter
-    (fun board ->
-      sep ();
-      let label =
-        if board < 0 then "rack" else Printf.sprintf "board %d" board
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-           (pid_of_board board) label))
-    pids;
-  List.iter
-    (fun ev ->
-      sep ();
-      add_event b ev)
-    events;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let counted = { fill = false; bytes = Bytes.empty; pos = 0 } in
+  write counted;
+  let o = { fill = true; bytes = Bytes.create counted.pos; pos = 0 } in
+  write o;
+  Bytes.unsafe_to_string o.bytes
 
 let write_file ~path s =
   let oc = open_out path in
