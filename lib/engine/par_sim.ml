@@ -85,11 +85,11 @@ let global_max_window = Atomic.make 0
 let global_par_windows = Atomic.make 0
 let global_domain_windows = Atomic.make 0
 
-let rec atomic_min a v =
+let rec atomic_min a (v : int) =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
 
-let rec atomic_max a v =
+let rec atomic_max a (v : int) =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
@@ -239,15 +239,15 @@ let earliest_activity t =
       let p =
         if Heap.is_empty m.pending then max_int else (Heap.top m.pending).p_time
       in
-      min acc (min a p))
+      Int.min acc (Int.min a p))
     max_int t.members
 
 let compute_wend t target =
-  if not t.adaptive then min (t.clock + t.lookahead) target
+  if not t.adaptive then Int.min (t.clock + t.lookahead) target
   else begin
     let e = earliest_activity t in
     if e >= target - t.lookahead then target
-    else min target (e + t.lookahead)
+    else Int.min target (e + t.lookahead)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,11 @@
 type t = Xy | Yx
 
-let step_x ~x ~dx =
+let step_x ~(x : int) ~dx =
   if dx > x then Port.index Port.East
   else if dx < x then Port.index Port.West
   else -1
 
-let step_y ~y ~dy =
+let step_y ~(y : int) ~dy =
   if dy > y then Port.index Port.South
   else if dy < y then Port.index Port.North
   else -1

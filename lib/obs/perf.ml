@@ -49,7 +49,7 @@ let create () = Array.make n_counters 0
 let read t i = t.(i)
 let incr t i = Array.unsafe_set t i (Array.unsafe_get t i + 1)
 let add t i n = t.(i) <- t.(i) + n
-let set_max t i v = if v > Array.unsafe_get t i then Array.unsafe_set t i v
+let set_max t i (v : int) = if v > Array.unsafe_get t i then Array.unsafe_set t i v
 let reset t = Array.fill t 0 n_counters 0
 
 (* Watermark slots aggregate by max, event counters by sum — so a board
