@@ -61,9 +61,15 @@ let register name i = with_lock (fun () -> Hashtbl.replace instruments name i)
 
 let add_sampler ~name f = with_lock (fun () -> Hashtbl.replace samplers name f)
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* The bindings whose name starts with [prefix] (default: all), sorted by
+   name. Filtering before the sort keeps a board's harvest proportional
+   to its own names, not the rack's. *)
+let sorted_bindings ?(prefix = "") tbl =
+  Hashtbl.fold
+    (fun k v acc ->
+      if String.starts_with ~prefix k then (k, v) :: acc else acc)
+    tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let sample () =
   let fns = with_lock (fun () -> sorted_bindings samplers) in
@@ -79,17 +85,12 @@ let snapshot () =
    partitioned engine forbids mid-run. *)
 
 let sample_prefix prefix =
-  let fns = with_lock (fun () -> sorted_bindings samplers) in
-  List.iter
-    (fun (name, f) -> if String.starts_with ~prefix name then f ())
-    fns
+  let fns = with_lock (fun () -> sorted_bindings ~prefix samplers) in
+  List.iter (fun (_, f) -> f ()) fns
 
 let snapshot_prefix prefix =
   sample_prefix prefix;
-  with_lock (fun () ->
-      List.filter
-        (fun (name, _) -> String.starts_with ~prefix name)
-        (sorted_bindings instruments))
+  with_lock (fun () -> sorted_bindings ~prefix instruments)
 
 let reset () =
   with_lock (fun () ->
