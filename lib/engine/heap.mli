@@ -1,4 +1,5 @@
-(** Array-based binary min-heap, used as the simulator's event queue.
+(** Array-based binary min-heap: {!Par_sim}'s per-member queue of
+    pending cross-partition posts.
 
     Elements are ordered by a comparison function supplied at creation.
     All operations are imperative; the heap grows automatically. *)
@@ -17,8 +18,8 @@ val push : 'a t -> 'a -> unit
 (** Insert an element. O(log n). *)
 
 val top : 'a t -> 'a
-(** Smallest element, left in place. Allocates nothing, so the
-    simulator's per-cycle loops can test [is_empty] and read [top].
+(** Smallest element, left in place. Allocates nothing, so a drain
+    loop can test [is_empty] and read [top].
     @raise Invalid_argument if the heap is empty. *)
 
 val drop : 'a t -> unit

@@ -16,6 +16,18 @@
     producer→consumer hop costs at least one cycle, and results do not
     depend on component registration order.
 
+    {2 The event queue}
+
+    Events wait in a timing wheel of 512 one-cycle slots, each holding
+    its cycle's closures in scheduling order. The wheel covers the
+    cycles before its {e horizon}, which every executed cycle sets one
+    wheel turn past itself. An event at or past the horizon waits in a
+    far queue, a [(time, seq)] heap, and moves into its slot at the
+    start of the first executed cycle whose horizon covers it, ahead of
+    any event scheduled straight into that slot later. Short delays
+    (link and switch latencies) therefore cost an array append, and
+    only long timers pay for the heap.
+
     {2 The activity-set scheduler}
 
     Clocked components report an {!activity} after each tick. A [Busy]
@@ -45,7 +57,7 @@
 
     When a cycle ends with the active set empty and nothing committed,
     the simulator is {e quiescent}: ticking further cycles would be a
-    pure no-op until the next heap event or the earliest [Idle_until]
+    pure no-op until the next event or the earliest [Idle_until]
     wake fires. [run_until] then jumps the clock directly to that point
     instead of stepping through dead cycles. Skipped and parked cycles are observationally identical
     to executed ones, so a run remains a pure function of its inputs
@@ -141,7 +153,9 @@ val step : t -> unit
 
 val run_until : t -> int -> unit
 (** Run cycles until [now t = time] (exclusive of the target cycle's
-    execution), fast-forwarding across quiescent gaps. *)
+    execution), fast-forwarding across quiescent gaps. An exception
+    from an event propagates with the clock still in that cycle and the
+    cycle's later events pending; the next run starts with them. *)
 
 val run_for : t -> int -> unit
 (** [run_for t n] advances [n] cycles. *)
@@ -158,7 +172,9 @@ val pending_events : t -> int
 val next_activity : t -> int
 (** Earliest cycle at which the simulator can next do work: [now t]
     unless every clocked component is quiescent, in which case the next
-    heap event or [Idle_until] wake-up ([max_int] when neither exists).
+    event (the first non-empty wheel slot, found within one wheel turn,
+    else the far queue's head) or [Idle_until] wake-up ([max_int] when
+    neither exists).
     {!Par_sim}'s adaptive windows widen to this bound plus the
     lookahead. *)
 
