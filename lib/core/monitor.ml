@@ -721,9 +721,8 @@ let create sim ~tile cfg fabric ~flight ~privileged behavior =
       m_store = Store.create ~capacity:cfg.cap_capacity ~tile ();
       m_state = Running;
       egress =
-        Array.init (max 1 cfg.egress_classes) (fun c ->
-            Fifo.create sim ~capacity:cfg.egress_capacity
-              (Printf.sprintf "mon%d.egress.c%d" tile c));
+        Array.init (max 1 cfg.egress_classes) (fun _ ->
+            Fifo.create ~capacity:cfg.egress_capacity sim);
       bucket =
         (if cfg.enforce then Rate_limiter.create ~rate:cfg.rate ~burst:cfg.burst
          else Rate_limiter.unlimited ());

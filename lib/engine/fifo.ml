@@ -1,5 +1,4 @@
 type 'a t = {
-  name : string;
   capacity : int;
   sim : Sim.t;
   (* Committed entries: circular buffer [ring] holding [len] values
@@ -42,11 +41,10 @@ let grow_ring t n x =
     t.head <- 0
   end
 
-let create sim ?(capacity = max_int) name =
+let create ?(capacity = max_int) sim =
   assert (capacity > 0);
   let t =
     {
-      name;
       capacity;
       sim;
       ring = [||];
@@ -79,11 +77,8 @@ let create sim ?(capacity = max_int) name =
 
 let set_owner t h = t.owner <- h
 
-let name t = t.name
-let capacity t = t.capacity
 let length t = t.len
 let occupancy t = t.len + t.n_staged
-let space t = t.capacity - occupancy t
 let is_empty t = t.len = 0
 let is_full t = occupancy t >= t.capacity
 
@@ -107,24 +102,16 @@ let push t x =
     true
   end
 
-let push_exn t x =
-  if not (push t x) then failwith (Printf.sprintf "Fifo.push_exn: %s full" t.name)
+let pop t =
+  if t.len = 0 then None
+  else begin
+    let x = t.ring.(t.head) in
+    t.head <- (t.head + 1) land t.mask;
+    t.len <- t.len - 1;
+    Some x
+  end
 
-let pop_exn t =
-  if t.len = 0 then raise Queue.Empty;
-  let x = t.ring.(t.head) in
-  t.head <- (t.head + 1) land t.mask;
-  t.len <- t.len - 1;
-  x
-
-let pop t = if t.len = 0 then None else Some (pop_exn t)
-let peek_exn t = if t.len = 0 then raise Queue.Empty else t.ring.(t.head)
-let peek t = if t.len = 0 then None else Some (t.ring.(t.head))
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.ring.((t.head + i) land t.mask)
-  done
+let peek t = if t.len = 0 then None else Some t.ring.(t.head)
 
 let clear t =
   (* A pending dirty entry stays enlisted; its commit finds an empty

@@ -8,15 +8,12 @@
 
 type 'a t
 
-val create : Sim.t -> ?capacity:int -> string -> 'a t
-(** [create sim ~capacity name] makes a FIFO whose staged pushes commit
+val create : ?capacity:int -> Sim.t -> 'a t
+(** [create ~capacity sim] makes a FIFO whose staged pushes commit
     in [sim]'s commit phase. The FIFO enlists itself in the simulator's
     dirty list on its first staged push of a cycle ({!Sim.mark_dirty}),
     so a cycle's commit cost is O(FIFOs written), not O(FIFOs alive).
     Default capacity is unbounded. *)
-
-val name : 'a t -> string
-val capacity : 'a t -> int
 
 val set_owner : 'a t -> Sim.handle -> unit
 (** Register the consuming ticker's handle: it is re-armed whenever
@@ -28,21 +25,10 @@ val push : 'a t -> 'a -> bool
 (** Stage a value for commit at end of cycle. Returns [false] (and drops
     nothing) when the queue, counting staged entries, is full. *)
 
-val push_exn : 'a t -> 'a -> unit
-(** Like {!push} but raises [Failure] when full. *)
-
 val pop : 'a t -> 'a option
 (** Take the oldest committed value. *)
 
-val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Queue.Empty] instead of allocating an
-    option. Check {!is_empty} first on hot paths. *)
-
 val peek : 'a t -> 'a option
-
-val peek_exn : 'a t -> 'a
-(** Like {!peek} but raises [Queue.Empty] instead of allocating an
-    option. Check {!is_empty} first on hot paths. *)
 
 val length : 'a t -> int
 (** Committed entries only (what a consumer can see this cycle). *)
@@ -50,14 +36,8 @@ val length : 'a t -> int
 val occupancy : 'a t -> int
 (** Committed + staged entries (what a producer must respect). *)
 
-val space : 'a t -> int
-(** Remaining room: [capacity - occupancy]. *)
-
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Iterate committed entries, oldest first. *)
 
 val clear : 'a t -> unit
 (** Drop all committed and staged entries (used for fault drains). *)

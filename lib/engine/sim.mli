@@ -31,31 +31,39 @@
     {2 The activity-set scheduler}
 
     Clocked components report an {!activity} after each tick. A [Busy]
-    ticker stays in the {e active set} and runs again next cycle. A
-    ticker reporting [Idle]/[Idle_until] is {e parked}: it is not called
-    at all — zero cost per cycle — until something re-arms it:
+    ticker stays {e armed} and runs again next cycle. A ticker reporting
+    [Idle]/[Idle_until] is {e parked}: it is not called at all — zero
+    cost per cycle — until something re-arms it:
 
-    - its [Idle_until] wake cycle is reached (a wake-heap fires it);
+    - its [Idle_until] wake cycle is reached: a wake heap keyed
+      [(wake cycle, ticker index)] arms it as that cycle starts (an
+      entry made stale by a later re-arm or park is dropped when it
+      surfaces);
     - two-phase state it consumes commits new entries (a {!Fifo}, or a
       NoC channel, re-arms its registered owner handle);
     - a component re-arms it explicitly via {!rearm} (e.g. NIC send,
       monitor ingress).
 
-    Re-arm timing preserves the flat-scheduler semantics exactly: a
-    re-arm from the event phase runs the ticker the same cycle; a re-arm
-    from an earlier-indexed ticker runs it the same cycle (it would have
-    observed the write anyway); a re-arm from a later-indexed ticker or
-    the commit phase runs it next cycle (the write was not visible to it
-    this cycle under two-phase rules).
+    The armed set is a bitset over ticker indices, 32 to an int word,
+    with a count of its members. The tick phase visits its set bits in
+    ascending index order, over the tickers registered before the phase
+    began, and reads the current word afresh after every tick. That scan
+    rule alone gives the flat scheduler's re-arm timing: a re-arm from
+    the event phase runs the ticker the same cycle; a re-arm aimed past
+    the running ticker runs it the same cycle (it would have observed
+    the write anyway); a re-arm aimed at an index already passed, or made
+    from the commit phase, runs it next cycle (the write was not visible
+    to it this cycle under two-phase rules). A ticker that re-arms itself
+    stays armed whatever it reports.
 
-    Whether a component is in the active set is readable per handle via
-    {!armed}; a group's aggregate activity (a mesh column, say) is the
-    count of its armed handles. A fully parked group costs nothing per
-    cycle even while the rest of the board runs cycle-by-cycle.
+    Whether a component is armed is readable per handle via {!armed}; a
+    group's aggregate activity (a mesh column, say) is the count of its
+    armed handles. A fully parked group costs nothing per cycle even
+    while the rest of the board runs cycle-by-cycle.
 
     {2 Quiescence and idle fast-forward}
 
-    When a cycle ends with the active set empty and nothing committed,
+    When a cycle ends with no ticker armed and nothing committed,
     the simulator is {e quiescent}: ticking further cycles would be a
     pure no-op until the next event or the earliest [Idle_until]
     wake fires. [run_until] then jumps the clock directly to that point
@@ -115,7 +123,7 @@ val every : t -> ?start:int -> int -> (unit -> unit) -> unit
 
 val add_clocked : ?name:string -> t -> (unit -> activity) -> unit
 (** Register a per-cycle clocked component (phase 2). The callback runs
-    every cycle while in the active set and reports its {!activity};
+    every cycle while armed and reports its {!activity};
     [Idle]/[Idle_until] reports park it (see module docs). [name] labels
     the component in {!Profile} output when [APIARY_PROF] is set; when
     profiling is off the name is discarded and the tick path is
@@ -126,18 +134,17 @@ val add_clocked_h : ?name:string -> t -> (unit -> activity) -> handle
     producers (FIFOs, NIC send paths, monitor ingress) can re-arm it. *)
 
 val rearm : t -> handle -> unit
-(** Put a parked component back in the active set ({!no_handle} and
+(** Arm a parked component ({!no_handle} and
     already-armed handles are no-ops). Timing follows the re-arm rules
     in the module docs; any pending [Idle_until] wake is superseded. *)
 
 val armed : t -> handle -> bool
-(** Whether the component is in the active set (scheduled to run), as
-    opposed to parked; [false] for {!no_handle}. *)
+(** Whether the component is armed (scheduled to run), as opposed to
+    parked; [false] for {!no_handle}. *)
 
 val active_tickers : t -> int
-(** Current size of the active set (armed tickers scheduled for the next
-    executed cycle). {!Par_sim}'s work stealing orders partitions by
-    this load estimate. *)
+(** Number of armed tickers: those the next executed cycle runs.
+    {!Par_sim}'s work stealing orders partitions by this load estimate. *)
 
 val mark_dirty : t -> (unit -> unit) -> unit
 (** [mark_dirty t commit] schedules [commit] to run once, in this
