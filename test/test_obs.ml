@@ -227,6 +227,60 @@ let test_export_board_tie_order () =
     && idx "a-second" < idx "y-first"
     && idx "y-first" < idx "x-second")
 
+(* The tie rule over generated captures: the export is a stable sort of
+   recording order by (ts, board), so recording order alone breaks ties
+   within a board. Narrow ts and board ranges make ties common; the
+   names are unique, so the export's name order is the event order. *)
+let export_tie_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 200)
+      (triple bool (int_range (-1) 2) (int_range 0 5)))
+
+(* Event names in output order, from each {"name":"..." record head
+   (metadata records included). *)
+let names_in_order s =
+  let key = "{\"name\":\"" in
+  let kl = String.length key and len = String.length s in
+  let rec at i j = j = kl || (s.[i + j] = key.[j] && at i (j + 1)) in
+  let rec go i acc =
+    if i + kl > len then List.rev acc
+    else if at i 0 then
+      let stop = String.index_from s (i + kl) '"' in
+      go stop (String.sub s (i + kl) (stop - i - kl) :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let prop_export_tie_rule =
+  QCheck.Test.make ~name:"stable (ts, board) order over recording order"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple bool int int))
+       export_tie_gen)
+    (fun evs ->
+      let evs =
+        List.mapi
+          (fun i (mark, board, ts) -> (Printf.sprintf "n%d" i, mark, board, ts))
+          evs
+      in
+      let out =
+        with_spans (fun () ->
+            List.iter
+              (fun (name, mark, board, ts) ->
+                if mark then Span.instant ~board ~cat:"c" ~name ~track:0 ~ts ()
+                else
+                  Span.complete ~board ~cat:"c" ~name ~track:0 ~ts ~dur:1 ())
+              evs;
+            Export.chrome_trace_string (Span.events ()))
+      in
+      let expected =
+        List.stable_sort
+          (fun (_, _, b1, t1) (_, _, b2, t2) -> compare (t1, b1) (t2, b2))
+          evs
+        |> List.map (fun (name, _, _, _) -> name)
+      in
+      List.filter (fun n -> n.[0] = 'n') (names_in_order out) = expected)
+
 let test_export_empty_capture () =
   (* No spans at all is a legal capture: the export is still one valid,
      well-formed document with an empty event array and no truncation
@@ -699,6 +753,7 @@ let () =
           Alcotest.test_case "byte stable" `Quick test_export_byte_stable;
           Alcotest.test_case "same-cycle ties by board" `Quick
             test_export_board_tie_order;
+          qc prop_export_tie_rule;
           Alcotest.test_case "empty capture" `Quick test_export_empty_capture;
           Alcotest.test_case "truncation marker iff dropped" `Quick
             test_export_truncation_marker;
