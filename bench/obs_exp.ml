@@ -230,7 +230,7 @@ let e13c_run () =
   let entries = Flight.entries flight in
   let last_is_fault =
     match List.rev entries with
-    | e :: _ -> e.Flight.cat = "monitor" && e.Flight.name = "fault"
+    | e :: _ -> e.Span.cat = "monitor" && e.Span.name = "fault"
     | [] -> false
   in
   (match !dump with

@@ -143,11 +143,11 @@ let run_cmd scenario cycles clients enforce trace_on seed =
     let evs = Flight.entries flight in
     let n = List.length evs in
     List.iteri
-      (fun idx (e : Flight.entry) ->
+      (fun idx (e : Span.event) ->
         if idx >= n - 30 then begin
-          Printf.printf "[%8d] tile%-3d %s/%s corr=%d" e.Flight.ts e.Flight.tile
-            e.Flight.cat e.Flight.name e.Flight.corr;
-          List.iter (fun (k, v) -> Printf.printf " %s=%s" k v) e.Flight.args;
+          Printf.printf "[%8d] tile%-3d %s/%s corr=%d" e.ts e.track e.cat e.name
+            e.corr;
+          List.iter (fun (k, v) -> Printf.printf " %s=%s" k v) e.args;
           Printf.printf "\n"
         end)
       evs

@@ -12,6 +12,7 @@ module Kernel = Apiary_core.Kernel
 module Shell = Apiary_core.Shell
 module Message = Apiary_core.Message
 module Flight = Apiary_obs.Flight
+module Span = Apiary_obs.Span
 
 let () =
   let sim = Sim.create () in
@@ -67,10 +68,10 @@ let () =
 
   Printf.printf "\n--- flight ring (tile 6 admits) ---\n";
   List.iter
-    (fun (e : Flight.entry) ->
-      if e.Flight.tile = 6 && e.Flight.name = "admit" then
-        Printf.printf "[%6d] tile%-2d %s/%s corr=%d\n" e.Flight.ts e.Flight.tile
-          e.Flight.cat e.Flight.name e.Flight.corr)
+    (fun (e : Span.event) ->
+      if e.track = 6 && e.name = "admit" then
+        Printf.printf "[%6d] tile%-2d %s/%s corr=%d\n" e.ts e.track e.cat
+          e.name e.corr)
     (Flight.entries (Kernel.flight kernel));
   Printf.printf "\ntotal messages on fabric: %d, denied: %d\n"
     (Kernel.total_msgs kernel) (Kernel.total_denied kernel)

@@ -62,7 +62,7 @@ type t = {
   streams : stream array;
   agents : Agent.t array;
   exemplars : (string, Obs.Exemplar.t) Hashtbl.t;
-  mutable spans : (int * Wire.span_done) list;  (* (board, span), newest first *)
+  mutable spans : Obs.Span.event list;  (* newest first *)
   mutable n_spans : int;
   span_cap : int;
   mutable spans_dropped : int;
@@ -85,18 +85,18 @@ let exemplar_for t name =
    board-local truth and what survived the wire side by side. *)
 let collected_name board name = Printf.sprintf "collected.b%d.%s" board name
 
-let span_metric (s : Wire.span_done) =
-  match List.assoc_opt "service" s.Wire.s_args with
+let span_metric (s : Obs.Span.event) =
+  match List.assoc_opt "service" s.args with
   | Some svc -> Printf.sprintf "collected.svc.%s.latency" svc
-  | None -> Printf.sprintf "collected.%s.%s.dur" s.Wire.s_cat s.Wire.s_name
+  | None -> Printf.sprintf "collected.%s.%s.dur" s.cat s.name
 
-let span_corr (s : Wire.span_done) =
-  match List.assoc_opt "req_id" s.Wire.s_args with
-  | Some r -> ( match int_of_string_opt r with Some v -> v | None -> s.Wire.s_corr)
-  | None -> s.Wire.s_corr
+let span_corr (s : Obs.Span.event) =
+  match List.assoc_opt "req_id" s.args with
+  | Some r -> ( match int_of_string_opt r with Some v -> v | None -> s.corr)
+  | None -> s.corr
 
-let span_ok (s : Wire.span_done) =
-  match List.assoc_opt "status" s.Wire.s_args with
+let span_ok (s : Obs.Span.event) =
+  match List.assoc_opt "status" s.args with
   | Some st -> st = "ok"
   | None -> true
 
@@ -114,19 +114,16 @@ let apply_record t ~board ~now = function
   | Wire.Span_done s ->
     if t.n_spans >= t.span_cap then t.spans_dropped <- t.spans_dropped + 1
     else begin
-      t.spans <- (board, s) :: t.spans;
+      t.spans <- s :: t.spans;
       t.n_spans <- t.n_spans + 1
     end;
     let metric = span_metric s in
     let corr = span_corr s in
     if corr <> 0 then
-      Obs.Exemplar.observe (exemplar_for t metric) ~corr ~value:s.Wire.s_dur
-        ~ts:s.Wire.s_ts;
-    (match List.assoc_opt "service" s.Wire.s_args with
+      Obs.Exemplar.observe (exemplar_for t metric) ~corr ~value:s.dur ~ts:s.ts;
+    (match List.assoc_opt "service" s.args with
     | Some svc ->
-      let o =
-        { o_service = svc; o_dur = s.Wire.s_dur; o_ok = span_ok s; o_corr = corr }
-      in
+      let o = { o_service = svc; o_dur = s.dur; o_ok = span_ok s; o_corr = corr } in
       List.iter (fun f -> f ~now o) t.on_outcome
     | None -> ())
   | (Wire.Load _ | Wire.Alarm _) as r ->
@@ -260,30 +257,10 @@ let staleness t ~board ~now =
   let st = t.streams.(board) in
   if st.batches = 0 then now else now - st.last_agent_ts
 
-let collected_spans t = List.rev t.spans
-
-(* Collected spans as a Chrome trace, via the standard exporter: board
-   comes from the batch header, [seq] is arrival order (the export's
-   tie-breaker at equal start cycles). *)
-let trace_events t =
-  List.mapi
-    (fun i (board, (s : Wire.span_done)) ->
-      {
-        Obs.Span.seq = i;
-        name = s.Wire.s_name;
-        cat = s.Wire.s_cat;
-        corr = s.Wire.s_corr;
-        board;
-        track = s.Wire.s_track;
-        ts = s.Wire.s_ts;
-        dur = s.Wire.s_dur;
-        ph = Obs.Span.Dur;
-        args = s.Wire.s_args;
-      })
-    (collected_spans t)
-
+(* Collected spans as a Chrome trace, via the standard exporter, in
+   arrival order: the export's tie-breaker at equal start cycles. *)
 let trace_json_string t =
-  Obs.Export.chrome_trace_string ~dropped:t.spans_dropped (trace_events t)
+  Obs.Export.chrome_trace_string ~dropped:t.spans_dropped (List.rev t.spans)
 
 (* ------------------------------------------------------------------ *)
 (* Conservation accounting.

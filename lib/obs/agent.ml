@@ -59,21 +59,11 @@ module Wire = struct
   let magic = "TB"
   let header_bytes = 17
 
-  type span_done = {
-    s_name : string;
-    s_cat : string;
-    s_corr : int;
-    s_track : int;
-    s_ts : int;
-    s_dur : int;
-    s_args : (string * string) list;
-  }
-
   type record =
     | Counter_delta of string * int
     | Gauge_value of string * float
     | Hist_delta of string * (int * int) list
-    | Span_done of span_done
+    | Span_done of Span.event
     | Load of { msgs : int; tile_msgs : int array }
     | Alarm of { kind : int; tile : int }
 
@@ -115,17 +105,17 @@ module Wire = struct
           add_u16 b bucket;
           add_u32 b d)
         deltas
-    | Span_done s ->
+    | Span_done ev ->
       add_u8 b 4;
-      add_str b s.s_name;
-      add_str b s.s_cat;
-      add_u32 b s.s_corr;
-      add_u16 b s.s_track;
-      add_u32 b s.s_ts;
-      add_u32 b s.s_dur;
+      add_str b ev.Span.name;
+      add_str b ev.cat;
+      add_u32 b ev.corr;
+      add_u16 b ev.track;
+      add_u32 b ev.ts;
+      add_u32 b ev.dur;
       let args =
-        if List.length s.s_args > 255 then List.filteri (fun i _ -> i < 255) s.s_args
-        else s.s_args
+        if List.length ev.args > 255 then List.filteri (fun i _ -> i < 255) ev.args
+        else ev.args
       in
       add_u8 b (List.length args);
       List.iter
@@ -193,7 +183,8 @@ module Wire = struct
     off := !off + n;
     s
 
-  let decode_record p off =
+  (* A span's board is not on the wire: it is the batch header's. *)
+  let decode_record ~board p off =
     let len = get_u16 p off in
     if !off + len > Bytes.length p then raise Truncated;
     let stop = !off + len in
@@ -218,19 +209,21 @@ module Wire = struct
         in
         Some (Hist_delta (name, deltas))
       | 4 ->
-        let s_name = get_str p off in
-        let s_cat = get_str p off in
-        let s_corr = get_u32 p off in
-        let s_track = get_u16 p off in
-        let s_ts = get_u32 p off in
-        let s_dur = get_u32 p off in
+        let name = get_str p off in
+        let cat = get_str p off in
+        let corr = get_u32 p off in
+        let track = get_u16 p off in
+        let ts = get_u32 p off in
+        let dur = get_u32 p off in
         let n = get_u8 p off in
-        let s_args =
+        let args =
           List.init n (fun _ ->
               let k = get_str p off in
               (k, get_str p off))
         in
-        Some (Span_done { s_name; s_cat; s_corr; s_track; s_ts; s_dur; s_args })
+        Some
+          (Span_done
+             { Span.name; cat; corr; board; track; ts; dur; ph = Span.Dur; args })
       | 5 ->
         let msgs = get_u32 p off in
         let n = get_u8 p off in
@@ -257,7 +250,7 @@ module Wire = struct
         let n = get_u16 p off in
         let records = ref [] in
         for _ = 1 to n do
-          match decode_record p off with
+          match decode_record ~board:b_board p off with
           | Some r -> records := r :: !records
           | None -> ()
         done;
@@ -337,19 +330,7 @@ let enqueue t encoded =
 let on_span t (ev : Span.event) =
   (* Runs under the span recorder's lock, on the domain that completed
      the span — only touch this agent's own state, never Span. *)
-  if not t.detached then
-    enqueue t
-      (Wire.encode_record
-         (Wire.Span_done
-            {
-              Wire.s_name = ev.Span.name;
-              s_cat = ev.Span.cat;
-              s_corr = ev.Span.corr;
-              s_track = ev.Span.track;
-              s_ts = ev.Span.ts;
-              s_dur = ev.Span.dur;
-              s_args = ev.Span.args;
-            }))
+  if not t.detached then enqueue t (Wire.encode_record (Wire.Span_done ev))
 
 let harvest t =
   (* snapshot_prefix runs only this board's samplers and returns names

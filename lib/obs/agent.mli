@@ -30,23 +30,17 @@
 (** Batch wire format — shared by agent (encode) and collector
     (decode). *)
 module Wire : sig
-  type span_done = {
-    s_name : string;
-    s_cat : string;
-    s_corr : int;
-    s_track : int;
-    s_ts : int;
-    s_dur : int;
-    s_args : (string * string) list;
-  }
-
   type record =
     | Counter_delta of string * int
     | Gauge_value of string * float
     | Hist_delta of string * (int * int) list
         (** [(bucket, count-delta)] pairs on the
             {!Apiary_engine.Stats.Histogram} grid *)
-    | Span_done of span_done
+    | Span_done of Span.event
+        (** A completed {!Span.Dur} span. The wire carries its name,
+            cat, corr, track, ts, dur and args, with strings and the arg
+            list cut to 255; {!decode_batch} takes its board from the
+            batch header. *)
     | Load of { msgs : int; tile_msgs : int array }
         (** [msgs_in] deltas; tile deltas clamp to [0..0xffff] *)
     | Alarm of { kind : int; tile : int }  (** 0 stuck tile, 1 congested *)

@@ -111,17 +111,15 @@ let out_event o (ev : Span.event) =
   end;
   out_char o '}'
 
-(* Same-cycle ties break by board, then recording order. A board's
-   events are all recorded by its own engine member, so their relative
-   order is the same in every engine mode; the global interleaving of
-   different boards is not. *)
+(* Same-cycle ties break by board, then input order: the sort is
+   stable. A board's events are all recorded by its own engine member,
+   so their relative order is the same in every engine mode; the global
+   interleaving of different boards is not. *)
 let chrome_trace_string ?(dropped = 0) events =
   let events = Array.of_list events in
   Array.stable_sort
     (fun (a : Span.event) (b : Span.event) ->
-      if a.ts <> b.ts then compare a.ts b.ts
-      else if a.board <> b.board then compare a.board b.board
-      else compare a.seq b.seq)
+      if a.ts <> b.ts then compare a.ts b.ts else compare a.board b.board)
     events;
   (* Every (board, track) pair that appears gets a process_name record so
      Perfetto labels the rows; sorted for byte-stable output. *)

@@ -5,26 +5,23 @@
    JSON dump — the black box that turns a silent fail-stop into an
    actionable event sequence. *)
 
-type entry = {
-  ts : int;
-  tile : int;
-  cat : string;
-  name : string;
-  corr : int;
-  args : (string * string) list;
-}
-
+(* The ring holds span events: each a [Mark] on the ring's board, with
+   the tile as its track. Slots past [total] hold [empty]. *)
 type t = {
-  ring : entry option array;
+  ring : Span.event array;
   mutable next : int;
   mutable total : int;
   mutable on : bool;
   mutable board : int;
 }
 
+let empty =
+  { Span.name = ""; cat = ""; corr = 0; board = -1; track = 0; ts = 0; dur = 0;
+    ph = Span.Mark; args = [] }
+
 let create ?(capacity = 256) () =
   assert (capacity > 0);
-  { ring = Array.make capacity None; next = 0; total = 0; on = false; board = -1 }
+  { ring = Array.make capacity empty; next = 0; total = 0; on = false; board = -1 }
 
 let set_enabled t b = t.on <- b
 let enabled t = t.on
@@ -43,23 +40,22 @@ let of_env () =
 
 let record t ~ts ~tile ~cat ~name ?(corr = 0) ?(args = []) () =
   if t.on then begin
-    t.ring.(t.next) <- Some { ts; tile; cat; name; corr; args };
+    t.ring.(t.next) <-
+      { Span.name; cat; corr; board = t.board; track = tile; ts; dur = 0;
+        ph = Span.Mark; args };
     t.next <- (t.next + 1) mod Array.length t.ring;
     t.total <- t.total + 1
   end
 
+(* Until the ring wraps, [next = total] and the oldest event is in slot
+   0; after, it is in slot [next]. *)
 let entries t =
   let n = Array.length t.ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match t.ring.((t.next + i) mod n) with
-    | None -> ()
-    | Some e -> acc := e :: !acc
-  done;
-  !acc
+  let kept = min t.total n in
+  List.init kept (fun i -> t.ring.((t.next - kept + i + n) mod n))
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  Array.fill t.ring 0 (Array.length t.ring) empty;
   t.next <- 0;
   t.total <- 0
 
@@ -82,12 +78,12 @@ let dump_json t ~reason ~cycle =
   Buffer.add_string buf ",\n  \"events\": [";
   let first = ref true in
   List.iter
-    (fun e ->
+    (fun (e : Span.event) ->
       if !first then first := false else Buffer.add_char buf ',';
       Buffer.add_string buf "\n    {\"ts\": ";
       Buffer.add_string buf (string_of_int e.ts);
       Buffer.add_string buf ", \"tile\": ";
-      Buffer.add_string buf (string_of_int e.tile);
+      Buffer.add_string buf (string_of_int e.track);
       Buffer.add_string buf ", \"cat\": ";
       Export.buf_add_json_string buf e.cat;
       Buffer.add_string buf ", \"name\": ";

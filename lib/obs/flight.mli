@@ -8,18 +8,11 @@
     as deterministic postmortem JSON: the last [capacity] events leading
     up to the failure, oldest first.
 
-    Unlike {!Span}, which is process-global and unbounded-ish, a flight
-    recorder is {e per board} (the kernel owns one) and strictly
-    bounded, like the black box it models. *)
-
-type entry = {
-  ts : int;  (** cycle *)
-  tile : int;
-  cat : string;  (** layer: ["monitor"], ["health"], ... *)
-  name : string;  (** event: ["admit"], ["deny"], ["fault"], ... *)
-  corr : int;  (** RPC correlation id; [0] = uncorrelated *)
-  args : (string * string) list;
-}
+    Unlike {!Span}'s capture, which is process-global and unbounded-ish,
+    a flight recorder is {e per board} (the kernel owns one) and
+    strictly bounded, like the black box it models. Its events are
+    {!Span.event}s: each a {!Span.Mark} on the ring's board, with the
+    tile as its [track]. *)
 
 type t
 
@@ -42,9 +35,11 @@ val board : t -> int
 val record :
   t -> ts:int -> tile:int -> cat:string -> name:string -> ?corr:int ->
   ?args:(string * string) list -> unit -> unit
-(** No-op unless enabled. *)
+(** Record a {!Span.Mark} on the ring's {!board} with [tile] as its
+    track ([cat] is the layer: ["monitor"], ["health"], ...; [name] the
+    event: ["admit"], ["deny"], ["fault"], ...). No-op unless enabled. *)
 
-val entries : t -> entry list
+val entries : t -> Span.event list
 (** Retained events, oldest first. *)
 
 val capacity : t -> int
@@ -57,7 +52,8 @@ val clear : t -> unit
 val dump_json : t -> reason:string -> cycle:int -> string
 (** Postmortem document:
     [{"board", "reason", "cycle", "capacity", "recorded", "events": [
-      {"ts", "tile", "cat", "name", "corr"?, "args"?}, ...]}].
+      {"ts", "tile", "cat", "name", "corr"?, "args"?}, ...]}], where
+    ["tile"] is each event's track.
     Byte-stable for a fixed ring state. Strings are escaped with
     [Export.buf_add_json_string], like every other artifact. *)
 

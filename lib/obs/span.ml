@@ -1,7 +1,6 @@
 type ph = Dur | Mark
 
 type event = {
-  seq : int;
   name : string;
   cat : string;
   corr : int;
@@ -182,7 +181,7 @@ let start ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
   if not !flag then null
   else begin
     let ev =
-      { seq = 0; name; cat; corr; board; track; ts; dur = -1; ph = Dur; args }
+      { name; cat; corr; board; track; ts; dur = -1; ph = Dur; args }
     in
     Mutex.lock lock;
     let id =
@@ -245,9 +244,7 @@ let complete ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts ~dur
     let dur = max 0 dur in
     Mutex.lock lock;
     if keep_head corr || tail_keep ~name ~dur args then begin
-      let ev =
-        { seq = 0; name; cat; corr; board; track; ts; dur; ph = Dur; args }
-      in
+      let ev = { name; cat; corr; board; track; ts; dur; ph = Dur; args } in
       ignore (push_locked ev);
       notify ev
     end
@@ -261,14 +258,14 @@ let instant ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
     if keep_head corr || tail_keep ~name ~dur:0 args then
       ignore
         (push_locked
-           { seq = 0; name; cat; corr; board; track; ts; dur = 0; ph = Mark; args })
+           { name; cat; corr; board; track; ts; dur = 0; ph = Mark; args })
     else incr n_sampled;
     Mutex.unlock lock
   end
 
 let events () =
   Mutex.lock lock;
-  let out = List.init !n (fun i -> { !store.(i) with seq = i }) in
+  let out = List.init !n (Array.get !store) in
   Mutex.unlock lock;
   out
 

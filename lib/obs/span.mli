@@ -18,7 +18,7 @@
     mutex-protected, so a parallel engine may record concurrently; the
     global recording order then interleaves boards differently run to
     run, but each board's own events keep their order, and
-    {!Export.chrome_trace} sorts by [(ts, board, seq)]. A fixed-seed
+    {!Export.chrome_trace} sorts stably by [(ts, board)]. A fixed-seed
     capture is therefore deterministic and its export byte-stable in
     any engine mode, as long as nothing is dropped at the cap (which
     events the cap drops depends on the interleaving).
@@ -40,9 +40,10 @@ type ph =
   | Dur  (** an interval; still open while [dur] is negative *)
   | Mark  (** a point event *)
 
+(** The one event record of the telemetry layer: span capture, the
+    board {!Flight} ring and the telemetry wire ({!Agent.Wire}) all hold
+    it. *)
 type event = {
-  seq : int;
-      (** recording order; export tie-breaker at equal [ts] and [board] *)
   name : string;
   cat : string;  (** layer: ["monitor"], ["noc"], ["net"], ["cluster"] *)
   corr : int;  (** board-local RPC correlation id; [0] = uncorrelated *)
@@ -108,7 +109,9 @@ val instant :
 (** Record a point event (admit, deny, fault, frame tx/rx). *)
 
 val events : unit -> event list
-(** All retained events in recording order. *)
+(** All retained events in recording order. These are the stored
+    records, not copies: a span still open keeps changing under a later
+    {!finish}, so read them between runs. *)
 
 val count : unit -> int
 (** Events retained (i.e. not dropped by the capacity cap). *)

@@ -13,6 +13,7 @@ module Shell = Apiary_core.Shell
 module Kernel = Apiary_core.Kernel
 module Services = Apiary_core.Services
 module Flight = Apiary_obs.Flight
+module Span = Apiary_obs.Span
 module Rate_limiter = Apiary_core.Rate_limiter
 module Mesh = Apiary_noc.Mesh
 
@@ -943,17 +944,17 @@ let test_trace_records_flow () =
   Alcotest.(check bool) "all monitor admits" true
     (evs <> []
     && List.for_all
-         (fun (e : Flight.entry) -> e.Flight.cat = "monitor" && e.Flight.name = "admit")
+         (fun (e : Span.event) -> e.Span.cat = "monitor" && e.Span.name = "admit")
          evs);
   (* The client's lookup, connect and request, each under its own corr. *)
   let corrs_t2 =
     List.filter_map
-      (fun (e : Flight.entry) -> if e.Flight.tile = 2 then Some e.Flight.corr else None)
+      (fun (e : Span.event) -> if e.Span.track = 2 then Some e.Span.corr else None)
       evs
   in
   Alcotest.(check (list int)) "tile 2 admits" [ 1; 2; 3 ] corrs_t2;
   Alcotest.(check bool) "echo reply admitted" true
-    (List.exists (fun (e : Flight.entry) -> e.Flight.tile = 1 && e.Flight.corr = 3) evs)
+    (List.exists (fun (e : Span.event) -> e.Span.track = 1 && e.Span.corr = 3) evs)
 
 (* Every way a monitor drops an inbound message, and a shell note, is one
    flight-ring entry naming what happened. *)
@@ -973,9 +974,9 @@ let test_flight_drop_sites_and_notes () =
   Shell.log (Kernel.monitor k 6) "hello";
   let got =
     List.filter_map
-      (fun (e : Flight.entry) ->
-        if e.Flight.name = "drop" || e.Flight.name = "note" then
-          Some ((e.Flight.tile, e.Flight.name, e.Flight.corr), e.Flight.args)
+      (fun (e : Span.event) ->
+        if e.Span.name = "drop" || e.Span.name = "note" then
+          Some ((e.Span.track, e.Span.name, e.Span.corr), e.Span.args)
         else None)
       (Flight.entries (Kernel.flight k))
   in

@@ -211,9 +211,13 @@ let test_flight_ring_bounded () =
   let es = Flight.entries f in
   Alcotest.(check int) "bounded at capacity" 16 (List.length es);
   Alcotest.(check int) "counts every event seen" 40 (Flight.total f);
-  Alcotest.(check int) "oldest retained is 25" 25 (List.hd es).Flight.ts;
+  Alcotest.(check int) "oldest retained is 25" 25 (List.hd es).Span.ts;
   Alcotest.(check int) "newest retained is 40"
-    40 (List.nth es 15).Flight.ts;
+    40 (List.nth es 15).Span.ts;
+  Alcotest.(check bool) "marks with the tile as track" true
+    (List.for_all
+       (fun (e : Span.event) -> e.ph = Span.Mark && e.track = e.ts mod 4)
+       es);
   let doc = Flight.dump_json f ~reason:"test" ~cycle:41 in
   Alcotest.(check bool) "dump looks like the postmortem schema" true
     (String.length doc > 0
@@ -246,8 +250,8 @@ let test_flight_postmortem_on_fault () =
   let es = Flight.entries (Kernel.flight k) in
   Alcotest.(check bool) "ring holds the story" true (List.length es > 0);
   let last = List.nth es (List.length es - 1) in
-  Alcotest.(check string) "last event is the fault" "fault" last.Flight.name;
-  Alcotest.(check int) "on the faulting tile" 5 last.Flight.tile
+  Alcotest.(check string) "last event is the fault" "fault" last.Span.name;
+  Alcotest.(check int) "on the faulting tile" 5 last.Span.track
 
 (* The board rings and the scheduler's controller ring read
    APIARY_FLIGHT_CAP through one constructor, so they are always the

@@ -23,15 +23,18 @@ let sample_records =
     Wire.Counter_delta ("b0.kernel.msgs_out", 42);
     Wire.Gauge_value ("b0.noc.r0_0.util", 0.125);
     Wire.Hist_delta ("b0.noc.latency", [ (0, 3); (7, 1) ]);
+    (* Board 3 is the round-trip batch's header board. *)
     Wire.Span_done
       {
-        Wire.s_name = "serve";
-        s_cat = "net";
-        s_corr = 0;
-        s_track = 5;
-        s_ts = 1_000;
-        s_dur = 250;
-        s_args = [ ("req_id", "17"); ("status", "ok") ];
+        Span.name = "serve";
+        cat = "net";
+        corr = 0;
+        board = 3;
+        track = 5;
+        ts = 1_000;
+        dur = 250;
+        ph = Span.Dur;
+        args = [ ("req_id", "17"); ("status", "ok") ];
       };
     Wire.Load { msgs = 1_234; tile_msgs = [| 0; 7; 0xffff |] };
     Wire.Alarm { kind = 1; tile = 5 };
@@ -68,6 +71,45 @@ let test_wire_roundtrip () =
             b_cum_dropped = 0;
             b_records = [];
           })
+
+(* A span's board is not on the wire: the decoder takes the batch
+   header's. Strings and the arg list come back cut to 255, as the
+   format says. *)
+let test_wire_span_board_and_truncation () =
+  let long = String.make 300 'n' in
+  let args =
+    List.init 300 (fun i -> (Printf.sprintf "k%d" i, if i = 0 then long else "v"))
+  in
+  let ev =
+    {
+      Span.name = long;
+      cat = "net";
+      corr = 7;
+      board = 0;
+      track = 2;
+      ts = 10;
+      dur = 5;
+      ph = Span.Dur;
+      args;
+    }
+  in
+  let payload =
+    Wire.encode_batch ~board:6 ~seq:1 ~ts:20 ~cum_records:0 ~cum_dropped:0
+      [ Wire.encode_record (Wire.Span_done ev) ]
+  in
+  match Wire.decode_batch payload with
+  | Some { Wire.b_records = [ Wire.Span_done got ]; _ } ->
+    let cut s = String.sub s 0 255 in
+    Alcotest.(check int) "board from the header" 6 got.board;
+    Alcotest.(check string) "name cut to 255" (cut long) got.name;
+    Alcotest.(check int) "arg list cut to 255" 255 (List.length got.args);
+    Alcotest.(check bool) "the first 255 args, values cut to 255" true
+      (got.args
+      = List.filteri (fun i _ -> i < 255) (("k0", cut long) :: List.tl args));
+    Alcotest.(check bool) "other fields intact" true
+      (got.cat = "net" && got.corr = 7 && got.track = 2 && got.ts = 10
+     && got.dur = 5 && got.ph = Span.Dur)
+  | _ -> Alcotest.fail "expected one span record"
 
 let test_wire_rejects_garbage () =
   let payload =
@@ -285,6 +327,8 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "batch roundtrip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "span board and truncation" `Quick
+            test_wire_span_board_and_truncation;
           Alcotest.test_case "garbage rejected" `Quick
             test_wire_rejects_garbage;
         ] );
