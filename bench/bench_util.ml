@@ -80,8 +80,8 @@ let par_mode () =
   | _ -> `Off
 
 (* APIARY_DOMAINS caps a partitioned rack's domain fan-out below its
-   member count; the engine's busiest-first work stealing then keeps the
-   smaller domain pool fed. Unset, every member gets its own domain. *)
+   member count; the engine's work stealing then keeps the smaller
+   domain pool fed. Unset, every member gets its own domain. *)
 let rack_domains ~members =
   match Sys.getenv_opt "APIARY_DOMAINS" with
   | Some s -> ( try max 1 (int_of_string s) with _ -> members)
@@ -158,8 +158,6 @@ type perf_record = {
   pr_skipped_ticks : int;  (* ticker invocations elided while parked *)
   pr_stall_s : float;  (* barrier stall (parallel engine only) *)
   pr_windows : int;  (* adaptive sync windows executed during the run *)
-  pr_win_min : int;  (* narrowest/widest window width so far, process-wide *)
-  pr_win_max : int;
   pr_domains : int;  (* OS domains per Par window, mean over the run's
                         Par windows (rounded); 1 when none ran *)
   pr_alloc_words : float;  (* words allocated, all domains *)
@@ -184,18 +182,13 @@ let timed id f () =
     let active_t0 = Sim.total_active_ticks () in
     let skipped_t0 = Sim.total_skipped_ticks () in
     let stall0 = Par_sim.total_barrier_stall_s () in
-    let windows0, _, _ = Par_sim.total_window_stats () in
+    let windows0 = Par_sim.total_windows () in
     let par0, dom0 = Par_sim.total_par_windows () in
     let alloc0 = alloc_words () in
     let t0 = Unix.gettimeofday () in
     f ();
     let dt = Unix.gettimeofday () -. t0 in
     let alloc = alloc_words () -. alloc0 in
-    (* Window count is differenced per experiment; the min/max widths
-       are process-wide high/low watermarks (windows from earlier
-       experiments included), which is all the atomic accounting can
-       offer without per-instance plumbing. *)
-    let windows1, win_min, win_max = Par_sim.total_window_stats () in
     let par1, dom1 = Par_sim.total_par_windows () in
     let par = par1 - par0 in
     perf_records :=
@@ -207,9 +200,7 @@ let timed id f () =
         pr_active_ticks = Sim.total_active_ticks () - active_t0;
         pr_skipped_ticks = Sim.total_skipped_ticks () - skipped_t0;
         pr_stall_s = Par_sim.total_barrier_stall_s () -. stall0;
-        pr_windows = windows1 - windows0;
-        pr_win_min = win_min;
-        pr_win_max = win_max;
+        pr_windows = Par_sim.total_windows () - windows0;
         pr_domains = (if par = 0 then 1 else (dom1 - dom0 + (par / 2)) / par);
         pr_alloc_words = alloc;
       }
@@ -241,10 +232,7 @@ let write_perf_json path =
             Printf.sprintf ", \"barrier_stall_s\": %.3f" r.pr_stall_s
           else "")
         ^
-        if r.pr_windows > 0 then
-          Printf.sprintf
-            ", \"windows\": %d, \"win_min\": %d, \"win_max\": %d"
-            r.pr_windows r.pr_win_min r.pr_win_max
+        if r.pr_windows > 0 then Printf.sprintf ", \"windows\": %d" r.pr_windows
         else "")
         (if i = List.length records - 1 then "" else ","))
     records;

@@ -44,11 +44,9 @@ type t = {
   domains : int;  (* OS domains used under Par (coordinator included) *)
   members : member array;
   (* Par window execution: members are pulled from a shared steal queue
-     instead of being pinned one-per-domain. [steal_order] lists member
-     indices busiest-first (by armed-ticker count) and [steal_next] is
-     the pull cursor. Written by the coordinator before the epoch opens;
-     the epoch handshake publishes them. *)
-  steal_order : int array;
+     instead of being pinned one-per-domain. [steal_next] is the pull
+     cursor over member indices [0..n-1]; the coordinator resets it
+     before the epoch opens, and the epoch handshake publishes it. *)
   steal_next : int Atomic.t;
   (* Single-producer staging: member s appends to scratch.(s).(d) during
      its window; the coordinator collects them at the barrier. Self-posts
@@ -71,32 +69,17 @@ type t = {
 let global_stall_us = Atomic.make 0
 let total_barrier_stall_s () = float_of_int (Atomic.get global_stall_us) *. 1e-6
 
-(* Window-width accounting across every instance in the process, so the
-   bench harness can report adaptive-window behaviour per experiment.
-   Updated once per window; min/max via CAS (instances may run
-   concurrently on different domains, e.g. in a parallel sweep). *)
+(* Windows run by every instance in the process (instances may run
+   concurrently on different domains, e.g. in a parallel sweep), so the
+   bench harness can count an experiment's windows by differencing. *)
 let global_windows = Atomic.make 0
-let global_min_window = Atomic.make max_int
-let global_max_window = Atomic.make 0
 
 (* Par windows, and the OS domains summed over them: differenced around
    a run, their ratio is the domains its Par windows actually ran on. *)
 let global_par_windows = Atomic.make 0
 let global_domain_windows = Atomic.make 0
 
-let rec atomic_min a (v : int) =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-let rec atomic_max a (v : int) =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-let total_window_stats () =
-  let n = Atomic.get global_windows in
-  ( n,
-    (if n = 0 then 0 else Atomic.get global_min_window),
-    Atomic.get global_max_window )
+let total_windows () = Atomic.get global_windows
 
 let total_par_windows () =
   (Atomic.get global_par_windows, Atomic.get global_domain_windows)
@@ -130,7 +113,6 @@ let create ?(mode = Seq) ?(adaptive = false) ?domains ~lookahead ~n () =
     lookahead;
     domains;
     members;
-    steal_order = Array.init n (fun i -> i);
     steal_next = Atomic.make 0;
     scratch = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
     out_seq = Array.make n 0;
@@ -167,9 +149,7 @@ let record_window t w =
   t.n_windows <- t.n_windows + 1;
   if w < t.min_window then t.min_window <- w;
   if w > t.max_window then t.max_window <- w;
-  Atomic.incr global_windows;
-  atomic_min global_min_window w;
-  atomic_max global_max_window w
+  Atomic.incr global_windows
 
 let post t ~src ~dst ~time fn =
   let n = Array.length t.members in
@@ -260,10 +240,9 @@ let steal_loop t target =
   let n = Array.length t.members in
   let continue_ = ref true in
   while !continue_ do
-    let k = Atomic.fetch_and_add t.steal_next 1 in
-    if k >= n then continue_ := false
+    let i = Atomic.fetch_and_add t.steal_next 1 in
+    if i >= n then continue_ := false
     else begin
-      let i = t.steal_order.(k) in
       set_part (Some i);
       Fun.protect
         ~finally:(fun () -> set_part None)
@@ -360,29 +339,13 @@ let run_window_seq t wend =
           Sim.run_until m.msim wend)
         t.members)
 
-(* Busiest members first: a window's wall-clock is the slowest domain,
-   so big members must not be picked up last. Armed-ticker counts are a
-   cheap deterministic proxy for a member's per-cycle work. Which domain
-   ends up running which member does not affect results — members are
-   isolated within a window — so the steal schedule is free to vary. *)
-let refresh_steal_order t =
-  let n = Array.length t.members in
-  let act = Array.map (fun m -> Sim.active_tickers m.msim) t.members in
-  let ord = t.steal_order in
-  for i = 0 to n - 1 do
-    ord.(i) <- i
-  done;
-  Array.sort
-    (fun a b ->
-      let c = compare act.(b) act.(a) in
-      if c <> 0 then c else compare a b)
-    ord;
-  Atomic.set t.steal_next 0
-
+(* Members are handed out in index order. Which domain ends up running
+   which member does not affect results — members are isolated within a
+   window — so the steal schedule is free to vary. *)
 let run_window_par t wend =
   Atomic.incr global_par_windows;
   ignore (Atomic.fetch_and_add global_domain_windows t.domains);
-  refresh_steal_order t;
+  Atomic.set t.steal_next 0;
   open_epoch t wend;
   steal t wend;
   wait_workers t

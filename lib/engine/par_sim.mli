@@ -57,9 +57,8 @@ val create :
     partitioned simulation reports its simulated time once.
 
     [domains] caps the OS domains used under [Par] (default [n], clamped
-    to [1..n]). Each window's members are pulled from a shared
-    work-stealing queue ordered busiest-first (by
-    {!Sim.active_tickers}), the coordinator stealing alongside the
+    to [1..n]). Each window's members are pulled in index order from a
+    shared work-stealing queue, the coordinator stealing alongside the
     workers — so imbalanced partitions keep every domain fed and [n]
     may exceed the machine's core count. Results are byte-identical for
     every [domains] value. *)
@@ -109,10 +108,10 @@ val total_barrier_stall_s : unit -> float
 (** Process-wide barrier stall across all instances (atomic), for the
     bench harness's perf record. *)
 
-val total_window_stats : unit -> int * int * int
-(** [(count, min_width, max_width)] across all instances in the process
-    (atomic) — lets the bench harness attribute adaptive-window widths
-    per experiment by differencing the count around a run. *)
+val total_windows : unit -> int
+(** Windows run across all instances in the process (atomic) — lets the
+    bench harness count an experiment's windows by differencing around
+    a run. *)
 
 val total_par_windows : unit -> int * int
 (** [(windows, domain_windows)] across all instances in the process

@@ -143,8 +143,7 @@ val armed : t -> handle -> bool
     parked; [false] for {!no_handle}. *)
 
 val active_tickers : t -> int
-(** Number of armed tickers: those the next executed cycle runs.
-    {!Par_sim}'s work stealing orders partitions by this load estimate. *)
+(** Number of armed tickers: those the next executed cycle runs. *)
 
 val mark_dirty : t -> (unit -> unit) -> unit
 (** [mark_dirty t commit] schedules [commit] to run once, in this
