@@ -49,10 +49,10 @@ val create :
   t
 (** Attach the collector NIC (a 100G port, board-uplink class, so
     every board can flush into it at once) and create one push agent
-    per board. Agent knobs default to the agent's own
-    (environment-tunable) defaults; [agent_max_frames] caps batches per
-    flush (default 2); [agent_until] skips agent ticks after that cycle
-    (see {!Apiary_obs.Agent.create}), so a run's last stretch provably
+    per board. Agent knobs default to the agent's own defaults;
+    [agent_max_frames] caps batches per flush (default 2);
+    [agent_until] skips agent ticks after that cycle (see
+    {!Apiary_obs.Agent.create}), so a run's last stretch provably
     drains the wire before conservation is read. [span_cap] (default
     65_536) bounds retained collected spans (overflow is counted, and
     reported as [trace_truncated] by the trace export). *)

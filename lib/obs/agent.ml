@@ -318,9 +318,9 @@ type t = {
   mutable detached : bool;
 }
 
-let default_period = Env.int "APIARY_AGENT_PERIOD" ~default:2_000
-let default_queue = Env.int "APIARY_AGENT_QUEUE" ~default:1_024
-let default_batch_bytes = Env.int ~min:64 "APIARY_AGENT_BATCH" ~default:1_200
+let default_period = 2_000
+let default_queue = 1_024
+let default_batch_bytes = 1_200
 let heartbeat_period = 500
 
 let enqueue t encoded =

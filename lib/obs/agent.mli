@@ -23,9 +23,8 @@
     encoded batch payload and returns [false] on device backpressure
     (the records stay queued and retry next tick).
 
-    Defaults come from the environment via tolerant {!Env} parsing:
-    [APIARY_AGENT_PERIOD] (2000), [APIARY_AGENT_QUEUE] (1024),
-    [APIARY_AGENT_BATCH] (1200 bytes). *)
+    {!create}'s defaults are constants: a [period] of {!default_period}
+    cycles, a 1,024-record queue and 1,200-byte batches. *)
 
 (** Batch wire format — shared by agent (encode) and collector
     (decode). *)
@@ -77,11 +76,7 @@ end
 type t
 
 val default_period : int
-val default_queue : int
-val default_batch_bytes : int
-(** The environment-tuned defaults ([APIARY_AGENT_PERIOD] /
-    [APIARY_AGENT_QUEUE] / [APIARY_AGENT_BATCH]), resolved once at
-    startup with {!Env}'s tolerant parsing. *)
+(** 2,000 cycles between harvests. *)
 
 val heartbeat_period : int
 (** 500 cycles. A beat with no batch sent since the previous beat ships
