@@ -103,4 +103,3 @@ let create sim cfg ~mac ~my_mac ~accel_cycles ~handler =
 let served t = t.n_served
 let host_busy_cycles t = Qserver.busy_cycles t.cpu
 let accel_busy_cycles t = Qserver.busy_cycles t.accel
-let host_queue_wait t = Qserver.queue_wait t.cpu

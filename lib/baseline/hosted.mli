@@ -40,4 +40,3 @@ val host_busy_cycles : t -> int
 (** Total CPU busy time — the energy model's main input. *)
 
 val accel_busy_cycles : t -> int
-val host_queue_wait : t -> Stats.Histogram.t

@@ -54,4 +54,3 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
   t
 
 let served t = t.n_served
-let cpu_busy_cycles t = Qserver.busy_cycles t.cpu

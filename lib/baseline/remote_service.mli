@@ -22,4 +22,3 @@ val create :
     250-cycle (1 µs) handler time. *)
 
 val served : t -> int
-val cpu_busy_cycles : t -> int

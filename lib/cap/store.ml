@@ -164,11 +164,3 @@ let check_mem t h ~addr ~len ~write =
       else if (not write) && not e.rights.Rights.read then Error Rights_exceeded
       else Ok ()
     | Endpoint _ -> Error Wrong_type)
-
-let segment_base t h =
-  match lookup t h with
-  | Error e -> Error e
-  | Ok (_, e) ->
-    (match e.target with
-    | Segment { base; _ } -> Ok base
-    | Endpoint _ -> Error Wrong_type)

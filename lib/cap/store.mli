@@ -81,6 +81,3 @@ val check_send : t -> handle -> tile:int -> endpoint:int -> (unit, error) result
 val check_mem :
   t -> handle -> addr:int -> len:int -> write:bool -> (unit, error) result
 (** Validate a memory access of [len] bytes at absolute address [addr]. *)
-
-val segment_base : t -> handle -> (int, error) result
-(** Base address of a segment capability (for address computation). *)

@@ -46,7 +46,6 @@ type t = {
 let sim t = t.k_sim
 let n_tiles t = t.cfg.mesh.Mesh.cols * t.cfg.mesh.Mesh.rows
 let coord_of_tile t i = Coord.of_index ~cols:t.cfg.mesh.Mesh.cols i
-let tile_of_coord t c = Coord.to_index ~cols:t.cfg.mesh.Mesh.cols c
 let name_tile t = t.cfg.name_tile
 let mem_tile t = t.cfg.mem_tile
 

@@ -42,7 +42,6 @@ val create : Sim.t -> config -> t
 val sim : t -> Sim.t
 val n_tiles : t -> int
 val coord_of_tile : t -> int -> Coord.t
-val tile_of_coord : t -> Coord.t -> int
 val name_tile : t -> int
 val mem_tile : t -> int
 

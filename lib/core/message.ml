@@ -71,5 +71,3 @@ let control_bytes = function
 let size_bytes t =
   let k = match t.kind with Data _ -> 0 | Control c -> control_bytes c in
   header_bytes + k + Bytes.length t.payload
-
-let is_control t = match t.kind with Control _ -> true | Data _ -> false

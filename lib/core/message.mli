@@ -73,5 +73,3 @@ val header_bytes : int
 val size_bytes : t -> int
 (** Total wire size: header + control fields + payload. Drives NoC flit
     accounting. *)
-
-val is_control : t -> bool

@@ -784,7 +784,6 @@ let msgs_in t = Perf.read t.perf Perf.msgs_in
 let msgs_out t = Perf.read t.perf Perf.msgs_out
 let denied t = Perf.read t.perf Perf.denials
 let dropped t = Perf.read t.perf Perf.drops
-let nacks_sent t = Perf.read t.perf Perf.nacks
 let rate_stalls t = Rate_limiter.stalled_msgs t.bucket
 let added_latency t = t.lat_added
 let rx_backlog t = Queue.length t.rx

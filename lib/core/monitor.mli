@@ -215,7 +215,6 @@ val msgs_in : t -> int
 val msgs_out : t -> int
 val denied : t -> int
 val dropped : t -> int
-val nacks_sent : t -> int
 val rate_stalls : t -> int
 val added_latency : t -> Stats.Histogram.t
 (** Cycles each egress message spent inside the monitor (queueing +

@@ -109,16 +109,14 @@ let health_to_string = function
 type mgmt = {
   misses : (int, int) Hashtbl.t;
   dead_after : int;
-  mutable probes : int;
 }
 
 let mgmt_service ?(period = 2000) ?(probe_timeout = 1500) ?(dead_after = 3)
     ~tiles () =
   assert (probe_timeout < period);
-  let st = { misses = Hashtbl.create 16; dead_after; probes = 0 } in
+  let st = { misses = Hashtbl.create 16; dead_after } in
   List.iter (fun tile -> Hashtbl.replace st.misses tile 0) tiles;
   let probe shell tile =
-    st.probes <- st.probes + 1;
     Monitor.ping shell ~timeout:probe_timeout ~tile ~ep:Message.app_ep
       (fun alive ->
         if alive then Hashtbl.replace st.misses tile 0
@@ -149,5 +147,3 @@ let dead_tiles st =
   Hashtbl.fold (fun tile n acc -> if n >= st.dead_after then tile :: acc else acc)
     st.misses []
   |> List.sort compare
-
-let probes_sent st = st.probes

@@ -41,4 +41,3 @@ val mgmt_service :
 
 val health_of : mgmt -> int -> health
 val dead_tiles : mgmt -> int list
-val probes_sent : mgmt -> int

@@ -41,9 +41,6 @@ val zipf : t -> n:int -> theta:float -> int
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] random bytes. *)
 

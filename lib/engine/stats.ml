@@ -182,11 +182,6 @@ module Histogram = struct
     dst.sumsq.(0) <- dst.sumsq.(0) +. src.sumsq.(0);
     if src.max_v > dst.max_v then dst.max_v <- src.max_v;
     if src.min_v < dst.min_v then dst.min_v <- src.min_v
-
-  let pp_summary ppf h =
-    Format.fprintf ppf "%-24s n=%-8d mean=%-10.1f p50=%-8d p90=%-8d p99=%-8d max=%d"
-      h.name h.count (mean h) (percentile h 50.0) (percentile h 90.0)
-      (percentile h 99.0) h.max_v
 end
 
 module Series = struct

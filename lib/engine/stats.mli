@@ -79,9 +79,6 @@ module Histogram : sig
 
   val merge_into : src:t -> dst:t -> unit
   (** Add all of [src]'s buckets into [dst]. *)
-
-  val pp_summary : Format.formatter -> t -> unit
-  (** One-line [name count mean p50 p90 p99 max] summary. *)
 end
 
 (** Fixed-interval time series, e.g. throughput per epoch. *)

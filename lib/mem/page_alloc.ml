@@ -1,7 +1,6 @@
 type t = {
   base : int;
   page_bytes : int;
-  nframes : int;
   free : int Queue.t;  (* free frame indices *)
 }
 
@@ -12,10 +11,9 @@ let create ~base ~size ~page_bytes =
   for i = 0 to nframes - 1 do
     Queue.add i free
   done;
-  { base; page_bytes; nframes; free }
+  { base; page_bytes; free }
 
 let page_bytes t = t.page_bytes
-let total_frames t = t.nframes
 let free_frames t = Queue.length t.free
 
 module Space = struct
@@ -31,7 +29,6 @@ module Space = struct
     mutable next_vpn : int;
     mutable requested : int;  (* bytes asked for by map *)
     mutable hits : int;
-    mutable misses : int;
   }
 
   type t = space
@@ -48,7 +45,6 @@ module Space = struct
       next_vpn = 0;
       requested = 0;
       hits = 0;
-      misses = 0;
     }
 
   let map sp n =
@@ -98,7 +94,6 @@ module Space = struct
       (match Hashtbl.find_opt sp.table vpn with
       | None -> Error `Fault
       | Some frame ->
-        sp.misses <- sp.misses + 1;
         tlb_evict_if_full sp;
         Hashtbl.replace sp.tlb vpn frame;
         Queue.add vpn sp.tlb_order;
@@ -107,5 +102,4 @@ module Space = struct
   let mapped_bytes sp = Hashtbl.length sp.table * sp.alloc.page_bytes
   let internal_fragmentation sp = mapped_bytes sp - sp.requested
   let tlb_hits sp = sp.hits
-  let tlb_misses sp = sp.misses
 end

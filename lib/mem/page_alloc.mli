@@ -13,7 +13,6 @@ val create : base:int -> size:int -> page_bytes:int -> t
     [page_bytes] must divide [size]. *)
 
 val page_bytes : t -> int
-val total_frames : t -> int
 val free_frames : t -> int
 
 (** Per-process address space. *)
@@ -44,5 +43,4 @@ module Space : sig
   (** Bytes allocated beyond what was requested, page rounding waste. *)
 
   val tlb_hits : t -> int
-  val tlb_misses : t -> int
 end

@@ -1,7 +1,5 @@
 type policy = First_fit | Best_fit
 
-let policy_to_string = function First_fit -> "first-fit" | Best_fit -> "best-fit"
-
 type block = { base : int; len : int }
 
 type t = {
@@ -96,19 +94,12 @@ let free t base =
     t.used <- t.used - len;
     insert_coalesced t { base; len }
 
-let is_allocated t base = Hashtbl.mem t.allocated base
-let size_of t base = Hashtbl.find_opt t.allocated base
 let used_bytes t = t.used
 
 (* Free bytes include alignment waste still sitting in the free list. *)
 let free_bytes t = List.fold_left (fun a b -> a + b.len) 0 t.free_list
 let largest_free t = List.fold_left (fun a b -> max a b.len) 0 t.free_list
 let free_block_count t = List.length t.free_list
-let live_allocations t = Hashtbl.length t.allocated
-
-let external_fragmentation t =
-  let fb = free_bytes t in
-  if fb = 0 then 0.0 else 1.0 -. (float_of_int (largest_free t) /. float_of_int fb)
 
 let check_invariants t =
   (* Sorted, coalesced, within region. *)

@@ -6,8 +6,6 @@
 
 type policy = First_fit | Best_fit
 
-val policy_to_string : policy -> string
-
 type t
 
 val create : base:int -> size:int -> policy -> t
@@ -22,19 +20,10 @@ val free : t -> int -> unit
 (** [free t base] releases the segment allocated at [base].
     @raise Invalid_argument if [base] is not a live allocation. *)
 
-val is_allocated : t -> int -> bool
-val size_of : t -> int -> int option
-(** Size of the live allocation at exactly [base]. *)
-
 val used_bytes : t -> int
 val free_bytes : t -> int
 val largest_free : t -> int
 val free_block_count : t -> int
-val live_allocations : t -> int
-
-val external_fragmentation : t -> float
-(** [1 - largest_free/free_bytes]: 0 when free space is one block, →1 as
-    it shatters. 0 when no free space remains. *)
 
 val check_invariants : t -> unit
 (** Assert internal consistency (no overlap, full coverage, sorted,

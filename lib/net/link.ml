@@ -6,15 +6,14 @@ let flip = function A -> B | B -> A
 
 (* Per-direction state. Every field is owned by exactly one side's
    execution context so a split link (sides on different Par_sim
-   partitions) stays race-free: [busy_until]/[corrupt_next]/[tx_bytes]
-   are written only on the sending side's thread, [rx_dropped] only on
+   partitions) stays race-free: [busy_until]/[corrupt_next] are
+   written only on the sending side's thread, [rx_dropped] only on
    the thread that runs this side's deliveries. *)
 type dir = {
   sim : Sim.t;  (* the sending side's simulator *)
   post : time:int -> (unit -> unit) -> unit;  (* schedules on the RECEIVER *)
   mutable busy_until : int;
   mutable corrupt_next : bool;
-  mutable tx_bytes : int;
   mutable rx_dropped : int;  (* frames dropped on delivery TO this side *)
 }
 
@@ -33,9 +32,9 @@ let mk ~sim_a ~sim_b ~post_to_a ~post_to_b ~bytes_per_cycle ~prop_cycles =
     bw = bytes_per_cycle;
     prop = prop_cycles;
     a = { sim = sim_a; post = post_to_b; busy_until = 0; corrupt_next = false;
-          tx_bytes = 0; rx_dropped = 0 };
+          rx_dropped = 0 };
     b = { sim = sim_b; post = post_to_a; busy_until = 0; corrupt_next = false;
-          tx_bytes = 0; rx_dropped = 0 };
+          rx_dropped = 0 };
     rx_a = (fun _ -> ());
     rx_b = (fun _ -> ());
   }
@@ -56,7 +55,6 @@ let on_recv t side f =
 
 let busy_until t side = (dir_of t side).busy_until
 let set_corrupt_next t ~from = (dir_of t from).corrupt_next <- true
-let bytes_carried t = t.a.tx_bytes + t.b.tx_bytes
 let frames_dropped t = t.a.rx_dropped + t.b.rx_dropped
 
 let min_latency t = t.prop + 1
@@ -71,7 +69,6 @@ let send t ~from frame =
   let start = max now d.busy_until in
   let ser = max 1 (int_of_float (ceil (float_of_int size /. t.bw))) in
   d.busy_until <- start + ser;
-  d.tx_bytes <- d.tx_bytes + size;
   let deliver_at = start + ser + t.prop in
   if d.corrupt_next then begin
     (* Fault injection takes the real wire path: serialize, flip one

@@ -51,6 +51,5 @@ val busy_until : t -> side -> int
 val set_corrupt_next : t -> from:side -> unit
 (** Flip a payload bit in the next frame sent from [side] (FCS test). *)
 
-val bytes_carried : t -> int
 val frames_dropped : t -> int
 (** Frames discarded for FCS errors. *)

@@ -7,9 +7,6 @@ let status_to_string = function
   | Service_unavailable -> "unavailable"
   | Remote_error -> "remote-error"
 
-(* Leave room for the envelope header within one frame. *)
-let max_body = 1500 - 64
-
 (* Request: 'Q' u32 req_id u32 op u8 svc_len svc body
    Response: 'R' u32 rsp_id u8 status body *)
 

@@ -26,7 +26,3 @@ val decode_request : ?off:int -> bytes -> (request, string) result
 
 val encode_response : response -> bytes
 val decode_response : ?off:int -> bytes -> (response, string) result
-
-val max_body : int
-(** Maximum body carried in a single frame (no fragmentation in this
-    model); callers must keep requests under it. *)

@@ -41,10 +41,6 @@ let names =
 
 let name i = names.(i)
 
-let index_of_name n =
-  let rec go i = if i >= n_counters then None else if names.(i) = n then Some i else go (i + 1) in
-  go 0
-
 let create () = Array.make n_counters 0
 let read t i = t.(i)
 let incr t i = Array.unsafe_set t i (Array.unsafe_get t i + 1)
@@ -75,5 +71,3 @@ let decode b =
   else
     Some
       (Array.init n_counters (fun i -> Int64.to_int (Bytes.get_int64_be b (i * 8))))
-
-let to_assoc t = Array.to_list (Array.mapi (fun i v -> (names.(i), v)) t)

@@ -56,7 +56,6 @@ val heartbeats : int
 
 val n_counters : int
 val name : int -> string
-val index_of_name : string -> int option
 
 (** {1 Operations} *)
 
@@ -85,6 +84,3 @@ val encoded_size : int
 val encode : t -> bytes
 val decode : bytes -> t option
 (** [None] if the payload is not exactly {!encoded_size} bytes. *)
-
-val to_assoc : t -> (string * int) list
-(** Name/value pairs in slot order (rendering). *)

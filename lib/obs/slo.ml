@@ -258,8 +258,3 @@ let report_json_string ts =
     ts;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-let write_report ts path =
-  let oc = open_out path in
-  output_string oc (report_json_string ts);
-  close_out oc

@@ -112,7 +112,5 @@ val report_json_string : t list -> string
     "first_alert_cycle", "alerts": [{"cycle", "severity", "burn_fast",
     "burn_slow"}, ...]}, ...]}]. *)
 
-val write_report : t list -> string -> unit
-
 val severity_to_string : severity -> string
 (** ["page"] / ["ticket"]. *)

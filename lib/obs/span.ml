@@ -74,11 +74,6 @@ let clear_sink ~board =
   Hashtbl.remove sinks board;
   Mutex.unlock sinks_lock
 
-let clear_sinks () =
-  Mutex.lock sinks_lock;
-  Hashtbl.reset sinks;
-  Mutex.unlock sinks_lock
-
 (* Deliver a completed Dur span to its board's sink, if any. *)
 let notify ev =
   if ev.board >= 0 then begin

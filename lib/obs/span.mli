@@ -140,8 +140,7 @@ val set_sink : board:int -> (event -> unit) -> unit
     Sinks survive {!reset}. *)
 
 val clear_sink : board:int -> unit
-val clear_sinks : unit -> unit
-(** Remove one / all sinks — always detach agents before a later run
+(** Remove a board's sink — always detach agents before a later run
     re-enables tracing for a different topology. *)
 
 val set_sampling : ?head_mod:int -> ?slow_cycles:int -> unit -> unit
