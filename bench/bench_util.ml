@@ -79,6 +79,10 @@ let par_mode () =
   | Some "boards" -> `Boards
   | _ -> `Off
 
+(* APIARY_SMALL shrinks the rack experiments, E12 to E16, to their CI
+   sizes. *)
+let small () = Sys.getenv_opt "APIARY_SMALL" <> None
+
 (* APIARY_DOMAINS caps a partitioned rack's domain fan-out below its
    member count; the engine's work stealing then keeps the smaller
    domain pool fed. Unset, every member gets its own domain. *)

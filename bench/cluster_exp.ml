@@ -5,7 +5,7 @@
    measured one board. Here N full Apiary boards share one ToR switch
    (lib/cluster), services register in a rack directory, and external
    clients shard a request stream across boards with client-side
-   failover. APIARY_E12_SMALL=1 shrinks the sweep for CI smoke runs. *)
+   failover. APIARY_SMALL=1 shrinks the sweep for CI smoke runs. *)
 
 module Sim = Apiary_engine.Sim
 module Rng = Apiary_engine.Rng
@@ -21,7 +21,6 @@ module Export = Apiary_obs.Export
 module Series = Apiary_obs.Series
 open Bench_util
 
-let small () = Sys.getenv_opt "APIARY_E12_SMALL" <> None
 let bytes_of n = Bytes.make n 'x'
 
 (* The parallel engine already owns the cores; nesting sweep-level

@@ -15,7 +15,7 @@
 
    With --obs, additionally attributes request latency to queue-wait /
    hop / service time over the span trees (Critical_path) for a
-   fixed-seed KV run. APIARY_E13_SMALL=1 shrinks durations for CI. *)
+   fixed-seed KV run. APIARY_SMALL=1 shrinks durations for CI. *)
 
 module Sim = Apiary_engine.Sim
 module Stats = Apiary_engine.Stats
@@ -36,7 +36,6 @@ module Collector = Apiary_cluster.Collector
 module Shard_client = Apiary_cluster.Shard_client
 open Bench_util
 
-let small () = Sys.getenv_opt "APIARY_E13_SMALL" <> None
 let bytes_of n = Bytes.make n 'x'
 
 let mk_kernel () =

@@ -19,7 +19,7 @@
      elastic      lib/sched autoscaling, migration disabled
      elastic+mig  lib/sched autoscaling + hot/cold board migration
 
-   APIARY_E14_SMALL=1 shrinks durations for CI smoke runs. The run is
+   APIARY_SMALL=1 shrinks durations for CI smoke runs. The run is
    deterministic and engine-independent: under APIARY_PAR=boards output
    is byte-identical to the default Seq run (E14's scheduler state lives
    on the controller member; commands and telemetry ride the same
@@ -40,7 +40,6 @@ module Parts = Apiary_resource.Parts
 module Area = Apiary_resource.Area
 open Bench_util
 
-let small () = Sys.getenv_opt "APIARY_E14_SMALL" <> None
 let bytes_of n = Bytes.make n 'x'
 
 (* ------------------------------------------------------------------ *)
@@ -269,14 +268,6 @@ let run_variant ~variant ~boards ~duration ~kill =
               (Option.value ~default:[]
                  (List.assoc_opt spec.Placer.name static_placement)))
           clients);
-      (match sched with
-      | Some sched when Sys.getenv_opt "APIARY_E14_DEBUG" <> None ->
-        Sim.every sim ~start:20_000 20_000 (fun () ->
-            Printf.printf "t=%7d loads:%s\n" (Sim.now sim)
-              (String.concat ""
-                 (List.init boards (fun b ->
-                      Printf.sprintf " %4d" (Sched.board_load sched b)))))
-      | _ -> ());
       (* The rack watchdog: failure detection for the drill rides the
          heartbeat/alarm path, not client timeouts. It hears the boards
          through the collector — the scheduler's, when there is one. *)
@@ -305,15 +296,6 @@ let run_variant ~variant ~boards ~duration ~kill =
       fun () ->
         List.iter (fun (_, c) -> Shard_client.stop c) clients;
         Collector.detach collector;
-        if Sys.getenv_opt "APIARY_E14_DEBUG" <> None then
-          List.iter
-            (fun ((spec : Placer.tenant), c) ->
-              Printf.printf
-                "dbg %-6s issued %d completed %d errors %d failovers %d\n"
-                spec.Placer.name (Shard_client.issued c)
-                (Shard_client.completed c) (Shard_client.errors c)
-                (Shard_client.failovers c))
-            clients;
         let now = duration in
         let per_tenant =
           List.map

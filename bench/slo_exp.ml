@@ -13,7 +13,7 @@
    every sim-derived number) cannot move. What moves is host-side cost:
    span-event allocation and windowed accounting. Wall time is printed
    only with --perf (it is machine-dependent; default output stays
-   byte-stable). APIARY_E15_SMALL=1 shrinks the run for CI. *)
+   byte-stable). APIARY_SMALL=1 shrinks the run for CI. *)
 
 module Sim = Apiary_engine.Sim
 module Shell = Apiary_core.Shell
@@ -24,7 +24,6 @@ module Series = Apiary_obs.Series
 module Slo = Apiary_obs.Slo
 open Bench_util
 
-let small () = Sys.getenv_opt "APIARY_E15_SMALL" <> None
 let bytes_of n = Bytes.make n 'x'
 
 let mk_kernel () =
