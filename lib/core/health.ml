@@ -4,15 +4,14 @@ module Flight = Apiary_obs.Flight
 module Mesh = Apiary_noc.Mesh
 module Router = Apiary_noc.Router
 
-type config = {
-  period : int;
-  stuck_deadline : int;
-  congestion_occ : int;
-  congestion_checks : int;
-}
+type config = { period : int; stuck_deadline : int }
 
-let default_config =
-  { period = 200; stuck_deadline = 2_000; congestion_occ = 32; congestion_checks = 3 }
+let default_config = { period = 200; stuck_deadline = 2_000 }
+
+(* Router input occupancy, in flits, and how many consecutive sweeps at
+   or above it raise a congestion alarm. *)
+let congestion_occ = 32
+let congestion_checks = 3
 
 type alarm =
   | Stuck_tile of { tile : int; stalled_for : int }
@@ -77,9 +76,9 @@ let check t =
        [congestion_checks] consecutive polls. One alarm per episode. *)
     let r = Mesh.router_at (Kernel.mesh k) (Kernel.coord_of_tile k tile) in
     let occ = Router.input_occupancy r in
-    if occ >= t.cfg.congestion_occ then begin
+    if occ >= congestion_occ then begin
       t.cong_streak.(tile) <- t.cong_streak.(tile) + 1;
-      if t.cong_streak.(tile) >= t.cfg.congestion_checks && not t.cong_raised.(tile)
+      if t.cong_streak.(tile) >= congestion_checks && not t.cong_raised.(tile)
       then begin
         t.cong_raised.(tile) <- true;
         raise_alarm t now (Congested_router { tile; occ })

@@ -1,34 +1,32 @@
-(** The board health layer: watchdog deadlines over the monitors'
-    progress heartbeats, plus NoC congestion alarms.
+(** The board health layer: the board's one hang detector, a deadline
+    over the monitors' progress heartbeats, plus NoC congestion alarms.
 
     A periodic in-fabric check (an event, so it fires across quiescence
-    fast-forward) sweeps every tile. A tile trips the watchdog when it
-    has queued work — rx backlog or committed egress — but has made no
-    progress for longer than the deadline: that is a stuck or livelocked
-    accelerator. An idle tile never trips, however long it sleeps, so
-    the quiescence engine's skipped cycles cannot cause false positives.
-    A router trips the congestion alarm when its input occupancy stays
-    at or above a threshold for several consecutive checks.
+    fast-forward) sweeps every tile. A tile is stuck when it has queued
+    work — rx backlog or committed egress — but has made no progress
+    ({!Monitor.last_progress}) for longer than the deadline: a hung or
+    livelocked accelerator. An idle tile never trips, however long it
+    sleeps, so the quiescence engine's skipped cycles cannot cause false
+    positives. A router trips the congestion alarm when its input
+    occupancy stays at or above 32 flits for 3 consecutive checks.
 
     Each check also pulses the [Perf.heartbeats] slot of every tile's
-    counter block, making watchdog coverage itself visible through the
-    stat service. Alarms are edge-triggered (one per episode), recorded
-    into the board's flight recorder, and delivered to subscribers —
-    e.g. a policy that fail-stops the tile, or the rack watchdog that
-    feeds cluster failover. *)
+    counter block, making the sweep itself visible through the stat
+    service. Alarms are edge-triggered (one per episode), recorded into
+    the board's flight recorder, and delivered to subscribers. The layer
+    only reports: what a stuck tile costs is a subscriber's policy —
+    fail-stopping it with {!Monitor.fault}, or pushing the alarm to the
+    rack scheduler over the board's telemetry agent. *)
 
 type config = {
   period : int;  (** Cycles between sweeps. *)
   stuck_deadline : int;
       (** A tile with queued work and no progress for more than this many
           cycles is declared stuck. *)
-  congestion_occ : int;  (** Router input-occupancy alarm threshold, flits. *)
-  congestion_checks : int;
-      (** Consecutive sweeps at/above threshold before alarming. *)
 }
 
 val default_config : config
-(** period 200, deadline 2000, occupancy 32 for 3 checks. *)
+(** period 200, deadline 2000. *)
 
 type alarm =
   | Stuck_tile of { tile : int; stalled_for : int }

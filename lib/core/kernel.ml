@@ -11,10 +11,8 @@ type config = {
   monitor_overrides : (int * Monitor.config) list;
   dram : Dram.config;
   dram_bytes : int;
-  alloc_policy : Seg_alloc.policy;
   name_tile : int;
   mem_tile : int;
-  pr_bytes_per_cycle : int;
 }
 
 let default_config =
@@ -24,11 +22,11 @@ let default_config =
     monitor_overrides = [];
     dram = Dram.default_config;
     dram_bytes = 64 * 1024 * 1024;
-    alloc_policy = Seg_alloc.First_fit;
     name_tile = 0;
     mem_tile = (Mesh.default_config.Mesh.cols * Mesh.default_config.Mesh.rows) - 1;
-    pr_bytes_per_cycle = 8;
   }
+
+let pr_bytes_per_cycle = 8
 
 type t = {
   k_sim : Sim.t;
@@ -74,7 +72,7 @@ let reconfigure t ~tile ~bitstream_bytes b ~on_done =
     invalid_arg "Kernel.reconfigure: cannot reconfigure an OS service tile";
   Monitor.set_offline t.monitors.(tile);
   t.unregister_names tile;
-  let pr_cycles = max 1 (bitstream_bytes / t.cfg.pr_bytes_per_cycle) in
+  let pr_cycles = max 1 (bitstream_bytes / pr_bytes_per_cycle) in
   Sim.after t.k_sim pr_cycles (fun () ->
       Monitor.reset t.monitors.(tile) b;
       on_done ())
@@ -127,7 +125,7 @@ let create sim cfg =
   assert (cfg.mem_tile >= 0 && cfg.mem_tile < ntiles);
   let k_mesh = Mesh.create sim cfg.mesh in
   let k_dram = Dram.create sim cfg.dram ~size_bytes:cfg.dram_bytes in
-  let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes cfg.alloc_policy in
+  let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes Seg_alloc.First_fit in
   (* The board's black box. Disabled (the default), it records nothing
      and changes no output; the CLI and bench also arm it explicitly. *)
   let k_flight = Apiary_obs.Flight.of_env () in

@@ -19,19 +19,20 @@ type config = {
   monitor_overrides : (int * Monitor.config) list;
       (** Per-tile monitor configs (e.g. an enforcement-off tile). *)
   dram : Dram.config;
-  dram_bytes : int;
-  alloc_policy : Seg_alloc.policy;
+  dram_bytes : int;  (** Carved into segments first-fit. *)
   name_tile : int;  (** Tile hosting the name service (default 0). *)
   mem_tile : int;
       (** Tile hosting the memory service; place it at the edge where the
           controller pins would be (default: last tile). *)
-  pr_bytes_per_cycle : int;
-      (** Partial-reconfiguration port bandwidth (ICAP ≈ 400 MB/s ⇒
-          ~6 B/cycle at 250 MHz... default 8). *)
 }
 
 val default_config : config
-(** 4x4 mesh, enforcing monitors, 64 MiB DRAM, first-fit segments. *)
+(** 4x4 mesh, enforcing monitors, 64 MiB DRAM. *)
+
+val pr_bytes_per_cycle : int
+(** Partial-reconfiguration port bandwidth, 8 bytes/cycle: {!reconfigure}
+    holds a tile offline [max 1 (bitstream_bytes / pr_bytes_per_cycle)]
+    cycles, and the rack scheduler predicts PR time the same way. *)
 
 type t
 

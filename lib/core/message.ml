@@ -27,8 +27,6 @@ type control =
   | Mem_read_ok
   | Mem_write_ok
   | Mem_denied of { reason : string }
-  | Ping
-  | Pong
   | Nack of { reason : string }
 
 type kind = Data of { opcode : int } | Control of control
@@ -56,7 +54,7 @@ let header_bytes = 16
 let control_bytes = function
   | Register { name } | Lookup { name } -> 2 + String.length name
   | Lookup_reply { name; _ } -> 2 + String.length name + 4
-  | Register_ok | Connect_req | Free_ok | Mem_write_ok | Ping | Pong -> 0
+  | Register_ok | Connect_req | Free_ok | Mem_write_ok -> 0
   | Connect_ok _ -> 12
   | Connect_denied { reason } | Alloc_denied { reason }
   | Mem_denied { reason } | Nack { reason } ->

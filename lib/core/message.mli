@@ -6,7 +6,7 @@
     service. Messages are either application [Data] (an opaque opcode +
     payload, meaningful only to the endpoints) or [Control] — the
     microkernel protocol spoken by monitors and OS services (naming,
-    connections, memory, health). *)
+    connections, memory, fail-stop NACKs). *)
 
 type addr = { tile : int; ep : int }
 (** [tile] is the linearized tile index; endpoint [0] is the tile's
@@ -42,8 +42,6 @@ type control =
   | Mem_read_ok  (** Data rides in the payload. *)
   | Mem_write_ok
   | Mem_denied of { reason : string }
-  | Ping
-  | Pong
   | Nack of { reason : string }
       (** Returned by a draining (failed) tile's monitor so peers fail
           fast instead of timing out (paper §4.4). *)

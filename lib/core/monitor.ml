@@ -13,11 +13,8 @@ type config = {
   check_latency : int;
   rate : float;
   burst : int;
-  egress_capacity : int;
   egress_classes : int;
   rpc_timeout : int;
-  watchdog : int;
-  cap_capacity : int;
 }
 
 let default_config =
@@ -26,12 +23,14 @@ let default_config =
     check_latency = 2;
     rate = 4.0;
     burst = 512;
-    egress_capacity = 64;
     egress_classes = 1;
     rpc_timeout = 50_000;
-    watchdog = 0;
-    cap_capacity = 256;
   }
+
+(* Egress queue depth per class, in messages, and capability table
+   slots per tile. *)
+let egress_capacity = 64
+let cap_capacity = 256
 
 type state = Running | Draining of string | Offline
 
@@ -110,7 +109,6 @@ and t = {
   perf : Perf.t;  (* the tile's hardware counter block *)
   flight : Flight.t;  (* board flight recorder (shared, owned by kernel) *)
   lat_added : Stats.Histogram.t;
-  mutable hang_cycles : int;
   mutable last_progress : int;
       (* last cycle this monitor moved a message (egress admit or rx
          delivery) — what the health layer's heartbeat deadline watches *)
@@ -491,12 +489,6 @@ let busy t n =
   assert (n >= 0);
   t.busy_until <- max (now t) t.busy_until + n
 
-let ping t ?timeout ~tile ~ep cb =
-  control_rpc t ?timeout ~dst:{ Message.tile; ep } Message.Ping (fun r ->
-      match r with
-      | Ok { Message.kind = Message.Control Message.Pong; _ } -> cb true
-      | Ok _ | Error _ -> cb false)
-
 let set_connect_policy t p =
   t.connect_policy <- (fun src -> if p src then Accept else Refuse)
 
@@ -554,9 +546,8 @@ let reset t b =
   Sim.rearm t.m_sim t.m_handle;
   t.behavior <- b;
   t.busy_until <- 0;
-  t.hang_cycles <- 0;
   t.last_progress <- now t;
-  t.m_store <- Store.create ~capacity:t.cfg.cap_capacity ~tile:t.m_tile ();
+  t.m_store <- Store.create ~capacity:cap_capacity ~tile:t.m_tile ();
   Sim.after t.m_sim 1 (fun () -> if t.behavior == b then b.on_boot t)
 
 (* ------------------------------------------------------------------ *)
@@ -630,12 +621,6 @@ let ingress t (m : Message.t) =
     else begin
       match m.Message.kind with
       | Message.Control Message.Connect_req -> handle_connect_req t m
-      | Message.Control Message.Ping
-        when m.Message.dst.Message.ep = Message.control_ep ->
-        (* The monitor itself is alive; accelerator liveness is probed at
-           the app endpoint. *)
-        control_send t ~dst:m.Message.src ~corr:m.Message.corr ~is_reply:true
-          Message.Pong
       | _ -> Queue.add m t.rx
     end
 
@@ -652,22 +637,7 @@ let deliver_one t =
       let cur = Option.value ~default:0 (Hashtbl.find_opt t.reply_ok key) in
       Hashtbl.replace t.reply_ok key (cur + 1)
     end;
-    match m.Message.kind with
-    | Message.Control Message.Ping ->
-      (* Shell auto-pong: proves the accelerator is draining its queue. *)
-      control_send t ~dst:m.Message.src ~corr:m.Message.corr ~is_reply:true
-        Message.Pong
-    | _ -> t.behavior.on_message t m
-  end
-
-let watchdog t =
-  if t.cfg.watchdog > 0 then begin
-    if (not (Queue.is_empty t.rx)) && now t < t.busy_until then
-      t.hang_cycles <- t.hang_cycles + 1
-    else t.hang_cycles <- 0;
-    if t.hang_cycles > t.cfg.watchdog then
-      fault t
-        (Printf.sprintf "watchdog: accelerator hung for %d cycles" t.hang_cycles)
+    t.behavior.on_message t m
   end
 
 let egress_pending t =
@@ -681,7 +651,6 @@ let busy_tick t =
   (match t.behavior.on_tick with
   | Some f when now t >= t.busy_until -> f t
   | Some _ | None -> ());
-  watchdog t;
   Sim.Busy
 
 let tick t =
@@ -689,21 +658,16 @@ let tick t =
   | Draining _ | Offline -> Sim.Idle
   | Running ->
     if t.behavior.on_tick = None && not (egress_pending t) then begin
-      if Queue.is_empty t.rx then begin
+      if Queue.is_empty t.rx then
         (* Nothing queued anywhere: process_egress and deliver_one would
-           be no-ops and the watchdog would reset (rx is empty) — mirror
-           that reset so skipped cycles are indistinguishable from
-           executed ones. Staged-but-uncommitted egress keeps the sim
+           be no-ops. Staged-but-uncommitted egress keeps the sim
            non-quiescent via the dirty-FIFO list, so it cannot be jumped
            over. *)
-        if t.cfg.watchdog > 0 then t.hang_cycles <- 0;
         Sim.Idle
-      end
-      else if t.cfg.watchdog = 0 && now t < t.busy_until then
-        (* Serving: queued rx waits for [busy_until] and, with no
-           watchdog counting hang cycles, every tick before then is a
-           no-op. Ingress, an egress commit and [reset] all re-arm us
-           early. *)
+      else if now t < t.busy_until then
+        (* Serving: queued rx waits for [busy_until], so every tick
+           before then is a no-op. Ingress, an egress commit and [reset]
+           all re-arm us early. *)
         Sim.Idle_until t.busy_until
       else busy_tick t
     end
@@ -718,11 +682,11 @@ let create sim ~tile cfg fabric ~flight ~privileged behavior =
       fabric;
       privileged;
       m_rng = Rng.create ~seed:(0x5EED + tile);
-      m_store = Store.create ~capacity:cfg.cap_capacity ~tile ();
+      m_store = Store.create ~capacity:cap_capacity ~tile ();
       m_state = Running;
       egress =
         Array.init (max 1 cfg.egress_classes) (fun _ ->
-            Fifo.create ~capacity:cfg.egress_capacity sim);
+            Fifo.create ~capacity:egress_capacity sim);
       bucket =
         (if cfg.enforce then Rate_limiter.create ~rate:cfg.rate ~burst:cfg.burst
          else Rate_limiter.unlimited ());
@@ -739,7 +703,6 @@ let create sim ~tile cfg fabric ~flight ~privileged behavior =
       perf = Perf.create ();
       flight;
       lat_added = Stats.Histogram.create (Printf.sprintf "mon%d.added-latency" tile);
-      hang_cycles = 0;
       last_progress = 0;
       m_handle = Sim.no_handle;
     }

@@ -2,11 +2,13 @@
     untrusted accelerator and the NoC (paper §4.1, Figure 1).
 
     Every message an accelerator sends or receives passes through here.
-    The monitor owns the tile's partitioned capability table, resolves
-    service names, enforces send/memory capabilities and rate limits on
-    egress, implements the microkernel control protocol (naming,
-    connections, allocation, health), and realizes the fail-stop fault
-    model: a draining tile emits nothing and NACKs peers.
+    The monitor owns the tile's partitioned capability table (256
+    slots), resolves service names, enforces send/memory capabilities
+    and rate limits on egress, implements the microkernel control
+    protocol (naming, connections, allocation), and realizes the
+    fail-stop fault model: a draining tile emits nothing and NACKs
+    peers. Hang detection is not the monitor's: {!Health} sweeps every
+    monitor's {!last_progress}.
 
     The accelerator-facing half of this module is re-exported with
     documentation as {!Shell}; accelerator code should only use that
@@ -23,14 +25,11 @@ type config = {
   check_latency : int;  (** Pipeline cycles added per egress message. *)
   rate : float;  (** Token-bucket refill, flits/cycle. *)
   burst : int;  (** Token-bucket depth, flits. *)
-  egress_capacity : int;  (** Egress queue depth per class, messages. *)
   egress_classes : int;
-      (** Number of per-class egress queues; higher classes drain first,
-          so bulk traffic cannot head-of-line block priority replies.
-          [1] (default) is a single FIFO. *)
+      (** Number of per-class egress queues (64 messages each); higher
+          classes drain first, so bulk traffic cannot head-of-line block
+          priority replies. [1] (default) is a single FIFO. *)
   rpc_timeout : int;  (** Cycles before a pending RPC fails. *)
-  watchdog : int;  (** Hang detection threshold in cycles; 0 disables. *)
-  cap_capacity : int;  (** Capability table slots. *)
 }
 
 val default_config : config
@@ -177,12 +176,6 @@ val raise_fault : t -> string -> unit
 val send_raw : t -> dst:Message.addr -> opcode:int -> bytes -> unit
 (** Attempt an uncapabilitied send — what a buggy or malicious
     accelerator would do. Denied when enforcement is on. *)
-
-val ping : t -> ?timeout:int -> tile:int -> ep:int -> (bool -> unit) -> unit
-(** Health probe. [ep = control_ep] answers as long as the target's
-    monitor runs; [ep = app_ep] answers only when the target accelerator
-    is still draining its queue — a hung accelerator times out. The
-    callback receives [false] on timeout or NACK. *)
 
 val rng : t -> Apiary_engine.Rng.t
 val log : t -> string -> unit

@@ -95,55 +95,3 @@ let mem_service dram alloc =
     on_message;
     on_tick = None;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Management service *)
-
-type health = Alive | Suspect of int | Dead
-
-let health_to_string = function
-  | Alive -> "alive"
-  | Suspect n -> Printf.sprintf "suspect(%d)" n
-  | Dead -> "dead"
-
-type mgmt = {
-  misses : (int, int) Hashtbl.t;
-  dead_after : int;
-}
-
-let mgmt_service ?(period = 2000) ?(probe_timeout = 1500) ?(dead_after = 3)
-    ~tiles () =
-  assert (probe_timeout < period);
-  let st = { misses = Hashtbl.create 16; dead_after } in
-  List.iter (fun tile -> Hashtbl.replace st.misses tile 0) tiles;
-  let probe shell tile =
-    Monitor.ping shell ~timeout:probe_timeout ~tile ~ep:Message.app_ep
-      (fun alive ->
-        if alive then Hashtbl.replace st.misses tile 0
-        else
-          let cur = Option.value ~default:0 (Hashtbl.find_opt st.misses tile) in
-          Hashtbl.replace st.misses tile (cur + 1))
-  in
-  let on_boot shell =
-    Sim.every (Monitor.sim shell) period (fun () ->
-        if Monitor.state shell = Monitor.Running then
-          List.iter (probe shell) tiles)
-  in
-  ( {
-      Monitor.bname = "os.mgmt";
-      on_boot;
-      on_message = (fun _ _ -> ());
-      on_tick = None;
-    },
-    st )
-
-let health_of st tile =
-  match Hashtbl.find_opt st.misses tile with
-  | None | Some 0 -> Alive
-  | Some n when n >= st.dead_after -> Dead
-  | Some n -> Suspect n
-
-let dead_tiles st =
-  Hashtbl.fold (fun tile n acc -> if n >= st.dead_after then tile :: acc else acc)
-    st.misses []
-  |> List.sort compare

@@ -5,9 +5,9 @@
     - the {b name service} maps logical service names to physical tiles,
       realizing the API-level naming the paper moves out of the wires;
     - the {b memory service} owns the DRAM controller and the segment
-      allocator and hands out segment capabilities;
-    - the {b management service} is the debugging/monitoring plane:
-      periodic liveness probes over the message layer. *)
+      allocator and hands out segment capabilities.
+
+    Hang detection is not a service: see {!Health}. *)
 
 module Dram := Apiary_mem.Dram
 module Seg_alloc := Apiary_mem.Seg_alloc
@@ -23,21 +23,3 @@ val mem_service : Dram.t -> Seg_alloc.t -> Monitor.behavior
     the DRAM model. Trusts the source monitor's capability check — the
     monitor is the enforcement point; this is what makes the
     enforcement-off baseline (E4) actually corruptible. *)
-
-(** Tile health as seen by the management service. *)
-type health = Alive | Suspect of int  (** missed probe count *) | Dead
-
-val health_to_string : health -> string
-
-type mgmt
-(** Handle to a running management service's state. *)
-
-val mgmt_service :
-  ?period:int -> ?probe_timeout:int -> ?dead_after:int -> tiles:int list ->
-  unit -> Monitor.behavior * mgmt
-(** Probes each tile's app endpoint every [period] cycles (default 2000).
-    A tile missing [dead_after] consecutive probes (default 3) is declared
-    {!Dead}. *)
-
-val health_of : mgmt -> int -> health
-val dead_tiles : mgmt -> int list

@@ -53,4 +53,3 @@ let set_grant_policy = Monitor.set_grant_policy
 let set_on_error = Monitor.set_on_error
 let raise_fault = Monitor.raise_fault
 let send_raw = Monitor.send_raw
-let ping = Monitor.ping

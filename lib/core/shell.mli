@@ -128,8 +128,6 @@ val set_grant_policy : t -> (Message.addr -> grant) -> unit
 val set_on_error : t -> (string -> unit) -> unit
 val raise_fault : t -> string -> unit
 
-val ping : t -> ?timeout:int -> tile:int -> ep:int -> (bool -> unit) -> unit
-
 (** {1 Misbehaviour (for isolation experiments)} *)
 
 val send_raw : t -> dst:Message.addr -> opcode:int -> bytes -> unit

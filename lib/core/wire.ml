@@ -26,8 +26,7 @@ let tag_of_kind = function
     | M.Mem_read_ok -> 15
     | M.Mem_write_ok -> 16
     | M.Mem_denied _ -> 17
-    | M.Ping -> 18
-    | M.Pong -> 19
+    (* 18 and 19 are unassigned. *)
     | M.Nack _ -> 20)
 
 (* Growable output buffer. *)
@@ -94,7 +93,7 @@ let encode_fields b = function
         Out.u16 b a.M.tile;
         Out.u8 b a.M.ep)
     | M.Register_ok | M.Connect_req | M.Free_ok | M.Mem_read_ok
-    | M.Mem_write_ok | M.Ping | M.Pong ->
+    | M.Mem_write_ok ->
       ()
     | M.Connect_ok { cap; rate_millis; burst } ->
       Out.u32 b cap;
@@ -173,8 +172,6 @@ let decode_kind t tag =
   | 15 -> Ok (M.Control M.Mem_read_ok)
   | 16 -> Ok (M.Control M.Mem_write_ok)
   | 17 -> Ok (M.Control (M.Mem_denied { reason = str t }))
-  | 18 -> Ok (M.Control M.Ping)
-  | 19 -> Ok (M.Control M.Pong)
   | 20 -> Ok (M.Control (M.Nack { reason = str t }))
   | n -> Error (Printf.sprintf "unknown message tag %d" n)
 

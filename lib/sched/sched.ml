@@ -36,17 +36,11 @@ type config = {
   epoch : int;
   up_epochs : int;
   down_epochs : int;
-  slo_target_pct : int;
-  hi_util_pct : int;
-  lo_util_pct : int;
   min_samples : int;
   hot_load : int;
   cold_load : int;
   cooldown : int;
   drain_delay : int;
-  margin : int;
-  pr_bytes_per_cycle : int;
-  max_migrations_per_epoch : int;
   slo_window : int;
   slo_min_samples : int;
 }
@@ -57,20 +51,24 @@ let default_config =
     epoch = 20_000;
     up_epochs = 2;
     down_epochs = 3;
-    slo_target_pct = 99;
-    hi_util_pct = 90;
-    lo_util_pct = 25;
     min_samples = 10;
     hot_load = 2_000;
     cold_load = 800;
     cooldown = 60_000;
     drain_delay = 30_000;
-    margin = 128;
-    pr_bytes_per_cycle = 8;
-    max_migrations_per_epoch = 1;
     slo_window = 5_000;
     slo_min_samples = 20;
   }
+
+(* Fixed policy: a 99% SLO attainment target; per-replica demand above
+   90% of the capacity hint is saturation and below 25% idle; 128 cycles
+   of slack on modelled install/PR completion times; one migration per
+   epoch. *)
+let slo_target_pct = 99
+let hi_util_pct = 90
+let lo_util_pct = 25
+let margin = 128
+let max_migrations_per_epoch = 1
 
 type decision = {
   d_cycle : int;
@@ -215,8 +213,8 @@ let idle_behavior () = Shell.behavior "idle"
 (* ------------------------------------------------------------------ *)
 (* Deterministic cost model (controller-side predictions) *)
 
-let pr_cycles t (spec : Placer.tenant) =
-  max 1 (spec.Placer.bitstream_bytes / t.cfg.pr_bytes_per_cycle)
+let pr_cycles (spec : Placer.tenant) =
+  max 1 (spec.Placer.bitstream_bytes / Kernel.pr_bytes_per_cycle)
 
 (* Context migration: save the context to DRAM (8 B/cycle, the E6
    swap path), ship it over the 100G uplink (50 B/cycle), restore on
@@ -253,7 +251,7 @@ let launch t ten ~board ~extra_delay ~on_active =
         Kernel.reconfigure kernel ~tile ~bitstream_bytes:bits bhv
           ~on_done:(fun () -> ()));
     Sim.after t.sim
-      (delay + pr_cycles t ten.spec + t.cfg.margin)
+      (delay + pr_cycles ten.spec + margin)
       (fun () ->
         if List.memq rep t.replicas && t.boards.(board).alive then begin
           rep.rep_state <- Active;
@@ -293,7 +291,7 @@ let retire t ten rep =
                 (idle_behavior ())
                 ~on_done:(fun () -> ()));
           Sim.after t.sim
-            (Cluster.lookahead + 1 + t.cfg.margin)
+            (Cluster.lookahead + 1 + margin)
             (fun () ->
               if List.memq rep t.replicas then begin
                 t.replicas <- List.filter (fun r -> r != rep) t.replicas;
@@ -368,17 +366,17 @@ let autoscale_tenant t ten =
     let cap = max 1 ten.spec.Placer.capacity_hint in
     if d_cnt >= t.cfg.min_samples then begin
       let ok_pct = d_le * 100 / d_cnt in
-      if ok_pct < t.cfg.slo_target_pct then begin
+      if ok_pct < slo_target_pct then begin
         ten.bad_epochs <- ten.bad_epochs + 1;
         t.n_slo_violations <- t.n_slo_violations + 1;
         Stats.Counter.incr (Registry.counter "sched.slo_violation")
       end
       else ten.bad_epochs <- 0;
-      if d_ops * 100 > t.cfg.hi_util_pct * cap * n_serving then
+      if d_ops * 100 > hi_util_pct * cap * n_serving then
         ten.hot_epochs <- ten.hot_epochs + 1
       else ten.hot_epochs <- 0;
-      if ok_pct >= t.cfg.slo_target_pct
-         && d_ops * 100 < t.cfg.lo_util_pct * cap * n_serving
+      if ok_pct >= slo_target_pct
+         && d_ops * 100 < lo_util_pct * cap * n_serving
       then ten.idle_epochs <- ten.idle_epochs + 1
       else ten.idle_epochs <- 0
     end
@@ -386,7 +384,7 @@ let autoscale_tenant t ten =
       (* Too little traffic to judge the SLO; it can still be idle. *)
       ten.bad_epochs <- 0;
       ten.hot_epochs <- 0;
-      if d_ops * 100 < t.cfg.lo_util_pct * cap * n_serving then
+      if d_ops * 100 < lo_util_pct * cap * n_serving then
         ten.idle_epochs <- ten.idle_epochs + 1
     end;
     if not ten.migrating then begin
@@ -435,7 +433,7 @@ let autoscale_tenant t ten =
     end
 
 let consider_migrations t =
-  let budget = ref t.cfg.max_migrations_per_epoch in
+  let budget = ref max_migrations_per_epoch in
   let now = Sim.now t.sim in
   let hot =
     Array.to_list t.boards
@@ -639,7 +637,7 @@ let add_tenant t ~spec ~behavior =
   let slo =
     Slo.create
       (Slo.default_objective
-         ~target_pct:(float_of_int t.cfg.slo_target_pct)
+         ~target_pct:(float_of_int slo_target_pct)
          ~window:t.cfg.slo_window ~min_samples:t.cfg.slo_min_samples
          ~tenant:spec.Placer.name ~latency_cycles:spec.Placer.slo_cycles ())
   in

@@ -55,9 +55,6 @@ type config = {
   epoch : int;  (** cycles between autoscale/migration evaluations *)
   up_epochs : int;  (** consecutive bad epochs before scaling up *)
   down_epochs : int;  (** consecutive idle epochs before scaling down *)
-  slo_target_pct : int;  (** required SLO attainment, percent *)
-  hi_util_pct : int;  (** per-replica demand (as % of capacity hint) treated as saturation *)
-  lo_util_pct : int;  (** per-replica demand below this % is idle *)
   min_samples : int;  (** completions per epoch below which attainment is not judged *)
   hot_load : int;  (** board msgs/load report above which it sheds load *)
   cold_load : int;  (** board msgs/load report below which it accepts migrations *)
@@ -66,11 +63,6 @@ type config = {
       (** cycles a cut-over replica keeps serving before its tile is
           reclaimed; keep above the shard clients' request timeout so
           in-flight work drains (zero lost requests) *)
-  margin : int;  (** slack added to modelled install/PR completion times *)
-  pr_bytes_per_cycle : int;
-      (** must match the boards' kernel config (default 8) — the
-          controller predicts PR completion with the same constant *)
-  max_migrations_per_epoch : int;
   slo_window : int;
       (** SLO accounting window ({!Apiary_obs.Slo}), cycles; windows
           also close on this clock so alerts fire even when a tenant
@@ -82,10 +74,12 @@ type config = {
 }
 
 val default_config : config
-(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, 99% SLO
-    target, 90/25% utilization bands, hot 2000 / cold 800 msgs/report,
-    cooldown 60_000, drain 30_000, margin 128, PR 8 B/cycle, 1
-    migration per epoch, SLO window 5_000 with 20 min samples. *)
+(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, 10 min
+    samples, hot 2000 / cold 800 msgs/report, cooldown 60_000, drain
+    30_000, SLO window 5_000 with 20 min samples. Fixed policy: 99% SLO
+    target, 90/25% utilization bands, one migration per epoch, installs
+    counted done 128 cycles after the time predicted from
+    {!Apiary_core.Kernel.pr_bytes_per_cycle}. *)
 
 type t
 
@@ -177,9 +171,6 @@ val placement : t -> tenant:string -> int list
 val replica_cycles : t -> tenant:string -> now:int -> int
 (** Integral of serving replicas over time up to [now] — divide by the
     run length for average provisioned replicas. *)
-
-val board_load : t -> int -> int
-(** Last reported message delta for a board (the controller's view). *)
 
 val slo : t -> tenant:string -> Slo.t
 (** The tenant's SLO object: error-budget totals, burn rates, the alert

@@ -67,8 +67,7 @@ let test_perf_merge () =
 
 let test_watchdog_quiet_on_idle_fastforward () =
   let sim, k = mk_kernel () in
-  let h = Health.create ~config:{ Health.default_config with
-                                  Health.period = 100; stuck_deadline = 500 } k
+  let h = Health.create ~config:{ Health.period = 100; stuck_deadline = 500 } k
   in
   (* Nothing installed: after boot traffic settles the fabric is idle
      and the engine fast-forwards between watchdog sweeps. *)
@@ -84,8 +83,7 @@ let test_watchdog_quiet_on_idle_fastforward () =
 let test_watchdog_trips_on_stuck_tile () =
   let sim, k = mk_kernel () in
   let victim = 5 in
-  let h = Health.create ~config:{ Health.default_config with
-                                  Health.period = 100; stuck_deadline = 1_000 } k
+  let h = Health.create ~config:{ Health.period = 100; stuck_deadline = 1_000 } k
   in
   Kernel.install k ~tile:victim
     (Shell.behavior "hog"
