@@ -236,6 +236,196 @@ let test_agent_heartbeat () =
   Alcotest.(check int) "beats stop at detach" n (List.length !sent);
   Registry.clear ()
 
+(* The harvest's delta rule over generated scripts. Counters, gauges
+   and histograms under the agent's prefix [t7.] (and a sampler-written
+   gauge) change between [Agent.tick]s, next to a second prefix [t7x.]
+   that shares the first two characters. A flat model replays the same
+   steps: every harvest ships the prefix's names in [String.compare]
+   order, a counter's delta when it moved, a gauge's value when it
+   changed or was first seen, a histogram's positive bucket deltas. The
+   queue and batches are large enough that nothing drops or waits. *)
+type harvest_step =
+  | H_add of int * int  (** counter [t7.c<i>] += n (0 creates it) *)
+  | H_set of int * int  (** gauge [t7.g<i>] := v *)
+  | H_set_same of int  (** gauge [t7.g<i>] := its current value *)
+  | H_record of int * int  (** histogram [t7.h<i>] records v *)
+  | H_level of int  (** the value the [t7.smp] sampler writes next *)
+  | H_other of int  (** the same three kinds under [t7x.] *)
+  | H_tick
+
+let harvest_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun i n -> H_add (i, n)) (int_range 0 2) (int_range 0 5));
+        (3, map2 (fun i v -> H_set (i, v)) (int_range 0 2) (int_range 0 3));
+        (1, map (fun i -> H_set_same i) (int_range 0 2));
+        ( 3,
+          map2
+            (fun i v -> H_record (i, v))
+            (int_range 0 1)
+            (oneof [ int_range 0 20; int_range 0 100_000 ]) );
+        (1, map (fun v -> H_level v) (int_range 0 2));
+        (2, map (fun v -> H_other v) (int_range 0 1_000));
+        (3, return H_tick);
+      ])
+
+let print_harvest_step = function
+  | H_add (i, n) -> Printf.sprintf "add c%d %d" i n
+  | H_set (i, v) -> Printf.sprintf "set g%d %d" i v
+  | H_set_same i -> Printf.sprintf "set_same g%d" i
+  | H_record (i, v) -> Printf.sprintf "record h%d %d" i v
+  | H_level v -> Printf.sprintf "level %d" v
+  | H_other v -> Printf.sprintf "other %d" v
+  | H_tick -> "tick"
+
+type harvest_model =
+  | M_counter of { mutable cur : int; mutable shipped : int }
+  | M_gauge of { mutable value : float; mutable seen : float option }
+  | M_hist of { cur : int array; shipped : int array }
+
+let harvest_model_records script =
+  let names : (string, harvest_model) Hashtbl.t = Hashtbl.create 16 in
+  let get name make =
+    match Hashtbl.find_opt names name with
+    | Some m -> m
+    | None ->
+      let m = make () in
+      Hashtbl.add names name m;
+      m
+  in
+  let counter name =
+    get name (fun () -> M_counter { cur = 0; shipped = 0 })
+  and gauge name = get name (fun () -> M_gauge { value = 0.0; seen = None })
+  and hist name =
+    get name (fun () ->
+        M_hist
+          {
+            cur = Array.make Stats.Histogram.bucket_count 0;
+            shipped = Array.make Stats.Histogram.bucket_count 0;
+          })
+  in
+  let level = ref 0 and out = ref [] in
+  List.iter
+    (function
+      | H_add (i, n) -> (
+        match counter (Printf.sprintf "t7.c%d" i) with
+        | M_counter c -> c.cur <- c.cur + n
+        | _ -> assert false)
+      | H_set (i, v) -> (
+        match gauge (Printf.sprintf "t7.g%d" i) with
+        | M_gauge g -> g.value <- float_of_int v
+        | _ -> assert false)
+      | H_set_same i -> ignore (gauge (Printf.sprintf "t7.g%d" i))
+      | H_record (i, v) -> (
+        match hist (Printf.sprintf "t7.h%d" i) with
+        | M_hist h ->
+          let b = Stats.Histogram.bucket_of v in
+          h.cur.(b) <- h.cur.(b) + 1
+        | _ -> assert false)
+      | H_level v -> level := v
+      | H_other _ -> ()
+      | H_tick ->
+        (* The sampler runs first, so its gauge exists from the first
+           harvest on. *)
+        (match gauge "t7.smp.level" with
+        | M_gauge g -> g.value <- float_of_int !level
+        | _ -> assert false);
+        Hashtbl.fold (fun name m acc -> (name, m) :: acc) names []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.iter (fun (name, m) ->
+               match m with
+               | M_counter c ->
+                 if c.cur <> c.shipped then begin
+                   out := Wire.Counter_delta (name, c.cur - c.shipped) :: !out;
+                   c.shipped <- c.cur
+                 end
+               | M_gauge g ->
+                 if g.seen <> Some g.value then begin
+                   out := Wire.Gauge_value (name, g.value) :: !out;
+                   g.seen <- Some g.value
+                 end
+               | M_hist h ->
+                 let deltas = ref [] in
+                 for b = Stats.Histogram.bucket_count - 1 downto 0 do
+                   let d = h.cur.(b) - h.shipped.(b) in
+                   if d > 0 then deltas := (b, d) :: !deltas;
+                   h.shipped.(b) <- h.cur.(b)
+                 done;
+                 if !deltas <> [] then
+                   out := Wire.Hist_delta (name, !deltas) :: !out))
+    script;
+  List.rev !out
+
+let harvest_agent_records script =
+  Registry.clear ();
+  let sim = Sim.create () in
+  let shipped = ref [] in
+  let send payload =
+    (match Wire.decode_batch payload with
+    | Some b -> shipped := List.rev_append b.Wire.b_records !shipped
+    | None -> Alcotest.fail "agent sent an undecodable batch");
+    true
+  in
+  let a =
+    Agent.create ~period:100 ~queue_cap:100_000 ~batch_bytes:60_000
+      ~max_frames:1_000 ~sim ~board:0 ~prefix:"t7." ~send ()
+  in
+  let level = ref 0 and other_runs = ref 0 in
+  Registry.add_sampler ~name:"t7.smp" (fun () ->
+      Stats.Gauge.set (Registry.gauge "t7.smp.level") (float_of_int !level));
+  Registry.add_sampler ~name:"t7x.smp" (fun () -> incr other_runs);
+  let now = ref 0 in
+  List.iter
+    (function
+      | H_add (i, n) ->
+        Stats.Counter.add (Registry.counter (Printf.sprintf "t7.c%d" i)) n
+      | H_set (i, v) ->
+        Stats.Gauge.set (Registry.gauge (Printf.sprintf "t7.g%d" i))
+          (float_of_int v)
+      | H_set_same i ->
+        let g = Registry.gauge (Printf.sprintf "t7.g%d" i) in
+        Stats.Gauge.set g (Stats.Gauge.value g)
+      | H_record (i, v) ->
+        Stats.Histogram.record (Registry.histogram (Printf.sprintf "t7.h%d" i)) v
+      | H_level v -> level := v
+      | H_other v ->
+        Stats.Counter.add (Registry.counter "t7x.c0") (v + 1);
+        Stats.Gauge.set (Registry.gauge "t7x.g0") (float_of_int v);
+        Stats.Histogram.record (Registry.histogram "t7x.h0") v
+      | H_tick ->
+        now := !now + 100;
+        Agent.tick a ~now:!now)
+    script;
+  let books =
+    Agent.dropped a = 0 && Agent.queued a = 0
+    && Agent.sent_records a = Agent.emitted a
+  in
+  Agent.detach a;
+  Registry.clear ();
+  (List.rev !shipped, books, !other_runs)
+
+let record_name = function
+  | Wire.Counter_delta (n, _) | Wire.Gauge_value (n, _) | Wire.Hist_delta (n, _)
+    ->
+    n
+  | Wire.Span_done e -> e.Span.name
+  | Wire.Load _ -> "load"
+  | Wire.Alarm _ -> "alarm"
+
+let prop_harvest_deltas =
+  QCheck.Test.make ~name:"harvest ships the prefix's deltas in name order"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_harvest_step)
+       QCheck.Gen.(list_size (int_range 1 60) harvest_step_gen))
+    (fun script ->
+      let shipped, books, other_runs = harvest_agent_records script in
+      let has_prefix n = String.length n > 3 && String.sub n 0 3 = "t7." in
+      books && other_runs = 0
+      && List.for_all (fun r -> has_prefix (record_name r)) shipped
+      && shipped = harvest_model_records script)
+
 (* ------------------------------------------------------------------ *)
 (* Collector conservation under a port kill *)
 
@@ -337,6 +527,7 @@ let () =
           Alcotest.test_case "drop-oldest accounting" `Quick
             test_agent_drop_oldest;
           Alcotest.test_case "heartbeats" `Quick test_agent_heartbeat;
+          QCheck_alcotest.to_alcotest prop_harvest_deltas;
         ] );
       ( "collector",
         [
