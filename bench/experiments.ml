@@ -48,7 +48,6 @@ let mk_kernel ?(cols = 4) ?(rows = 4) ?(monitor = Monitor.default_config)
   let mesh = { Mesh.default_config with Mesh.cols; rows; qos } in
   let cfg =
     {
-      Kernel.default_config with
       Kernel.mesh;
       monitor;
       monitor_overrides = overrides;

@@ -17,6 +17,7 @@ module Traffic = Apiary_noc.Traffic
 module Kernel = Apiary_core.Kernel
 module Monitor = Apiary_core.Monitor
 module Statsvc = Apiary_core.Statsvc
+module Health = Apiary_core.Health
 module Perf = Apiary_obs.Perf
 module Flight = Apiary_obs.Flight
 module Kv = Apiary_accel.Kv
@@ -228,9 +229,11 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
     | _ -> failwith "top: board too small"
   in
   ignore (Statsvc.install kernel ~tile:stat_tile);
-  (* Watchdog sweeps pulse every tile's heartbeat counter (the hb
-     column) and would flag a stuck or congested tile in the view. *)
-  ignore (Apiary_core.Health.create kernel);
+  (* The board's hang detector: its sweeps pulse every tile's heartbeat
+     counter (the hb column), and the alarms it raises on a stuck tile
+     or a congested router show as the health line and the JSON
+     [alarms] array. *)
+  let health = Health.create kernel in
   let n = Kernel.n_tiles kernel in
   let blocks : Perf.t option array = Array.make (n + 1) None in
   let frames = ref 0 in
@@ -271,7 +274,7 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
             (r Perf.denials) (r Perf.drops) (r Perf.nacks) (r Perf.faults)
             (r Perf.heartbeats)
       done;
-      match blocks.(n) with
+      (match blocks.(n) with
       | None -> ()
       | Some p ->
         (* The Board query merges every tile's monitor block with every
@@ -298,7 +301,13 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
           (Slo.burn_rate slo ~windows:obj.Slo.slow_windows)
           (match List.length (Slo.alerts slo) with
           | 0 -> ""
-          | k -> Printf.sprintf ", %d burn alerts" k)
+          | k -> Printf.sprintf ", %d burn alerts" k));
+      match List.rev (Health.alarms health) with
+      | [] -> ()
+      | (cycle, latest) :: _ as alarms ->
+        Printf.printf "health: %d alarms, latest at cycle %d: %s\n"
+          (List.length alarms) cycle
+          (Health.alarm_to_string latest)
     end
   in
   (* The machine-readable view of the final frame: same counters, same
@@ -377,7 +386,17 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
     Export.buf_add_float b (Slo.burn_rate slo ~windows:obj.Slo.slow_windows);
     Buffer.add_string b ",\"alerts\":";
     Buffer.add_string b (string_of_int (List.length (Slo.alerts slo)));
-    Buffer.add_string b "}}\n";
+    Buffer.add_string b "},\"alarms\":[";
+    List.iteri
+      (fun i (cycle, alarm) ->
+        if i > 0 then Buffer.add_char b ',';
+        Buffer.add_string b "{\"cycle\":";
+        Buffer.add_string b (string_of_int cycle);
+        Buffer.add_string b ",\"alarm\":";
+        Export.buf_add_json_string b (Health.alarm_to_string alarm);
+        Buffer.add_char b '}')
+      (Health.alarms health);
+    Buffer.add_string b "]}\n";
     print_string (Buffer.contents b)
   in
   Kernel.install kernel ~tile:reader_tile

@@ -9,9 +9,7 @@ type config = {
   mesh : Mesh.config;
   monitor : Monitor.config;
   monitor_overrides : (int * Monitor.config) list;
-  dram : Dram.config;
   dram_bytes : int;
-  name_tile : int;
   mem_tile : int;
 }
 
@@ -20,13 +18,12 @@ let default_config =
     mesh = Mesh.default_config;
     monitor = Monitor.default_config;
     monitor_overrides = [];
-    dram = Dram.default_config;
     dram_bytes = 64 * 1024 * 1024;
-    name_tile = 0;
     mem_tile = (Mesh.default_config.Mesh.cols * Mesh.default_config.Mesh.rows) - 1;
   }
 
 let pr_bytes_per_cycle = 8
+let name_service_tile = 0
 
 type t = {
   k_sim : Sim.t;
@@ -44,12 +41,12 @@ type t = {
 let sim t = t.k_sim
 let n_tiles t = t.cfg.mesh.Mesh.cols * t.cfg.mesh.Mesh.rows
 let coord_of_tile t i = Coord.of_index ~cols:t.cfg.mesh.Mesh.cols i
-let name_tile t = t.cfg.name_tile
+let name_tile _ = name_service_tile
 let mem_tile t = t.cfg.mem_tile
 
 let user_tiles t =
   List.filter
-    (fun i -> i <> t.cfg.name_tile && i <> t.cfg.mem_tile)
+    (fun i -> i <> name_service_tile && i <> t.cfg.mem_tile)
     (List.init (n_tiles t) (fun i -> i))
 
 let mesh t = t.k_mesh
@@ -58,7 +55,7 @@ let allocator t = t.k_alloc
 let flight t = t.k_flight
 let monitor t i = t.monitors.(i)
 
-let is_service_tile t i = i = t.cfg.name_tile || i = t.cfg.mem_tile
+let is_service_tile t i = i = name_service_tile || i = t.cfg.mem_tile
 
 let install t ~tile b =
   if is_service_tile t tile then
@@ -120,11 +117,10 @@ let register_metrics t ~prefix =
 
 let create sim cfg =
   let ntiles = cfg.mesh.Mesh.cols * cfg.mesh.Mesh.rows in
-  assert (cfg.name_tile <> cfg.mem_tile);
-  assert (cfg.name_tile >= 0 && cfg.name_tile < ntiles);
+  assert (cfg.mem_tile <> name_service_tile);
   assert (cfg.mem_tile >= 0 && cfg.mem_tile < ntiles);
   let k_mesh = Mesh.create sim cfg.mesh in
-  let k_dram = Dram.create sim cfg.dram ~size_bytes:cfg.dram_bytes in
+  let k_dram = Dram.create sim Dram.default_config ~size_bytes:cfg.dram_bytes in
   let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes Seg_alloc.First_fit in
   (* The board's black box. Disabled (the default), it records nothing
      and changes no output; the CLI and bench also arm it explicitly. *)
@@ -161,7 +157,7 @@ let create sim cfg =
             ~payload_bytes:(Message.size_bytes m));
       f_store_of = (fun i -> Monitor.store !monitors_ref.(i));
       f_monitor_of = (fun i -> !monitors_ref.(i));
-      f_name_addr = { Message.tile = cfg.name_tile; ep = Message.app_ep };
+      f_name_addr = { Message.tile = name_service_tile; ep = Message.app_ep };
       f_mem_addr = { Message.tile = cfg.mem_tile; ep = Message.app_ep };
       f_on_fault = fire_fault;
     }
@@ -170,7 +166,7 @@ let create sim cfg =
     match List.assoc_opt tile cfg.monitor_overrides with
     | Some c -> c
     | None ->
-      if tile = cfg.name_tile || tile = cfg.mem_tile then
+      if tile = name_service_tile || tile = cfg.mem_tile then
         (* Trusted OS services are not rate-policed: the memory service
            must stream DRAM replies at line rate. *)
         { cfg.monitor with rate = 1e9; burst = 1 lsl 20 }
@@ -178,9 +174,9 @@ let create sim cfg =
   in
   let monitors =
     Array.init ntiles (fun tile ->
-        let privileged = tile = cfg.name_tile || tile = cfg.mem_tile in
+        let privileged = tile = name_service_tile || tile = cfg.mem_tile in
         let behavior =
-          if tile = cfg.name_tile then name_behavior
+          if tile = name_service_tile then name_behavior
           else if tile = cfg.mem_tile then mem_behavior
           else Monitor.idle_behavior
         in

@@ -18,16 +18,18 @@ type config = {
   monitor : Monitor.config;
   monitor_overrides : (int * Monitor.config) list;
       (** Per-tile monitor configs (e.g. an enforcement-off tile). *)
-  dram : Dram.config;
   dram_bytes : int;  (** Carved into segments first-fit. *)
-  name_tile : int;  (** Tile hosting the name service (default 0). *)
   mem_tile : int;
       (** Tile hosting the memory service; place it at the edge where the
-          controller pins would be (default: last tile). *)
+          controller pins would be (default: last tile). It must not be
+          tile 0, the name service's. *)
 }
 
 val default_config : config
-(** 4x4 mesh, enforcing monitors, 64 MiB DRAM. *)
+(** 4x4 mesh, enforcing monitors, 64 MiB DRAM. Fixed: the name service
+    runs on tile 0, and the DRAM has {!Dram.default_config}'s
+    geometry and timing (one channel of 8 banks, 2 KiB rows, CAS, RCD
+    and RP of 8 cycles, 16 bytes per cycle, 16-deep queue). *)
 
 val pr_bytes_per_cycle : int
 (** Partial-reconfiguration port bandwidth, 8 bytes/cycle: {!reconfigure}
@@ -44,6 +46,8 @@ val sim : t -> Sim.t
 val n_tiles : t -> int
 val coord_of_tile : t -> int -> Coord.t
 val name_tile : t -> int
+(** Always 0. *)
+
 val mem_tile : t -> int
 
 val user_tiles : t -> int list

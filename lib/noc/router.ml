@@ -2,8 +2,11 @@ module Sim = Apiary_engine.Sim
 module Span = Apiary_obs.Span
 module Perf = Apiary_obs.Perf
 
-(* The fabric shares the router's compilation unit so the router's
-   per-slot reads of it inline. *)
+(* The fabric shares the router's compilation unit because the router
+   reaches into it through accessors the NIC and the mesh never use
+   (ring heads, push and pop, credit registers, packet-table routing
+   fields). As a module of its own, its abstract interface would have to
+   grow by all of them. *)
 module Fabric = struct
   let head_bit = 1
   let tail_bit = 2

@@ -36,7 +36,6 @@ type config = {
   epoch : int;
   up_epochs : int;
   down_epochs : int;
-  min_samples : int;
   hot_load : int;
   cold_load : int;
   cooldown : int;
@@ -51,7 +50,6 @@ let default_config =
     epoch = 20_000;
     up_epochs = 2;
     down_epochs = 3;
-    min_samples = 10;
     hot_load = 2_000;
     cold_load = 800;
     cooldown = 60_000;
@@ -60,11 +58,12 @@ let default_config =
     slo_min_samples = 20;
   }
 
-(* Fixed policy: a 99% SLO attainment target; per-replica demand above
-   90% of the capacity hint is saturation and below 25% idle; 128 cycles
-   of slack on modelled install/PR completion times; one migration per
-   epoch. *)
+(* Fixed policy: a 99% SLO attainment target, not judged in an epoch
+   with fewer than 10 completions; per-replica demand above 90% of the
+   capacity hint is saturation and below 25% idle; 128 cycles of slack on
+   modelled install/PR completion times; one migration per epoch. *)
 let slo_target_pct = 99
+let min_samples = 10
 let hi_util_pct = 90
 let lo_util_pct = 25
 let margin = 128
@@ -364,7 +363,7 @@ let autoscale_tenant t ten =
     ten.page_pending <- false;
     let n_serving = max 1 (List.length (serving t name)) in
     let cap = max 1 ten.spec.Placer.capacity_hint in
-    if d_cnt >= t.cfg.min_samples then begin
+    if d_cnt >= min_samples then begin
       let ok_pct = d_le * 100 / d_cnt in
       if ok_pct < slo_target_pct then begin
         ten.bad_epochs <- ten.bad_epochs + 1;

@@ -55,7 +55,6 @@ type config = {
   epoch : int;  (** cycles between autoscale/migration evaluations *)
   up_epochs : int;  (** consecutive bad epochs before scaling up *)
   down_epochs : int;  (** consecutive idle epochs before scaling down *)
-  min_samples : int;  (** completions per epoch below which attainment is not judged *)
   hot_load : int;  (** board msgs/load report above which it sheds load *)
   cold_load : int;  (** board msgs/load report below which it accepts migrations *)
   cooldown : int;  (** min cycles between migrations of one tenant *)
@@ -74,12 +73,12 @@ type config = {
 }
 
 val default_config : config
-(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, 10 min
-    samples, hot 2000 / cold 800 msgs/report, cooldown 60_000, drain
-    30_000, SLO window 5_000 with 20 min samples. Fixed policy: 99% SLO
-    target, 90/25% utilization bands, one migration per epoch, installs
-    counted done 128 cycles after the time predicted from
-    {!Apiary_core.Kernel.pr_bytes_per_cycle}. *)
+(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, hot
+    2000 / cold 800 msgs/report, cooldown 60_000, drain 30_000, SLO
+    window 5_000 with 20 min samples. Fixed policy: 99% SLO target, not
+    judged in an epoch with fewer than 10 completions, 90/25% utilization
+    bands, one migration per epoch, installs counted done 128 cycles
+    after the time predicted from {!Apiary_core.Kernel.pr_bytes_per_cycle}. *)
 
 type t
 
