@@ -95,25 +95,30 @@ module Stats = Apiary_engine.Stats
 
 let register_metrics t ~prefix =
   Mesh.register_metrics t.k_mesh ~prefix;
+  (* Like the mesh's sampler, this one resolves its gauges and registers
+     its histograms on its first run and keeps the handles. *)
+  let gauges = ref [||] in
   Registry.add_sampler
     ~name:(prefix ^ ".kernel")
     (fun () ->
-      let set name v =
-        Stats.Gauge.set
-          (Registry.gauge (prefix ^ ".kernel." ^ name))
-          (float_of_int v)
-      in
-      set "denied" (total_denied t);
-      set "dropped" (total_dropped t);
-      set "msgs_out" (total_msgs t);
-      set "faults" (List.length t.fault_log);
-      (* Per-service-tile added latency (the monitor checking cost). *)
-      Array.iteri
-        (fun i m ->
-          Registry.register
-            (Printf.sprintf "%s.kernel.t%d.added_latency" prefix i)
-            (Registry.Histogram (Monitor.added_latency m)))
-        t.monitors)
+      if Array.length !gauges = 0 then begin
+        gauges :=
+          Array.map
+            (fun name -> Registry.gauge (prefix ^ ".kernel." ^ name))
+            [| "denied"; "dropped"; "msgs_out"; "faults" |];
+        (* Per-service-tile added latency (the monitor checking cost). *)
+        Array.iteri
+          (fun i m ->
+            Registry.register
+              (Printf.sprintf "%s.kernel.t%d.added_latency" prefix i)
+              (Registry.Histogram (Monitor.added_latency m)))
+          t.monitors
+      end;
+      let set i v = Stats.Gauge.set !gauges.(i) (float_of_int v) in
+      set 0 (total_denied t);
+      set 1 (total_dropped t);
+      set 2 (total_msgs t);
+      set 3 (List.length t.fault_log))
 
 let create sim cfg =
   let ntiles = cfg.mesh.Mesh.cols * cfg.mesh.Mesh.rows in

@@ -51,6 +51,9 @@ module Histogram = struct
     sumsq : float array;
     mutable max_v : int;
     mutable min_v : int;
+    (* Bumped by every write, so a reader that kept the last stamp it
+       saw knows exactly whether anything changed since. *)
+    mutable stamp : int;
   }
 
   let create name =
@@ -62,9 +65,11 @@ module Histogram = struct
       sumsq = [| 0.0 |];
       max_v = 0;
       min_v = max_int;
+      stamp = 0;
     }
 
   let name h = h.name
+  let stamp h = h.stamp
 
   (* For v >= sub: values in [2^e, 2^(e+1)) (e >= 5) are split into [sub]
      linear sub-buckets of width 2^(e-5). *)
@@ -111,7 +116,8 @@ module Histogram = struct
     h.sum <- h.sum + (v * n);
     h.sumsq.(0) <- h.sumsq.(0) +. (float_of_int v *. float_of_int v *. float_of_int n);
     if v > h.max_v then h.max_v <- v;
-    if v < h.min_v then h.min_v <- v
+    if v < h.min_v then h.min_v <- v;
+    h.stamp <- h.stamp + 1
 
   let record h v = record_n h v 1
   let count h = h.count
@@ -171,7 +177,8 @@ module Histogram = struct
     h.sum <- 0;
     h.sumsq.(0) <- 0.0;
     h.max_v <- 0;
-    h.min_v <- max_int
+    h.min_v <- max_int;
+    h.stamp <- h.stamp + 1
 
   let merge_into ~src ~dst =
     for i = 0 to nbuckets - 1 do
@@ -181,7 +188,8 @@ module Histogram = struct
     dst.sum <- dst.sum + src.sum;
     dst.sumsq.(0) <- dst.sumsq.(0) +. src.sumsq.(0);
     if src.max_v > dst.max_v then dst.max_v <- src.max_v;
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v
+    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
+    dst.stamp <- dst.stamp + 1
 end
 
 module Series = struct

@@ -79,6 +79,14 @@ module Histogram : sig
 
   val merge_into : src:t -> dst:t -> unit
   (** Add all of [src]'s buckets into [dst]. *)
+
+  val stamp : t -> int
+  (** A change stamp: {!record}, {!record_n}, {!reset} and {!merge_into}
+      (on [dst]) each bump it, and nothing else does. While a
+      histogram's stamp reads the same, none of its buckets, counts or
+      sums moved — a reader that keeps the last stamp it saw can skip an
+      unchanged histogram exactly. Its value means nothing beyond
+      equality. *)
 end
 
 (** Fixed-interval time series, e.g. throughput per epoch. *)

@@ -181,34 +181,61 @@ let create sim cfg =
     nics;
   t
 
+(* The NoC sampler's gauges, per router and mesh-wide. *)
+type gauges = {
+  occ : Stats.Gauge.t array;
+  util : Stats.Gauge.t array;
+  sent_g : Stats.Gauge.t;
+  delivered_g : Stats.Gauge.t;
+  active_cols_g : Stats.Gauge.t;
+}
+
 let register_metrics t ~prefix =
+  (* The sampler looks its gauges up and registers the histograms on its
+     first run, not here (a benchmark's timed setup calls this), and
+     keeps the handles: [Registry.clear] drops it together with them. *)
+  let resolve () =
+    let router field i =
+      let c = Coord.of_index ~cols:t.cfg.cols i in
+      Registry.gauge
+        (Printf.sprintf "%s.noc.r%d_%d.%s" prefix c.Coord.x c.Coord.y field)
+    in
+    let n = Array.length t.routers in
+    let g =
+      {
+        occ = Array.init n (router "occ");
+        util = Array.init n (router "util");
+        sent_g = Registry.gauge (prefix ^ ".noc.sent");
+        delivered_g = Registry.gauge (prefix ^ ".noc.delivered");
+        active_cols_g = Registry.gauge (prefix ^ ".noc.active_cols");
+      }
+    in
+    Registry.register (prefix ^ ".noc.latency") (Registry.Histogram (latency t));
+    Registry.register (prefix ^ ".noc.hops") (Registry.Histogram (hop_histogram t));
+    g
+  in
+  let gauges = ref None in
   Registry.add_sampler
     ~name:(prefix ^ ".noc")
     (fun () ->
+      let g =
+        match !gauges with
+        | Some g -> g
+        | None ->
+          let g = resolve () in
+          gauges := Some g;
+          g
+      in
+      let now = Sim.now t.sim in
       Array.iteri
         (fun i r ->
-          let c = Coord.of_index ~cols:t.cfg.cols i in
-          let base = Printf.sprintf "%s.noc.r%d_%d" prefix c.Coord.x c.Coord.y in
-          Stats.Gauge.set
-            (Registry.gauge (base ^ ".occ"))
-            (float_of_int (Router.input_occupancy r));
-          let now = Sim.now t.sim in
+          Stats.Gauge.set g.occ.(i) (float_of_int (Router.input_occupancy r));
           let util =
             if now = 0 then 0.0
             else float_of_int (Router.busy_cycles r) /. float_of_int now
           in
-          Stats.Gauge.set (Registry.gauge (base ^ ".util")) util)
+          Stats.Gauge.set g.util.(i) util)
         t.routers;
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.sent"))
-        (float_of_int (packets_sent t));
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.delivered"))
-        (float_of_int (packets_delivered t));
-      Stats.Gauge.set
-        (Registry.gauge (prefix ^ ".noc.active_cols"))
-        (float_of_int (active_columns t));
-      Registry.register (prefix ^ ".noc.latency")
-        (Registry.Histogram (latency t));
-      Registry.register (prefix ^ ".noc.hops")
-        (Registry.Histogram (hop_histogram t)))
+      Stats.Gauge.set g.sent_g (float_of_int (packets_sent t));
+      Stats.Gauge.set g.delivered_g (float_of_int (packets_delivered t));
+      Stats.Gauge.set g.active_cols_g (float_of_int (active_columns t)))

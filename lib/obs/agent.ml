@@ -269,17 +269,33 @@ end
 (* ------------------------------------------------------------------ *)
 (* Bounded record queue: a ring deque so a failed flush leaves records
    at the front (retry next tick) and overflow drops from the front
-   (oldest first). *)
+   (oldest first). It holds records, not bytes: a record is encoded
+   once, the first time a batch looks at it, so one evicted unread costs
+   no encoding. *)
 
 type dq = {
-  buf : string array;
+  recs : Wire.record array;
+  enc : string array;  (* a record's encoding once a batch took it, else "" *)
   dq_cap : int;
   mutable head : int;
   mutable len : int;
 }
 
-let dq_create cap = { buf = Array.make cap ""; dq_cap = cap; head = 0; len = 0 }
-let dq_get q i = q.buf.((q.head + i) mod q.dq_cap)
+let dq_create cap =
+  {
+    recs = Array.make cap (Wire.Alarm { kind = 0; tile = 0 });
+    enc = Array.make cap "";
+    dq_cap = cap;
+    head = 0;
+    len = 0;
+  }
+
+(* The encoding of the [i]-th record from the front. An encoded record
+   is never empty: it starts with its length. *)
+let dq_encoded q i =
+  let j = (q.head + i) mod q.dq_cap in
+  if String.length q.enc.(j) = 0 then q.enc.(j) <- Wire.encode_record q.recs.(j);
+  q.enc.(j)
 
 let dq_drop_front q n =
   let n = min n q.len in
@@ -287,13 +303,23 @@ let dq_drop_front q n =
   q.len <- q.len - n
 
 (* Returns the number of old records evicted to make room (0 or 1). *)
-let dq_push q s =
+let dq_push q r =
   let evicted = if q.len = q.dq_cap then (dq_drop_front q 1; 1) else 0 in
-  q.buf.((q.head + q.len) mod q.dq_cap) <- s;
+  let j = (q.head + q.len) mod q.dq_cap in
+  q.recs.(j) <- r;
+  q.enc.(j) <- "";
   q.len <- q.len + 1;
   evicted
 
 (* ------------------------------------------------------------------ *)
+
+(* What the agent last saw of the histogram under a name: which one it
+   was, its stamp, and each bucket's count as last shipped. *)
+type hist_seen = {
+  mutable hist : Stats.Histogram.t;
+  mutable stamp : int;
+  shipped : int array;
+}
 
 type t = {
   board : int;
@@ -305,7 +331,8 @@ type t = {
   (* last-harvest state for delta computation *)
   last_counter : (string, int) Hashtbl.t;
   last_gauge : (string, float) Hashtbl.t;
-  last_hist : (string, int array) Hashtbl.t;
+  last_hist : (string, hist_seen) Hashtbl.t;
+  mutable resets_seen : int;  (* [Registry.resets] at the last harvest *)
   (* accounting *)
   mutable seq : int;
   mutable emitted : int;
@@ -323,16 +350,60 @@ let default_queue = 1_024
 let default_batch_bytes = 1_200
 let heartbeat_period = 500
 
-let enqueue t encoded =
+let enqueue t r =
   t.emitted <- t.emitted + 1;
-  t.dropped <- t.dropped + dq_push t.q encoded
+  t.dropped <- t.dropped + dq_push t.q r
 
 let on_span t (ev : Span.event) =
   (* Runs under the span recorder's lock, on the domain that completed
      the span — only touch this agent's own state, never Span. *)
-  if not t.detached then enqueue t (Wire.encode_record (Wire.Span_done ev))
+  if not t.detached then enqueue t (Wire.Span_done ev)
+
+(* A histogram's positive bucket deltas since the last harvest. After
+   any harvest each bucket's shipped count is at least its current one,
+   so a histogram whose stamp has not moved would ship nothing and
+   change nothing: it is skipped without a scan. *)
+let harvest_hist t name h =
+  let seen =
+    match Hashtbl.find_opt t.last_hist name with
+    | Some s -> s
+    | None ->
+      let s =
+        { hist = h; stamp = -1; shipped = Array.make Stats.Histogram.bucket_count 0 }
+      in
+      Hashtbl.add t.last_hist name s;
+      s
+  in
+  let stamp = Stats.Histogram.stamp h in
+  if seen.hist != h || seen.stamp <> stamp then begin
+    seen.hist <- h;
+    seen.stamp <- stamp;
+    let last = seen.shipped in
+    let deltas =
+      List.filter_map
+        (fun (bucket, count) ->
+          let d = count - last.(bucket) in
+          if d > 0 then begin
+            last.(bucket) <- count;
+            Some (bucket, d)
+          end
+          else None)
+        (Stats.Histogram.nonzero_buckets h)
+    in
+    if deltas <> [] then enqueue t (Wire.Hist_delta (name, deltas))
+  end
 
 let harvest t =
+  (* A [Registry.reset] zeroed instruments in place: forget what was
+     shipped, so this harvest ships the post-reset values in full
+     rather than deltas against pre-reset ones. *)
+  let resets = Registry.resets () in
+  if resets <> t.resets_seen then begin
+    t.resets_seen <- resets;
+    Hashtbl.reset t.last_counter;
+    Hashtbl.reset t.last_gauge;
+    Hashtbl.reset t.last_hist
+  end;
   (* snapshot_prefix runs only this board's samplers and returns names
      sorted, so the record order inside a harvest is deterministic. *)
   List.iter
@@ -343,7 +414,7 @@ let harvest t =
         let last = Option.value ~default:0 (Hashtbl.find_opt t.last_counter name) in
         if v <> last then begin
           Hashtbl.replace t.last_counter name v;
-          enqueue t (Wire.encode_record (Wire.Counter_delta (name, v - last)))
+          enqueue t (Wire.Counter_delta (name, v - last))
         end
       | Registry.Gauge g ->
         let v = Stats.Gauge.value g in
@@ -354,30 +425,9 @@ let harvest t =
         in
         if changed then begin
           Hashtbl.replace t.last_gauge name v;
-          enqueue t (Wire.encode_record (Wire.Gauge_value (name, v)))
+          enqueue t (Wire.Gauge_value (name, v))
         end
-      | Registry.Histogram h ->
-        let last =
-          match Hashtbl.find_opt t.last_hist name with
-          | Some a -> a
-          | None ->
-            let a = Array.make Stats.Histogram.bucket_count 0 in
-            Hashtbl.add t.last_hist name a;
-            a
-        in
-        let deltas =
-          List.filter_map
-            (fun (bucket, count) ->
-              let d = count - last.(bucket) in
-              if d > 0 then begin
-                last.(bucket) <- count;
-                Some (bucket, d)
-              end
-              else None)
-            (Stats.Histogram.nonzero_buckets h)
-        in
-        if deltas <> [] then
-          enqueue t (Wire.encode_record (Wire.Hist_delta (name, deltas))))
+      | Registry.Histogram h -> harvest_hist t name h)
     (Registry.snapshot_prefix t.prefix)
 
 (* The one send path: a batch of [n] encoded records (none for a
@@ -408,9 +458,9 @@ let flush t ~now =
     while
       !taken < t.q.len
       && !taken < 0xffff
-      && !bytes + String.length (dq_get t.q !taken) <= budget
+      && !bytes + String.length (dq_encoded t.q !taken) <= budget
     do
-      let r = dq_get t.q !taken in
+      let r = dq_encoded t.q !taken in
       bytes := !bytes + String.length r;
       records := r :: !records;
       incr taken
@@ -436,7 +486,7 @@ let tick t ~now =
 
 let push t ~now r =
   if not t.detached then begin
-    enqueue t (Wire.encode_record r);
+    enqueue t r;
     flush t ~now
   end
 
@@ -467,6 +517,7 @@ let create ?(period = default_period) ?(queue_cap = default_queue)
       last_counter = Hashtbl.create 32;
       last_gauge = Hashtbl.create 32;
       last_hist = Hashtbl.create 8;
+      resets_seen = Registry.resets ();
       seq = 0;
       emitted = 0;
       dropped = 0;

@@ -14,7 +14,14 @@
     dropped first, and cumulative sent/dropped counts ride every batch
     header so the collector's conservation accounting
     ([emitted = delivered + dropped + in-flight], per board) stays
-    exact even when drop notifications themselves are lost.
+    exact even when drop notifications themselves are lost. The queue
+    holds {!Wire.record}s and encodes each one once, when a batch first
+    takes it, so a record dropped unread costs no encoding.
+
+    A harvest scans a histogram only when its
+    {!Apiary_engine.Stats.Histogram.stamp} moved since the last one, and
+    after a {!Registry.reset} it forgets what it shipped, so the next
+    harvest ships the post-reset values in full.
 
     The agent is the board's only management sender: load reports and
     alarms are {!push}ed records, and any batch is a heartbeat.
@@ -113,7 +120,9 @@ val tick : t -> now:int -> unit
 
 val push : t -> now:int -> Wire.record -> unit
 (** Enqueue one record and flush at once (load reports, alarms). Call
-    from the board's own simulator. *)
+    from the board's own simulator. The record is encoded when a batch
+    takes it, which may be a later tick: it must not be mutated once
+    pushed (a [Load]'s [tile_msgs] array included). *)
 
 (** {2 Accounting} — the agent's side of the conservation identity:
     [emitted = sent_records + dropped + queued] locally, and

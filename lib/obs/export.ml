@@ -60,8 +60,13 @@ let out_int o n =
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
+(* A plain loop: [String.exists] would allocate a closure per string,
+   and the trace export checks every name, cat and arg twice. *)
+let rec any_escape s i =
+  i < String.length s && (needs_escape s.[i] || any_escape s (i + 1))
+
 let out_json_string o s =
-  if String.exists needs_escape s then begin
+  if any_escape s 0 then begin
     let b = Buffer.create (String.length s + 8) in
     buf_add_json_string b s;
     out_string o (Buffer.contents b)
@@ -111,6 +116,10 @@ let out_event o (ev : Span.event) =
   end;
   out_char o '}'
 
+let rec mem_board (b : int) = function
+  | [] -> false
+  | x :: rest -> x = b || mem_board b rest
+
 (* Same-cycle ties break by board, then input order: the sort is
    stable. A board's events are all recorded by its own engine member,
    so their relative order is the same in every engine mode; the global
@@ -126,9 +135,9 @@ let chrome_trace_string ?(dropped = 0) events =
   let pids =
     Array.fold_left
       (fun acc (e : Span.event) ->
-        if List.mem e.board acc then acc else e.board :: acc)
+        if mem_board e.board acc then acc else e.board :: acc)
       [] events
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   let write o =
     out_string o "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";

@@ -11,9 +11,23 @@ let lock = Mutex.create ()
 let instruments : (string, instrument) Hashtbl.t = Hashtbl.create 64
 let samplers : (string, unit -> unit) Hashtbl.t = Hashtbl.create 16
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+(* Bumped whenever a name gets a new binding (a new name, another
+   instrument under an old one, any sampler install) and on [clear]:
+   a per-prefix view built at the current generation is still exact. *)
+let generation = ref 0
+
+(* Per-prefix sorted views, each tagged with the generation it was
+   built at. Agents on different domains harvest through these, so
+   they are read and rebuilt under [lock] like the tables. *)
+let sampler_views : (string, int * (string * (unit -> unit)) list) Hashtbl.t =
+  Hashtbl.create 8
+
+let instrument_views : (string, int * (string * instrument) list) Hashtbl.t =
+  Hashtbl.create 8
+
+(* [reset]s so far, read by agents without the lock. *)
+let reset_count = Atomic.make 0
+let with_lock f = Mutex.protect lock f
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -30,8 +44,8 @@ let get_or_create name mk match_ =
           invalid_arg
             (Printf.sprintf "Obs registry: %s is a %s" name (kind_name i)))
       | None ->
-        let v = mk () in
-        v)
+        incr generation;
+        mk ())
 
 let counter name =
   get_or_create name
@@ -57,27 +71,47 @@ let histogram name =
       h)
     (function Histogram h -> Some h | _ -> None)
 
-let register name i = with_lock (fun () -> Hashtbl.replace instruments name i)
+let same_instrument a b =
+  match (a, b) with
+  | Counter x, Counter y -> x == y
+  | Gauge x, Gauge y -> x == y
+  | Histogram x, Histogram y -> x == y
+  | _ -> false
 
-let add_sampler ~name f = with_lock (fun () -> Hashtbl.replace samplers name f)
+(* Re-binding the instrument a name already holds changes no view. *)
+let register name i =
+  with_lock (fun () ->
+      match Hashtbl.find_opt instruments name with
+      | Some old when same_instrument old i -> ()
+      | _ ->
+        incr generation;
+        Hashtbl.replace instruments name i)
 
-(* The bindings whose name starts with [prefix] (default: all), sorted by
+let add_sampler ~name f =
+  with_lock (fun () ->
+      incr generation;
+      Hashtbl.replace samplers name f)
+
+(* The bindings whose name starts with [prefix] ("" for all), sorted by
    name. Filtering before the sort keeps a board's harvest proportional
    to its own names, not the rack's. *)
-let sorted_bindings ?(prefix = "") tbl =
+let sorted_bindings prefix tbl =
   Hashtbl.fold
     (fun k v acc ->
       if String.starts_with ~prefix k then (k, v) :: acc else acc)
     tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let sample () =
-  let fns = with_lock (fun () -> sorted_bindings samplers) in
-  List.iter (fun (_, f) -> f ()) fns
-
-let snapshot () =
-  sample ();
-  with_lock (fun () -> sorted_bindings instruments)
+(* [prefix]'s view of [tbl]: the cached one while no binding changed
+   since it was built, else a fresh fold and sort. *)
+let view views tbl prefix =
+  with_lock (fun () ->
+      match Hashtbl.find_opt views prefix with
+      | Some (gen, l) when gen = !generation -> l
+      | _ ->
+        let l = sorted_bindings prefix tbl in
+        Hashtbl.replace views prefix (!generation, l);
+        l)
 
 (* Prefix-restricted views: a per-board telemetry agent harvesting
    [b<id>.*] must run only its own board's samplers — running them all
@@ -85,15 +119,20 @@ let snapshot () =
    partitioned engine forbids mid-run. *)
 
 let sample_prefix prefix =
-  let fns = with_lock (fun () -> sorted_bindings ~prefix samplers) in
-  List.iter (fun (_, f) -> f ()) fns
+  List.iter (fun (_, f) -> f ()) (view sampler_views samplers prefix)
 
+(* The samplers may bind new names, so the instrument view is looked up
+   after they ran. *)
 let snapshot_prefix prefix =
   sample_prefix prefix;
-  with_lock (fun () -> sorted_bindings ~prefix instruments)
+  view instrument_views instruments prefix
+
+let sample () = sample_prefix ""
+let snapshot () = snapshot_prefix ""
 
 let reset () =
   with_lock (fun () ->
+      Atomic.incr reset_count;
       Hashtbl.iter
         (fun _ i ->
           match i with
@@ -101,6 +140,8 @@ let reset () =
           | Gauge g -> Stats.Gauge.reset g
           | Histogram h -> Stats.Histogram.reset h)
         instruments)
+
+let resets () = Atomic.get reset_count
 
 (* ------------------------------------------------------------------ *)
 (* Built-in samplers.
@@ -138,8 +179,11 @@ let install_builtins () =
 
 let clear () =
   with_lock (fun () ->
+      incr generation;
       Hashtbl.reset instruments;
-      Hashtbl.reset samplers);
+      Hashtbl.reset samplers;
+      Hashtbl.reset sampler_views;
+      Hashtbl.reset instrument_views);
   install_builtins ()
 
 let () = install_builtins ()

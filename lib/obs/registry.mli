@@ -16,7 +16,16 @@
       between runs never duplicates.
 
     A snapshot is an alphabetical association list, so rendering it (see
-    {!Export.metrics_json}) is deterministic.
+    {!Export.metrics_json}) is deterministic. Each prefix's sorted
+    sampler and instrument lists are cached until a binding changes (a
+    new name, another instrument under an existing name, any
+    {!add_sampler}, {!clear}), so a per-board agent harvesting every
+    period pays the fold and sort only after such a change. Re-binding
+    the instrument a name already holds changes nothing.
+
+    A sampler may resolve its instruments on its first run and keep the
+    handles from then on: {!clear} drops the sampler together with the
+    instruments, and {!reset} zeroes instruments in place.
 
     Two {b built-in samplers} are always installed (and re-installed by
     {!clear}): [obs.span] publishes the span recorder's retained/dropped
@@ -43,7 +52,8 @@ val histogram : string -> Stats.Histogram.t
 
 val register : string -> instrument -> unit
 (** Adopt an existing instrument (e.g. a client's latency histogram)
-    under [name], replacing any previous binding. *)
+    under [name], replacing any previous binding. Registering the
+    instrument [name] already holds is a no-op. *)
 
 val add_sampler : name:string -> (unit -> unit) -> unit
 (** Install (or replace) a named pull hook, run by {!sample} in
@@ -69,6 +79,11 @@ val snapshot_prefix : string -> (string * instrument) list
 val reset : unit -> unit
 (** Reset every owned instrument (counters, gauges and histograms alike;
     samplers are kept). *)
+
+val resets : unit -> int
+(** How many times {!reset} ran. A reader that ships deltas (a
+    telemetry agent) forgets what it last saw when this moves, since a
+    reset instrument can read lower than before. *)
 
 val clear : unit -> unit
 (** Drop all instruments and samplers — between unrelated runs. The
