@@ -93,6 +93,15 @@ let install_scenario board scenario seed =
     let chunk = Rng.bytes_compressible rng 1024 ~redundancy:0.85 in
     ("vpipe", Accels.op_encode, fun _ -> chunk)
 
+(* [n] closed-loop clients on switch ports 1..n, each keeping four
+   requests in flight, started 71 cycles apart from cycle 2,000. *)
+let start_clients sim board n (service, op, gen) =
+  List.init n (fun idx ->
+      let c = Board.client board ~port:(idx + 1) () in
+      Sim.after sim (2_000 + (idx * 71)) (fun () ->
+          Client.start_closed c { Client.service; op; gen } ~concurrency:4);
+      c)
+
 let run_cmd scenario cycles clients enforce trace_on seed =
   let sim = Sim.create () in
   let kcfg =
@@ -115,14 +124,7 @@ let run_cmd scenario cycles clients enforce trace_on seed =
           ~cycle:(Sim.now sim) path;
         Printf.printf "flight recorder dumped -> %s\n" path
       end);
-  let service, op, gen = install_scenario board scenario seed in
-  let cs =
-    List.init clients (fun idx ->
-        let c = Board.client board ~port:(idx + 1) () in
-        Sim.after sim (2_000 + (idx * 71)) (fun () ->
-            Client.start_closed c { Client.service; op; gen } ~concurrency:4);
-        c)
-  in
+  let cs = start_clients sim board clients (install_scenario board scenario seed) in
   Sim.run_for sim cycles;
   List.iter Client.stop cs;
   let lat = Stats.Histogram.create "latency" in
@@ -169,14 +171,8 @@ let obs_cmd scenario cycles clients seed trace_out metrics_out =
      process row, and publish its kernel/NoC metrics under b0.*. *)
   Kernel.set_obs_board kernel 0;
   Kernel.register_metrics kernel ~prefix:"b0";
-  let service, op, gen = install_scenario board scenario seed in
-  let cs =
-    List.init clients (fun idx ->
-        let c = Board.client board ~port:(idx + 1) () in
-        Sim.after sim (2_000 + (idx * 71)) (fun () ->
-            Client.start_closed c { Client.service; op; gen } ~concurrency:4);
-        c)
-  in
+  let ((service, _, _) as workload) = install_scenario board scenario seed in
+  let cs = start_clients sim board clients workload in
   Sim.run_for sim cycles;
   List.iter Client.stop cs;
   Span.set_enabled false;
@@ -429,13 +425,7 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
                        @ [ (Statsvc.Board, n) ])
                    in
                    refresh ()))));
-  let cs =
-    List.init clients (fun idx ->
-        let c = Board.client board ~port:(idx + 1) () in
-        Sim.after sim (2_000 + (idx * 71)) (fun () ->
-            Client.start_closed c { Client.service; op; gen } ~concurrency:4);
-        c)
-  in
+  let cs = start_clients sim board clients (service, op, gen) in
   cs_ref := cs;
   Sim.run_for sim cycles;
   List.iter Client.stop cs;
@@ -793,6 +783,25 @@ let slo_cmd boards cycles kill json report_out =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic RNG seed.")
 
+(* Board.create's switch has 8 ports and port 0 is the board's. *)
+let max_clients = 7
+
+let clients_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 && n <= max_clients -> Ok n
+    | _ ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "invalid value %S, expected a client count in 0..%d (the \
+              board switch has %d client ports)"
+             s max_clients max_clients))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) 2
+       & info [ "clients" ]
+           ~doc:(Printf.sprintf "Client hosts on the switch (0 to %d)." max_clients))
+
 let run_term =
   let scenario =
     Arg.(value & opt scenario_conv Echo & info [ "scenario"; "s" ]
@@ -800,9 +809,6 @@ let run_term =
   in
   let cycles =
     Arg.(value & opt int 200_000 & info [ "cycles" ] ~doc:"Cycles to simulate.")
-  in
-  let clients =
-    Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Client hosts on the switch.")
   in
   let enforce =
     Arg.(value & opt bool true & info [ "enforce" ]
@@ -814,7 +820,7 @@ let run_term =
                  events (admit, deny, drop, fault, note); a fail-stop also \
                  writes apiary_postmortem.json.")
   in
-  Term.(const run_cmd $ scenario $ cycles $ clients $ enforce $ trace $ seed_arg)
+  Term.(const run_cmd $ scenario $ cycles $ clients_arg $ enforce $ trace $ seed_arg)
 
 let run_cmd_info = Cmd.info "run" ~doc:"Run a board scenario with network clients"
 
@@ -826,9 +832,6 @@ let obs_term =
   let cycles =
     Arg.(value & opt int 200_000 & info [ "cycles" ] ~doc:"Cycles to simulate.")
   in
-  let clients =
-    Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Client hosts on the switch.")
-  in
   let trace_out =
     Arg.(value & opt string "obs_trace.json" & info [ "trace-out" ]
            ~doc:"Chrome trace_event output path (open in Perfetto).")
@@ -837,7 +840,7 @@ let obs_term =
     Arg.(value & opt string "obs_metrics.json" & info [ "metrics-out" ]
            ~doc:"Metrics registry snapshot output path.")
   in
-  Term.(const obs_cmd $ scenario $ cycles $ clients $ seed_arg $ trace_out
+  Term.(const obs_cmd $ scenario $ cycles $ clients_arg $ seed_arg $ trace_out
         $ metrics_out)
 
 let obs_cmd_info =
@@ -851,9 +854,6 @@ let top_term =
   in
   let cycles =
     Arg.(value & opt int 200_000 & info [ "cycles" ] ~doc:"Cycles to simulate.")
-  in
-  let clients =
-    Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Client hosts on the switch.")
   in
   let interval =
     Arg.(value & opt int 20_000 & info [ "interval" ]
@@ -872,7 +872,7 @@ let top_term =
     Arg.(value & opt int 5_000 & info [ "slo-cycles" ]
            ~doc:"Latency bound the slo row judges requests against.")
   in
-  Term.(const top_cmd $ scenario $ cycles $ clients $ interval $ once $ json
+  Term.(const top_cmd $ scenario $ cycles $ clients_arg $ interval $ once $ json
         $ seed_arg $ slo_cycles)
 
 let top_cmd_info =
