@@ -220,7 +220,7 @@ let finish ?(args = []) ~ts id =
       | _ -> Hashtbl.remove pending id
     end
     else begin
-      let e = id / !cap and slot = id mod !cap in
+      let e = (id - 1) / !cap and slot = ((id - 1) mod !cap) + 1 in
       if e = !epoch && slot >= 1 && slot <= !n then begin
         let ev = !store.(slot - 1) in
         if ev.dur < 0 then begin

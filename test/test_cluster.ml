@@ -105,6 +105,22 @@ let test_directory_announce_delay () =
   | Some (Directory.Remote r) -> Alcotest.(check int) "visible after" 0xA0 r.mac
   | _ -> Alcotest.fail "expected the registration to have landed"
 
+(* Two announcements of one cycle from different members apply in
+   source order at every replica, the announcer's own included: the
+   controller's registration of kv on board 1 lands before board 0's
+   failure report about board 1, so both replicas end without kv. *)
+let test_directory_same_cycle_order () =
+  let eng, d = mk_directory () in
+  Sim.at (Par_sim.sim eng 0) 5 (fun () ->
+      Directory.register d ~service:"kv" ~board:1 ~mac:0xA1);
+  Sim.at (Par_sim.sim eng 1) 5 (fun () ->
+      Directory.report_failure d ~from_board:0 ~board:1 ());
+  Par_sim.run_until eng (5 + delay + 1);
+  Alcotest.(check int) "controller's replica" 0
+    (List.length (Directory.replicas d "kv"));
+  Alcotest.(check bool) "board 0's replica" true
+    (Directory.resolve d ~from_board:0 ~service:"kv" = None)
+
 (* Debug builds trip on a replica touched from the wrong partition: the
    single-writer discipline the replicated directory is built on. *)
 let test_directory_cross_partition_assert () =
@@ -307,6 +323,8 @@ let () =
             test_directory_stale_route_invalidation;
           Alcotest.test_case "announce delay visibility" `Quick
             test_directory_announce_delay;
+          Alcotest.test_case "same-cycle announcements in source order" `Quick
+            test_directory_same_cycle_order;
           Alcotest.test_case "cross-partition write asserts" `Quick
             test_directory_cross_partition_assert;
         ] );

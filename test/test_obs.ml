@@ -712,6 +712,205 @@ let test_sampling_tail_keep () =
           Span.complete ~corr:0 ~cat:"t" ~name:"rpc" ~track:0 ~ts:60 ~dur:1 ();
           Alcotest.(check int) "uncorrelated spans always kept" 5 (Span.count ())))
 
+(* The recorder against a reference model over generated scripts: head
+   sampling, tail rules, the cap, per-board sinks, open spans finished
+   late, twice, after a disable or across a reset. The model keeps its
+   store as a plain list and learns each corr's head decision from the
+   recorder itself (one non-tail instant per corr before the script),
+   so it never restates the hash. After every step the recorder's
+   events, counters and sink deliveries must equal the model's. *)
+type span_step =
+  | P_start of int * int * string * (string * string) list * int
+      (** board, corr, name, args, ts *)
+  | P_finish of int * (string * string) list * int
+      (** handle (past the last one: null), args, ts *)
+  | P_complete of int * int * string * (string * string) list * int * int
+      (** board, corr, name, args, ts, dur *)
+  | P_instant of int * int * string * (string * string) list * int
+  | P_enable of bool
+  | P_reset
+
+let span_step_gen =
+  QCheck.Gen.(
+    let board = int_range (-1) 2
+    and corr = int_range 0 20
+    and name = oneofl [ "rpc"; "hop"; "fault"; "timeout" ]
+    and args =
+      oneofl [ []; [ ("status", "ok") ]; [ ("status", "err") ]; [ ("k", "v") ] ]
+    and ts = int_range 0 100 in
+    frequency
+      [
+        ( 4,
+          map3
+            (fun (b, c) (n, a) t -> P_start (b, c, n, a, t))
+            (pair board corr) (pair name args) ts );
+        (4, map3 (fun h a t -> P_finish (h, a, t)) (int_range 0 40) args ts);
+        ( 3,
+          map3
+            (fun (b, c) (n, a) (t, d) -> P_complete (b, c, n, a, t, d))
+            (pair board corr) (pair name args)
+            (pair ts (int_range (-5) 100)) );
+        ( 2,
+          map3
+            (fun (b, c) (n, a) t -> P_instant (b, c, n, a, t))
+            (pair board corr) (pair name args) ts );
+        (1, map (fun b -> P_enable b) bool);
+        (1, return P_reset);
+      ])
+
+let print_span_step =
+  let a l = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l) in
+  function
+  | P_start (b, c, n, l, t) -> Printf.sprintf "start b%d c%d %s [%s] @%d" b c n (a l) t
+  | P_finish (h, l, t) -> Printf.sprintf "finish h%d [%s] @%d" h (a l) t
+  | P_complete (b, c, n, l, t, d) ->
+    Printf.sprintf "complete b%d c%d %s [%s] @%d+%d" b c n (a l) t d
+  | P_instant (b, c, n, l, t) -> Printf.sprintf "instant b%d c%d %s [%s] @%d" b c n (a l) t
+  | P_enable b -> Printf.sprintf "enable %b" b
+  | P_reset -> "reset"
+
+(* A model handle: the span's own record, the reset epoch it was opened
+   in, and whether it went to the store (else it is parked until
+   finish, and [parked] says it has not been finished yet). *)
+type model_handle =
+  | M_null
+  | M_open of { ev : Span.event; epoch : int; stored : bool; mutable parked : bool }
+
+let snap (e : Span.event) =
+  (e.name, e.cat, e.corr, e.board, e.track, e.ts, e.dur, e.ph = Span.Mark, e.args)
+
+let prop_span_model =
+  QCheck.Test.make ~name:"recorder matches a reference model" ~count:500
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (triple int int int) (list print_span_step))
+       QCheck.Gen.(
+         pair
+           (triple (oneofl [ 1; 2; 8 ]) (oneofl [ max_int; 5; 50 ])
+              (oneofl [ 3; 8; 1000 ]))
+           (list_size (int_range 0 60) span_step_gen)))
+    (fun ((head_mod, slow, cap), script) ->
+      let delivered = [| ref []; ref [] |] in
+      Fun.protect
+        ~finally:(fun () ->
+          Span.clear_sink ~board:0;
+          Span.clear_sink ~board:1;
+          Span.set_sampling ();
+          Span.set_capacity 1_048_576;
+          Span.set_enabled false)
+        (fun () ->
+          Span.set_sampling ~head_mod ~slow_cycles:slow ();
+          Span.set_capacity cap;
+          Span.set_enabled true;
+          let head =
+            Array.init 21 (fun corr ->
+                Span.reset ();
+                Span.instant ~corr ~cat:"probe" ~name:"rpc" ~track:0 ~ts:0 ();
+                Span.count () = 1)
+          in
+          Span.reset ();
+          Array.iteri
+            (fun b r -> Span.set_sink ~board:b (fun e -> r := snap e :: !r))
+            delivered;
+          (* The model. *)
+          let flag = ref true and epoch = ref 0 in
+          let store = ref [] and dropped = ref 0 and sampled = ref 0 in
+          let sunk = [| ref []; ref [] |] in
+          let handles = ref [||] in
+          let tail ~name ~dur args =
+            dur >= slow || name = "fault" || name = "timeout"
+            || (match List.assoc_opt "status" args with
+               | Some s -> s <> "ok"
+               | None -> false)
+          in
+          let push ev =
+            if List.length !store >= cap then (incr dropped; false)
+            else (store := !store @ [ ev ]; true)
+          in
+          let sink (ev : Span.event) =
+            if ev.board = 0 || ev.board = 1 then
+              sunk.(ev.board) := snap ev :: !(sunk.(ev.board))
+          in
+          let ev board corr name args ts dur ph : Span.event =
+            { name; cat = "c"; corr; board; track = 0; ts; dur; ph; args }
+          in
+          let step = function
+            | P_start (board, corr, name, args, ts) ->
+              let id = Span.start ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts () in
+              let m =
+                if not !flag then M_null
+                else
+                  let e = ev board corr name args ts (-1) Span.Dur in
+                  if head.(corr) then
+                    if push e then M_open { ev = e; epoch = !epoch; stored = true; parked = false }
+                    else M_null
+                  else M_open { ev = e; epoch = !epoch; stored = false; parked = true }
+              in
+              handles := Array.append !handles [| (id, m) |]
+            | P_finish (h, args, ts) -> (
+              let n = Array.length !handles in
+              let id, m = if h mod (n + 1) = n then (Span.null, M_null) else !handles.(h mod (n + 1)) in
+              Span.finish ~args ~ts id;
+              match m with
+              | M_null -> ()
+              | M_open o when o.epoch <> !epoch -> ()
+              | M_open ({ stored = true; _ } as o) ->
+                if o.ev.dur < 0 then begin
+                  o.ev.dur <- max 0 (ts - o.ev.ts);
+                  o.ev.args <- o.ev.args @ args;
+                  sink o.ev
+                end
+              | M_open o ->
+                if o.parked then begin
+                  o.parked <- false;
+                  let dur = max 0 (ts - o.ev.ts) and all = o.ev.args @ args in
+                  if tail ~name:o.ev.name ~dur all then begin
+                    o.ev.dur <- dur;
+                    o.ev.args <- all;
+                    ignore (push o.ev);
+                    sink o.ev
+                  end
+                  else incr sampled
+                end)
+            | P_complete (board, corr, name, args, ts, dur) ->
+              Span.complete ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts ~dur ();
+              if !flag then begin
+                let dur = max 0 dur in
+                if head.(corr) || tail ~name ~dur args then begin
+                  let e = ev board corr name args ts dur Span.Dur in
+                  ignore (push e);
+                  sink e
+                end
+                else incr sampled
+              end
+            | P_instant (board, corr, name, args, ts) ->
+              Span.instant ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts ();
+              if !flag then
+                if head.(corr) || tail ~name ~dur:0 args then
+                  ignore (push (ev board corr name args ts 0 Span.Mark))
+                else incr sampled
+            | P_enable b ->
+              Span.set_enabled b;
+              flag := b
+            | P_reset ->
+              Span.reset ();
+              incr epoch;
+              store := [];
+              dropped := 0;
+              sampled := 0
+          in
+          List.for_all
+            (fun s ->
+              step s;
+              List.map snap (Span.events ()) = List.map snap !store
+              && Span.count () = List.length !store
+              && Span.dropped () = !dropped
+              && Span.sampled () = !sampled
+              && !(delivered.(0)) = !(sunk.(0))
+              && !(delivered.(1)) = !(sunk.(1)))
+            script))
+
 (* ------------------------------------------------------------------ *)
 (* SLO burn-rate alerting *)
 
@@ -905,6 +1104,7 @@ let () =
           Alcotest.test_case "deterministic head sampling" `Quick
             test_sampling_deterministic;
           Alcotest.test_case "tail keep rules" `Quick test_sampling_tail_keep;
+          qc prop_span_model;
         ] );
       ( "slo",
         [
