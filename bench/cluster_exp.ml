@@ -268,9 +268,8 @@ let e12_obs_drill () =
   let boards = 4 and victim = 2 in
   (* Windowed rollups of every request outcome: latency distribution per
      window for the good ones, a bad-outcome count for the rest. Windows
-     roll lazily on each observation (plus the close_upto at the end), so
-     no clock hook is needed — Series.attach would arm a wake every
-     window and defeat the engine's idle fast-forward. *)
+     roll lazily on each observation, plus the close_upto at the end: a
+     wake every window would defeat the engine's idle fast-forward. *)
   let series = Series.create ~window () in
   let completed =
     with_rack ~boards ~clients:boards ~duration (fun sim cluster ->

@@ -88,8 +88,8 @@ let create sim cfg ~mac ~my_mac ~accel_cycles ~handler =
       my_mac;
       accel_cycles;
       handler;
-      cpu = Qserver.create sim ~servers:cfg.host_cores "host.cpu";
-      accel = Qserver.create sim ~servers:cfg.accel_slots "host.accel";
+      cpu = Qserver.create sim ~servers:cfg.host_cores;
+      accel = Qserver.create sim ~servers:cfg.accel_slots;
       pcie_free_at = 0;
       n_served = 0;
     }

@@ -1,23 +1,15 @@
 module Sim = Apiary_engine.Sim
-module Stats = Apiary_engine.Stats
 
 type t = {
   sim : Sim.t;
   free_at : int array;  (* per server *)
   mutable busy : int;
   mutable done_ : int;
-  wait : Stats.Histogram.t;
 }
 
-let create sim ~servers name =
+let create sim ~servers =
   assert (servers > 0);
-  {
-    sim;
-    free_at = Array.make servers 0;
-    busy = 0;
-    done_ = 0;
-    wait = Stats.Histogram.create (name ^ ".wait");
-  }
+  { sim; free_at = Array.make servers 0; busy = 0; done_ = 0 }
 
 let submit t ~cycles cb =
   assert (cycles >= 0);
@@ -31,11 +23,9 @@ let submit t ~cycles cb =
   let finish = start + cycles in
   t.free_at.(!best) <- finish;
   t.busy <- t.busy + cycles;
-  Stats.Histogram.record t.wait (start - now);
   Sim.after t.sim (max 1 (finish - now)) (fun () ->
       t.done_ <- t.done_ + 1;
       cb ())
 
 let busy_cycles t = t.busy
 let completed t = t.done_
-let queue_wait t = t.wait

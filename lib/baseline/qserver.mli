@@ -5,7 +5,7 @@ module Sim := Apiary_engine.Sim
 
 type t
 
-val create : Sim.t -> servers:int -> string -> t
+val create : Sim.t -> servers:int -> t
 
 val submit : t -> cycles:int -> (unit -> unit) -> unit
 (** Enqueue a job needing [cycles] of service; the callback fires at
@@ -15,6 +15,3 @@ val busy_cycles : t -> int
 (** Total service cycles consumed (for utilization/energy accounting). *)
 
 val completed : t -> int
-
-val queue_wait : t -> Apiary_engine.Stats.Histogram.t
-(** Cycles jobs spent waiting before service began. *)

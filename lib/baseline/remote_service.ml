@@ -11,7 +11,6 @@ type t = {
   cpu : Qserver.t;
   service_cycles : int;
   handler : service:string -> op:int -> bytes -> bytes;
-  mutable n_served : int;
 }
 
 let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
@@ -22,10 +21,9 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
       mac;
       my_mac;
       nic_cycles;
-      cpu = Qserver.create sim ~servers:cores "remote.cpu";
+      cpu = Qserver.create sim ~servers:cores;
       service_cycles;
       handler;
-      n_served = 0;
     }
   in
   Mac.set_rx mac (fun f ->
@@ -39,7 +37,6 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
                     req.Netproto.body
                 in
                 Sim.after t.sim t.nic_cycles (fun () ->
-                    t.n_served <- t.n_served + 1;
                     let rsp =
                       {
                         Netproto.rsp_id = req.Netproto.req_id;
@@ -52,5 +49,3 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
                          (Frame.make ~dst:f.Frame.src ~src:t.my_mac
                             (Netproto.encode_response rsp)))))));
   t
-
-let served t = t.n_served

@@ -20,5 +20,3 @@ val create :
   handler:(service:string -> op:int -> bytes -> bytes) -> unit -> t
 (** Defaults: 500-cycle (2 µs) NIC+kernel path per direction, 2 cores,
     250-cycle (1 µs) handler time. *)
-
-val served : t -> int

@@ -28,7 +28,7 @@ type t = {
 (* The board uplink is a 100G link (50 B/cycle) with 125 cycles of
    propagation; serialization adds at least one cycle, so no frame
    crosses it in under 126 — the lookahead a board-per-partition
-   Par_sim may run with (Link.min_latency of the uplink). *)
+   Par_sim may run with. *)
 let uplink_bytes_per_cycle = Board.gbps_to_bytes_per_cycle 100.0
 let uplink_prop_cycles = 125
 let lookahead = uplink_prop_cycles + 1

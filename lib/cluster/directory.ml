@@ -5,13 +5,14 @@
    replicated one copy per engine member: replica 0 is the rack
    controller's view on member 0, replica [b + 1] lives on board [b]'s
    member and serves that board. Registry mutations (register,
-   unregister, failure reports) are *announcements* tagged
-   [(apply_time, source member, per-source seq)]; every replica —
-   including the announcer's own — applies them in that canonical order
-   once [apply_time] has passed, so all replicas evolve through the same
-   registry states in every engine mode. Cross-member delivery rides the
-   engine's boundary-merge protocol (Par_sim.post); [announce_delay] is
-   the wire latency and must be at least the engine lookahead.
+   unregister, failure reports) are *announcements* posted to every
+   replica — the announcer's own included — through the engine's
+   boundary-merge protocol (Par_sim.post), which delivers them in its
+   canonical (time, source member, sequence) order; each replica applies
+   them in delivery order once their time has passed, so all replicas
+   evolve through the same registry states in every engine mode.
+   [announce_delay] is the wire latency and must be at least the engine
+   lookahead.
 
    Route caches (the per-(from_board, service) resolution decisions) are
    replica-local and written only by the owning member — the write
@@ -31,14 +32,7 @@ type update =
   | U_unregister of { board : int }
   | U_unregister_service of { service : string; board : int }
 
-type ann = { a_time : int; a_src : int; a_seq : int; u : update }
-
-let cmp_ann a b =
-  let c = compare a.a_time b.a_time in
-  if c <> 0 then c
-  else
-    let c = compare a.a_src b.a_src in
-    if c <> 0 then c else compare a.a_seq b.a_seq
+type ann = { a_time : int; u : update }
 
 (* One resolution slot per (from_board, service), int-keyed. [dec] is
    the decided resolution, valid while [epoch] matches the replica's
@@ -61,7 +55,7 @@ type rep = {
   mutable next_sid : int;
   routes : (int, route) Hashtbl.t;  (* (from_board lsl 16) lor sid *)
   mutable reg_epoch : int;
-  mutable inbox : ann list;  (* announcements not yet applied *)
+  inbox : ann Queue.t;  (* delivered, not yet applied; in delivery order *)
   mutable lookups : int;
   mutable cache_hits : int;
   mutable invalidations : int;
@@ -71,7 +65,6 @@ type t = {
   reps : rep array;  (* one per engine member *)
   eng : Par_sim.t;
   delay : int;
-  ann_seq : int array;  (* per source member *)
 }
 
 (* Replica state may only be written by its owning partition's
@@ -92,7 +85,7 @@ let mk_rep part rsim =
     next_sid = 0;
     routes = Hashtbl.create 32;
     reg_epoch = 0;
-    inbox = [];
+    inbox = Queue.create ();
     lookups = 0;
     cache_hits = 0;
     invalidations = 0;
@@ -102,12 +95,11 @@ let create ~announce_delay eng =
   if announce_delay < Par_sim.lookahead eng then
     invalid_arg
       "Directory.create: announce_delay must be >= the engine lookahead";
-  let n = Par_sim.n_domains eng in
   {
-    reps = Array.init n (fun p -> mk_rep p (Par_sim.sim eng p));
+    reps =
+      Array.init (Par_sim.n_domains eng) (fun p -> mk_rep p (Par_sim.sim eng p));
     eng;
     delay = announce_delay;
-    ann_seq = Array.make n 0;
   }
 
 (* Member 0 is the controller; board [b] lives on member [b + 1]. *)
@@ -174,33 +166,22 @@ let apply rep = function
    after [c + delay] — one delay for the wire, visible the next cycle —
    in every replica and every engine mode alike. *)
 let drain rep =
-  match rep.inbox with
-  | [] -> ()
-  | _ -> (
-    let now = Sim.now rep.rsim in
-    let ready, later = List.partition (fun a -> a.a_time < now) rep.inbox in
-    match ready with
-    | [] -> ()
-    | ready ->
-      owner_check rep;
-      rep.inbox <- later;
-      (* Apply in canonical (time, src, seq) order: the replica's state
-         sequence is then independent of delivery interleaving. *)
-      List.iter (fun a -> apply rep a.u) (List.sort cmp_ann ready))
+  let now = Sim.now rep.rsim in
+  while
+    (not (Queue.is_empty rep.inbox)) && (Queue.peek rep.inbox).a_time < now
+  do
+    owner_check rep;
+    apply rep (Queue.pop rep.inbox).u
+  done
 
 let announce t ~src u =
   let rep_src = t.reps.(src) in
   owner_check rep_src;
-  let now = Sim.now rep_src.rsim in
-  let seq = t.ann_seq.(src) in
-  t.ann_seq.(src) <- seq + 1;
-  let a = { a_time = now + t.delay; a_src = src; a_seq = seq; u } in
+  let a = { a_time = Sim.now rep_src.rsim + t.delay; u } in
   Array.iteri
     (fun d rep ->
-      if d = src then rep.inbox <- a :: rep.inbox
-      else
-        Par_sim.post t.eng ~src ~dst:d ~time:a.a_time (fun () ->
-            rep.inbox <- a :: rep.inbox))
+      Par_sim.post t.eng ~src ~dst:d ~time:a.a_time (fun () ->
+          Queue.push a rep.inbox))
     t.reps
 
 (* ------------------------------------------------------------------ *)
@@ -208,8 +189,6 @@ let announce t ~src u =
 
 let register t ~service ~board ~mac =
   announce t ~src:0 (U_register { service; board; mac })
-
-let unregister_board t board = announce t ~src:0 (U_unregister { board })
 
 let unregister t ~service ~board =
   announce t ~src:0 (U_unregister_service { service; board })
@@ -304,11 +283,6 @@ let replicas t service =
   let rep = t.reps.(0) in
   drain rep;
   registered rep service
-
-let services t =
-  let rep = t.reps.(0) in
-  drain rep;
-  Hashtbl.fold (fun s _ acc -> s :: acc) rep.registry [] |> List.sort compare
 
 (* Counters are summed across replicas; each replica counts only its own
    boards' lookups, so the sums are engine-mode-independent. *)

@@ -12,14 +12,14 @@
     The directory is replicated one copy per engine member: replica 0
     on member 0 serves the rack controller, replica [b + 1] on board
     [b]'s member serves that board. Registry mutations are
-    {e announcements} tagged [(apply_time, source member, per-source
-    sequence)] and applied at {e every} replica — including the
-    announcer's own — in that canonical order once [apply_time] has
-    passed, so all replicas step through the same registry states in
-    every engine mode. A mutation announced at cycle [c] becomes visible
-    to reads strictly after [c + announce_delay]. Cross-member delivery
-    uses the engine's boundary-merge protocol
-    ({!Apiary_engine.Par_sim.post}).
+    {e announcements} posted to {e every} replica — the announcer's own
+    included — through the engine's boundary-merge protocol
+    ({!Apiary_engine.Par_sim.post}), which delivers them in its
+    canonical [(time, source member, sequence)] order; each replica
+    applies them in that order once their time has passed, so all
+    replicas step through the same registry states in every engine
+    mode. A mutation announced at cycle [c] becomes visible to reads
+    strictly after [c + announce_delay].
 
     Resolution results are cached per [(from_board, service)] in the
     asking board's replica; a failed remote call must {!invalidate} its
@@ -47,11 +47,6 @@ val register : t -> service:string -> board:int -> mac:int -> unit
 (** Idempotent per (service, board). Announced from the controller
     (replica 0). *)
 
-val unregister_board : t -> int -> unit
-(** Remove every service exported by a board (and any cached routes to
-    it) — deliberate decommission or confirmed failure. Announced from
-    the controller. *)
-
 val unregister : t -> service:string -> board:int -> unit
 (** Remove one (service, board) pair — a scheduler draining a single
     replica off a live board. Sticky routes that picked this replica
@@ -59,9 +54,10 @@ val unregister : t -> service:string -> board:int -> unit
     from the controller. *)
 
 val report_failure : t -> ?from_board:int -> board:int -> unit -> unit
-(** Caller-observed failure (e.g. remote-call timeout): same effect as
-    {!unregister_board}, announced from the reporting board's own
-    partition ([from_board] defaults to the controller). *)
+(** Caller-observed failure (e.g. remote-call timeout): removes every
+    service the board exports, and any cached routes to it. Announced
+    from the reporting board's own partition ([from_board] defaults to
+    the controller). *)
 
 val resolve : t -> from_board:int -> service:string -> resolution option
 (** [None] when no live replica exports the service. Remote picks are
@@ -74,9 +70,6 @@ val invalidate : t -> from_board:int -> service:string -> unit
 val replicas : t -> string -> replica list
 (** Live replicas of a service, in registration order — the
     controller's (replica 0's) view. *)
-
-val services : t -> string list
-(** Registered service names, sorted — the controller's view. *)
 
 (** {2 Counters}
 

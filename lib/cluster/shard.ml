@@ -51,7 +51,6 @@ let remove t board =
   t.points <- Array.of_seq (Seq.filter (fun (_, b) -> b <> board)
                               (Array.to_seq t.points))
 
-let size t = List.length (boards t)
 
 (* First ring point at or after the key's hash, wrapping. *)
 let lookup t key =

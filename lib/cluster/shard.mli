@@ -20,7 +20,6 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val member : t -> int -> bool
 val boards : t -> int list
-val size : t -> int
 
 val lookup : t -> string -> int option
 (** Owning board for a key; [None] when the ring is empty. *)

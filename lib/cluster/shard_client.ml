@@ -13,7 +13,6 @@ module Sim = Apiary_engine.Sim
 module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
-module Exemplar = Apiary_obs.Exemplar
 module Mac = Apiary_net.Mac
 module Frame = Apiary_net.Frame
 module Netproto = Apiary_net.Netproto
@@ -36,7 +35,6 @@ type t = {
   timeout : int;
   pending : (int, pending) Hashtbl.t;  (* req_id -> pending *)
   lat : Stats.Histogram.t;
-  exem : Exemplar.t;  (* client-side latency exemplars, keyed by req id *)
   mutable next_req : int;
   mutable next_work : int;
   mutable issued : int;
@@ -216,8 +214,6 @@ let handle_frame t (f : Frame.t) =
       else begin
         let lat = Sim.now t.sim - p.issued_at in
         Stats.Histogram.record t.lat lat;
-        Exemplar.observe t.exem ~corr:rsp.Netproto.rsp_id ~value:lat
-          ~ts:(Sim.now t.sim);
         t.completed <- t.completed + 1;
         t.on_complete ~now:(Sim.now t.sim);
         t.on_outcome ~now:(Sim.now t.sim) ~req:rsp.Netproto.rsp_id
@@ -246,7 +242,6 @@ let create ?(vnodes = 64) ?(timeout = 25_000) ?gbps cluster ~service ~op ~route
       timeout;
       pending = Hashtbl.create 64;
       lat = Stats.Histogram.create (Printf.sprintf "shard%x.latency" my_mac);
-      exem = Exemplar.create (Printf.sprintf "shard%x.latency" my_mac);
       next_req = 0;
       next_work = 0;
       issued = 0;
@@ -293,7 +288,6 @@ let completed t = t.completed
 let errors t = t.errors
 let failovers t = t.failovers
 let latency t = t.lat
-let exemplars t = t.exem
 let live_boards t = Shard.boards t.ring
 let set_on_complete t f = t.on_complete <- f
 let set_on_outcome t f = t.on_outcome <- f

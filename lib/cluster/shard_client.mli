@@ -53,11 +53,6 @@ val failovers : t -> int
 
 val latency : t -> Stats.Histogram.t
 
-val exemplars : t -> Apiary_obs.Exemplar.t
-(** One retained request id per latency bucket (latest-wins): the
-    metric→trace link for this client's histogram — a p99 row resolves
-    to a concrete [req_id] whose spans the trace retains. *)
-
 val live_boards : t -> int list
 
 val set_on_complete : t -> (now:int -> unit) -> unit

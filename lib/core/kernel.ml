@@ -29,7 +29,6 @@ type t = {
   k_sim : Sim.t;
   cfg : config;
   k_mesh : Message.t Mesh.t;
-  k_dram : Dram.t;
   k_alloc : Seg_alloc.t;
   k_flight : Apiary_obs.Flight.t;
   monitors : Monitor.t array;
@@ -50,7 +49,6 @@ let user_tiles t =
     (List.init (n_tiles t) (fun i -> i))
 
 let mesh t = t.k_mesh
-let dram t = t.k_dram
 let allocator t = t.k_alloc
 let flight t = t.k_flight
 let monitor t i = t.monitors.(i)
@@ -200,7 +198,6 @@ let create sim cfg =
       k_sim = sim;
       cfg;
       k_mesh;
-      k_dram;
       k_alloc;
       k_flight;
       monitors;

@@ -56,15 +56,13 @@ val user_tiles : t -> int list
 (** {1 Components} *)
 
 val mesh : t -> Message.t Mesh.t
-val dram : t -> Dram.t
 val allocator : t -> Seg_alloc.t
 
 val flight : t -> Apiary_obs.Flight.t
 (** The board's bounded flight ring, shared by every monitor: the
     per-board sink of the monitor event stream. Disabled by default; arm
     it with [Apiary_obs.Flight.set_enabled] (or boot with
-    [APIARY_FLIGHT=1]; [APIARY_FLIGHT_CAP] resizes the ring, see
-    [Apiary_obs.Flight.of_env]) and read it with
+    [APIARY_FLIGHT=1], see [Apiary_obs.Flight.of_env]) and read it with
     [Apiary_obs.Flight.entries], or dump it from an {!on_fault}
     subscriber. *)
 

@@ -40,5 +40,4 @@ let would_admit t n = (not t.limited) || t.level >= float_of_int n
 
 let take t n = if t.limited then t.level <- t.level -. float_of_int n
 
-let tokens t = t.level
 let stalled_msgs t = t.stalls

@@ -28,6 +28,5 @@ val would_admit : t -> int -> bool
 val take : t -> int -> unit
 (** Unconditionally consume (caller checked {!would_admit}). *)
 
-val tokens : t -> float
 val stalled_msgs : t -> int
 (** Number of admission attempts that were refused (for stats). *)

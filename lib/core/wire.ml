@@ -128,8 +128,6 @@ let encode (m : M.t) =
   Buffer.add_bytes b m.payload;
   Buffer.to_bytes b
 
-let encoded_size m = Bytes.length (encode m)
-
 let decode_kind t tag =
   let open In in
   match tag with

@@ -11,5 +11,3 @@ val decode : bytes -> (Message.t, string) result
 (** Inverse of {!encode}. Fails (rather than raising) on truncated or
     corrupt input — malformed network input must never crash the OS. *)
 
-val encoded_size : Message.t -> int
-(** [Bytes.length (encode m)], without building the buffer. *)

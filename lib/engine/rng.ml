@@ -43,7 +43,6 @@ let[@inline] float t =
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let chance t p = float t < p
 
 let exponential t ~mean =

@@ -416,7 +416,6 @@ let step t =
   t.clock <- t.clock + 1
 
 let stop t = t.stop_requested <- true
-let stopped t = t.stop_requested
 
 (* Flush per-instance counters into the process-wide totals, and (when
    profiling) derive each row's skipped-tick count: eligible cycles

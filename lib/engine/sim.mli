@@ -170,8 +170,6 @@ val stop : t -> unit
 (** Request that the enclosing [run_until]/[run_for] return at the end of
     the current cycle. *)
 
-val stopped : t -> bool
-
 val pending_events : t -> int
 (** Number of scheduled future events (for tests). *)
 

@@ -52,8 +52,6 @@ type t = {
   size : int;
   pages : Bytes.t array;
   chans : channel array;
-  mutable n_reads : int;
-  mutable n_writes : int;
   mutable n_row_hits : int;
   mutable n_row_misses : int;
   mutable n_bytes : int;
@@ -74,8 +72,6 @@ let create sim cfg ~size_bytes =
                   { open_row = -1; busy = false; queue = Queue.create () });
             bus_free_at = 0;
           });
-    n_reads = 0;
-    n_writes = 0;
     n_row_hits = 0;
     n_row_misses = 0;
     n_bytes = 0;
@@ -83,8 +79,6 @@ let create sim cfg ~size_bytes =
 
 let size t = t.size
 let config t = t.cfg
-let reads t = t.n_reads
-let writes t = t.n_writes
 let row_hits t = t.n_row_hits
 let row_misses t = t.n_row_misses
 let bytes_transferred t = t.n_bytes
@@ -127,11 +121,9 @@ let store t addr b =
 let perform t r =
   match r.kind with
   | Read cb ->
-    t.n_reads <- t.n_reads + 1;
     t.n_bytes <- t.n_bytes + r.len;
     cb (load t r.addr r.len)
   | Write (b, cb) ->
-    t.n_writes <- t.n_writes + 1;
     t.n_bytes <- t.n_bytes + Bytes.length b;
     store t r.addr b;
     cb ()

@@ -53,8 +53,6 @@ val poke : t -> addr:int -> bytes -> unit
 
 (** Statistics *)
 
-val reads : t -> int
-val writes : t -> int
 val row_hits : t -> int
 val row_misses : t -> int
 val bytes_transferred : t -> int

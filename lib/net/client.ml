@@ -10,7 +10,6 @@ type t = {
   rng : Rng.t;
   pending : (int, int) Hashtbl.t;  (* req_id -> issue cycle *)
   lat : Stats.Histogram.t;
-  exem : Apiary_obs.Exemplar.t;  (* per-bucket retained req ids *)
   mutable next_id : int;
   mutable n_issued : int;
   mutable n_completed : int;
@@ -28,8 +27,6 @@ let handle_response t (rsp : Netproto.response) on_complete =
     Hashtbl.remove t.pending rsp.Netproto.rsp_id;
     let lat = Sim.now t.sim - issued_at in
     Stats.Histogram.record t.lat lat;
-    Apiary_obs.Exemplar.observe t.exem ~corr:rsp.Netproto.rsp_id ~value:lat
-      ~ts:(Sim.now t.sim);
     t.n_completed <- t.n_completed + 1;
     if rsp.Netproto.status <> Netproto.Ok_resp then t.n_errors <- t.n_errors + 1;
     t.resp_hook rsp;
@@ -44,7 +41,6 @@ let create sim ~mac ~my_mac ~server_mac =
     rng = Rng.create ~seed:(0xC11E57 + my_mac);
     pending = Hashtbl.create 64;
     lat = Stats.Histogram.create (Printf.sprintf "client%x.latency" my_mac);
-    exem = Apiary_obs.Exemplar.create (Printf.sprintf "client%x.latency" my_mac);
     next_id = 0;
     n_issued = 0;
     n_completed = 0;
@@ -111,5 +107,4 @@ let issued t = t.n_issued
 let completed t = t.n_completed
 let errors t = t.n_errors
 let latency t = t.lat
-let exemplars t = t.exem
 let on_response t f = t.resp_hook <- f

@@ -34,10 +34,5 @@ val errors : t -> int
 
 val latency : t -> Stats.Histogram.t
 
-val exemplars : t -> Apiary_obs.Exemplar.t
-(** One retained request id per latency-histogram bucket (latest-wins):
-    lets a p99 row name a concrete request whose spans the trace
-    retains. *)
-
 val on_response : t -> (Netproto.response -> unit) -> unit
 (** Optional hook to inspect response bodies (e.g. KV verification). *)

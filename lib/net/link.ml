@@ -57,11 +57,6 @@ let busy_until t side = (dir_of t side).busy_until
 let set_corrupt_next t ~from = (dir_of t from).corrupt_next <- true
 let frames_dropped t = t.a.rx_dropped + t.b.rx_dropped
 
-let min_latency t = t.prop + 1
-(* Serialization takes at least one cycle, so no frame handed to the
-   link at cycle [c] can reach the far side before [c + prop + 1] — the
-   lookahead a conservative partitioning of this link may use. *)
-
 let send t ~from frame =
   let d = dir_of t from in
   let size = Frame.wire_size frame in

@@ -30,13 +30,8 @@ val create_split :
     sent from X is handed to [post_to_(flip x)] with its absolute
     delivery cycle, which must schedule it on the far simulator
     (typically [Par_sim.post]). Because serialization takes ≥ 1 cycle,
-    delivery is always ≥ [prop_cycles + 1] ahead of the send — see
-    {!min_latency}. *)
-
-val min_latency : t -> int
-(** [prop_cycles + 1]: a lower bound on send-to-deliver latency in
-    either direction, i.e. the lookahead a conservative partitioning of
-    this link supports. *)
+    delivery is always ≥ [prop_cycles + 1] ahead of the send: the
+    lookahead a conservative partitioning of this link supports. *)
 
 val on_recv : t -> side -> (Frame.t -> unit) -> unit
 (** Install the receiver for frames {e arriving at} [side]. *)

@@ -117,8 +117,6 @@ end
 
 type generation = Gen_10g | Gen_100g
 
-let generation_to_string = function Gen_10g -> "10G" | Gen_100g -> "100G"
-
 type impl = I10 of Teng.t | I100 of Hundredg.t
 
 type t = { gen : generation; impl : impl; sim : Sim.t }

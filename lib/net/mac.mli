@@ -56,8 +56,6 @@ type t
 
 type generation = Gen_10g | Gen_100g
 
-val generation_to_string : generation -> string
-
 val create : Sim.t -> generation -> Link.t -> Link.side -> t
 val send : t -> Frame.t -> bool
 (** Best-effort enqueue; [false] on device backpressure. *)

@@ -20,4 +20,3 @@ let next_index t ~x ~y ~dx ~dy =
 let next_port t ~(at : Coord.t) ~(dst : Coord.t) =
   Port.of_index (next_index t ~x:at.x ~y:at.y ~dx:dst.x ~dy:dst.y)
 
-let to_string = function Xy -> "xy" | Yx -> "yx"

@@ -16,5 +16,3 @@ val next_port : t -> at:Coord.t -> dst:Coord.t -> Port.t
 val next_index : t -> x:int -> y:int -> dx:int -> dy:int -> int
 (** {!next_port} on plain coordinates, as a {!Port.index}: router
     [(x, y)], destination [(dx, dy)]. *)
-
-val to_string : t -> string

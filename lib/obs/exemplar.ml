@@ -11,34 +11,11 @@ type sample = { x_corr : int; x_value : int; x_ts : int }
 type t = { name : string; slots : sample option array }
 
 let create name = { name; slots = Array.make Stats.Histogram.bucket_count None }
-let name t = t.name
 
 let observe t ~corr ~value ~ts =
   let value = max 0 value in
   t.slots.(Stats.Histogram.bucket_of value) <-
     Some { x_corr = corr; x_value = value; x_ts = ts }
-
-let find t ~value = t.slots.(Stats.Histogram.bucket_of value)
-
-(* The bucket holding [value] may be empty even when neighbours are not
-   (percentile math returns bucket midpoints; under merge the retained
-   sample can sit one bucket off). Walk outward, preferring the lower
-   bucket at equal distance — the sample shown for a p99 should err
-   toward the faster outlier, never invent a slower one. *)
-let near t ~value =
-  let b = Stats.Histogram.bucket_of value in
-  let n = Array.length t.slots in
-  let rec go d =
-    if d >= n then None
-    else
-      match (if b - d >= 0 then t.slots.(b - d) else None) with
-      | Some s -> Some s
-      | None -> (
-        match (if b + d < n then t.slots.(b + d) else None) with
-        | Some s -> Some s
-        | None -> go (d + 1))
-  in
-  go 0
 
 let to_list t =
   let out = ref [] in
@@ -48,8 +25,6 @@ let to_list t =
     | None -> ()
   done;
   !out
-
-let reset t = Array.fill t.slots 0 (Array.length t.slots) None
 
 let buf_add b t =
   Buffer.add_string b "{\"name\":";
@@ -66,8 +41,3 @@ let buf_add b t =
            s.x_corr s.x_value s.x_ts))
     (to_list t);
   Buffer.add_string b "]}"
-
-let json_string t =
-  let b = Buffer.create 256 in
-  buf_add b t;
-  Buffer.contents b

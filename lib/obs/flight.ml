@@ -30,11 +30,10 @@ let board t = t.board
 let capacity t = Array.length t.ring
 let total t = t.total
 
-(* One reading of the two knobs for every ring (boards and the scheduler
-   controller), so APIARY_FLIGHT_CAP sizes them all alike. *)
+(* One reading of APIARY_FLIGHT for every ring (boards and the
+   scheduler controller), so they are all armed alike. *)
 let of_env () =
-  let capacity = Env.int ~min:16 "APIARY_FLIGHT_CAP" ~default:256 in
-  let t = create ~capacity () in
+  let t = create () in
   if Sys.getenv_opt "APIARY_FLIGHT" = Some "1" then set_enabled t true;
   t
 
@@ -53,11 +52,6 @@ let entries t =
   let n = Array.length t.ring in
   let kept = min t.total n in
   List.init kept (fun i -> t.ring.((t.next - kept + i + n) mod n))
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) empty;
-  t.next <- 0;
-  t.total <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Postmortem JSON. Byte-stable: entries in ring order, args in

@@ -20,9 +20,8 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 256 events. *)
 
 val of_env : unit -> t
-(** The ring every board kernel and the scheduler controller use: sized
-    by [APIARY_FLIGHT_CAP] (default 256; values below 16 are rejected
-    with a warning) and armed at creation when [APIARY_FLIGHT=1]. *)
+(** The ring every board kernel and the scheduler controller use: the
+    default 256 events, armed at creation when [APIARY_FLIGHT=1]. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
@@ -46,8 +45,6 @@ val capacity : t -> int
 
 val total : t -> int
 (** Events ever recorded (retained + overwritten). *)
-
-val clear : t -> unit
 
 val dump_json : t -> reason:string -> cycle:int -> string
 (** Postmortem document:

@@ -46,7 +46,6 @@ let read t i = t.(i)
 let incr t i = Array.unsafe_set t i (Array.unsafe_get t i + 1)
 let add t i n = t.(i) <- t.(i) + n
 let set_max t i (v : int) = if v > Array.unsafe_get t i then Array.unsafe_set t i v
-let reset t = Array.fill t 0 n_counters 0
 
 (* Watermark slots aggregate by max, event counters by sum — so a board
    summary is itself a well-formed block. *)
@@ -54,8 +53,6 @@ let merge_into ~src ~dst =
   for i = 0 to n_counters - 1 do
     if i = occ_peak then set_max dst i src.(i) else dst.(i) <- dst.(i) + src.(i)
   done
-
-let total t = Array.fold_left ( + ) 0 t
 
 (* In-band wire format: n_counters big-endian u64 words, no header (the
    request that asked for the block knows what it asked for). *)

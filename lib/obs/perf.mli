@@ -66,15 +66,9 @@ val add : t -> int -> int -> unit
 val set_max : t -> int -> int -> unit
 (** Raise a watermark slot to [v] if below it. *)
 
-val reset : t -> unit
-
 val merge_into : src:t -> dst:t -> unit
 (** Aggregate [src] into [dst]: watermarks by max, counts by sum — a
     board summary is itself a well-formed block. *)
-
-val total : t -> int
-(** Sum of every slot — the cheap "did anything change" digest used by
-    engine-invariance tests. *)
 
 (** {1 In-band wire format} *)
 

@@ -1,5 +1,4 @@
 module Stats = Apiary_engine.Stats
-module Sim = Apiary_engine.Sim
 
 (* A closed window's aggregates. The histogram is kept so percentiles
    can be rendered at export time and merged into the evicted aggregate
@@ -143,9 +142,6 @@ let observe t ~now name v =
 
 let close_upto t now =
   Hashtbl.iter (fun _ m -> close_metric_upto t m now) t.metrics
-
-let attach t sim =
-  Sim.every sim ~start:t.window t.window (fun () -> close_upto t (Sim.now sim))
 
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.metrics []

@@ -7,8 +7,8 @@
     not just end-of-run. All windows share one grid anchored at cycle 0
     with a fixed width; closing is lazy (each {!observe} first closes
     any windows the sample has moved past, empty windows included, so
-    the series stays contiguous) and can also be driven by the sim clock
-    via {!attach}. When the ring wraps, the oldest window folds into a
+    the series stays contiguous), and {!close_upto} closes the rest
+    before an export. When the ring wraps, the oldest window folds into a
     single {e evicted} aggregate rather than being lost, preserving the
     conservation invariant
 
@@ -62,14 +62,6 @@ val observe : t -> now:int -> string -> int -> unit
 val close_upto : t -> int -> unit
 (** Close every metric's windows ending at or before the given cycle
     (empty windows included). Idempotent. *)
-
-val attach : t -> Apiary_engine.Sim.t -> unit
-(** Arm a periodic event-phase hook that calls {!close_upto} every
-    window, so windows close on the sim clock even when a metric goes
-    quiet. Only needed when rollups are read live mid-run (e.g. a
-    dashboard): the per-window event bounds the engine's idle
-    fast-forward, so batch captures that only export at the end should
-    rely on lazy closing in {!observe} plus a final {!close_upto}. *)
 
 val names : t -> string list
 (** Registered metric names, sorted. *)

@@ -12,23 +12,29 @@ type event = {
   mutable args : (string * string) list;
 }
 
-type id = int
-(* Positive: 1-based index into the store; 0 = null; negative: a key in
-   the pending side-table (a head-sampled-away open span that may still
-   be promoted by a tail rule at finish). A reset bumps [epoch], so a
-   stale id from before the reset cannot close an unrelated span. *)
+(* An open span is a handle to its own event. [stored] says whether the
+   event went to the store (else head sampling parked it in the handle,
+   for a tail rule to promote at finish); [epoch] is the reset epoch it
+   was opened in, so a handle from before a reset cannot touch the fresh
+   store or a sink. *)
+type id = Null | Open of { ev : event; epoch : int; stored : bool }
 
-let null = 0
+let null = Null
 
-(* Process-global recorder. The flag is the only thing hot paths read;
-   everything else is touched under the lock, and only when enabled. *)
+(* Process-global recorder. The flag is the only thing hot paths read
+   first. The lock guards the store, its counters and the sink table,
+   and is taken only to append a kept event or close a stored one; a
+   sampled-away span costs a branch and an atomic increment.
+   [head_mod], [slow_cycles] and [epoch] change only between runs
+   (set_sampling, reset, set_capacity), so the recording paths read
+   them without the lock. *)
 let flag = ref false
 let lock = Mutex.create ()
 let cap = ref 1_048_576
 let store : event array ref = ref [||]
 let n = ref 0
 let n_dropped = ref 0
-let n_sampled = ref 0
+let n_sampled = Atomic.make 0
 let epoch = ref 0
 
 (* Deterministic head sampling: keep a corr family when
@@ -40,11 +46,6 @@ let epoch = ref 0
    sched/health marks) the sampled trace still needs for context. *)
 let head_mod = ref 1
 let slow_cycles = ref max_int
-
-(* Open spans whose corr was sampled away, keyed by negative id; kept
-   off the store so a tail rule can still resurrect them at finish. *)
-let pending : (int, int * event) Hashtbl.t = Hashtbl.create 64
-let next_pending = ref 0
 
 (* One-shot per process: dropping events silently at scale is exactly
    the failure mode sampling exists to prevent, so say it once. *)
@@ -62,26 +63,22 @@ let warned_drop = ref false
    back into this module. Mark events are not delivered (frame-level
    points are too chatty for the wire; agents ship intervals). *)
 let sinks : (int, event -> unit) Hashtbl.t = Hashtbl.create 8
-let sinks_lock = Mutex.create ()
 
 let set_sink ~board f =
-  Mutex.lock sinks_lock;
+  Mutex.lock lock;
   Hashtbl.replace sinks board f;
-  Mutex.unlock sinks_lock
+  Mutex.unlock lock
 
 let clear_sink ~board =
-  Mutex.lock sinks_lock;
+  Mutex.lock lock;
   Hashtbl.remove sinks board;
-  Mutex.unlock sinks_lock
+  Mutex.unlock lock
 
-(* Deliver a completed Dur span to its board's sink, if any. *)
+(* Deliver a completed Dur span to its board's sink, if any; caller
+   must hold the lock. *)
 let notify ev =
-  if ev.board >= 0 then begin
-    Mutex.lock sinks_lock;
-    let f = Hashtbl.find_opt sinks ev.board in
-    Mutex.unlock sinks_lock;
-    match f with Some f -> f ev | None -> ()
-  end
+  if ev.board >= 0 then
+    match Hashtbl.find_opt sinks ev.board with Some f -> f ev | None -> ()
 
 let set_enabled b = flag := b
 let on () = !flag
@@ -90,8 +87,7 @@ let reset_locked () =
   store := [||];
   n := 0;
   n_dropped := 0;
-  n_sampled := 0;
-  Hashtbl.reset pending;
+  Atomic.set n_sampled 0;
   incr epoch
 
 let reset () =
@@ -106,17 +102,10 @@ let set_capacity c =
   reset_locked ();
   Mutex.unlock lock
 
-(* APIARY_OBS_CAP sizes the buffer from the environment, so full-scale
-   --obs runs can raise the cap without a code change. Garbage values
-   warn once and keep the default (Env). *)
-let () = cap := Env.int "APIARY_OBS_CAP" ~default:!cap
-
 let set_sampling ?head_mod:(hm = 1) ?slow_cycles:(sc = max_int) () =
   if hm < 1 then invalid_arg "Span.set_sampling: head_mod must be >= 1";
-  Mutex.lock lock;
   head_mod := hm;
-  slow_cycles := sc;
-  Mutex.unlock lock
+  slow_cycles := sc
 
 (* Avalanche mix (splitmix-style finalizer with 62-bit-safe odd
    constants — OCaml ints are 63-bit, the classic 64-bit constants do
@@ -146,20 +135,18 @@ let tail_keep ~name ~dur args =
      | Some s -> s <> "ok"
      | None -> false)
 
-(* Append; caller must hold the lock. Returns the 1-based slot or 0 when
-   full. *)
+(* Append; caller must hold the lock. False when full. *)
 let push_locked ev =
   if !n >= !cap then begin
     incr n_dropped;
     if not !warned_drop then begin
       warned_drop := true;
       Printf.eprintf
-        "apiary obs: span buffer full at %d events; dropping (raise with \
-         APIARY_OBS_CAP or enable sampling)\n\
-         %!"
+        "apiary obs: span buffer full at %d events; dropping (enable \
+         sampling)\n%!"
         !cap
     end;
-    0
+    false
   end
   else begin
     if !n >= Array.length !store then begin
@@ -169,7 +156,7 @@ let push_locked ev =
     end;
     !store.(!n) <- ev;
     incr n;
-    !n
+    true
   end
 
 let start ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
@@ -178,85 +165,72 @@ let start ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
     let ev =
       { name; cat; corr; board; track; ts; dur = -1; ph = Dur; args }
     in
-    Mutex.lock lock;
-    let id =
-      if keep_head corr then begin
-        let slot = push_locked ev in
-        if slot = 0 then null else (!epoch * !cap) + slot
-      end
-      else begin
-        (* Sampled away for now; park it so a tail rule can promote it
-           when the close reveals an error or a slow request. *)
-        decr next_pending;
-        Hashtbl.replace pending !next_pending (!epoch, ev);
-        !next_pending
-      end
-    in
-    Mutex.unlock lock;
-    id
+    if keep_head corr then begin
+      Mutex.lock lock;
+      let stored = push_locked ev in
+      Mutex.unlock lock;
+      if stored then Open { ev; epoch = !epoch; stored = true } else null
+    end
+    else
+      (* Sampled away for now; the handle parks it so a tail rule can
+         promote it when the close reveals an error or a slow request. *)
+      Open { ev; epoch = !epoch; stored = false }
   end
 
 (* Finishing is allowed even after tracing was switched off, so spans
    opened during a run can be closed by callbacks that fire after the
-   driver disabled capture (a null id still short-circuits). *)
-let finish ?(args = []) ~ts id =
-  if id <> null then begin
+   driver disabled capture. *)
+let finish ?(args = []) ~ts = function
+  | Open { ev; epoch = e; stored = true } when e = !epoch ->
     Mutex.lock lock;
-    if id < 0 then begin
-      (* A parked head-sampled span: promote it if a tail rule fires on
-         the completed interval, count it sampled otherwise. *)
-      match Hashtbl.find_opt pending id with
-      | Some (e, ev) when e = !epoch ->
-        Hashtbl.remove pending id;
-        let dur = max 0 (ts - ev.ts) in
-        let merged = if args = [] then ev.args else ev.args @ args in
-        if tail_keep ~name:ev.name ~dur merged then begin
-          ev.dur <- dur;
-          ev.args <- merged;
-          ignore (push_locked ev);
-          notify ev
-        end
-        else incr n_sampled
-      | _ -> Hashtbl.remove pending id
-    end
-    else begin
-      let e = (id - 1) / !cap and slot = ((id - 1) mod !cap) + 1 in
-      if e = !epoch && slot >= 1 && slot <= !n then begin
-        let ev = !store.(slot - 1) in
-        if ev.dur < 0 then begin
-          ev.dur <- max 0 (ts - ev.ts);
-          if args <> [] then ev.args <- ev.args @ args;
-          notify ev
-        end
-      end
+    if ev.dur < 0 then begin
+      ev.dur <- max 0 (ts - ev.ts);
+      if args <> [] then ev.args <- ev.args @ args;
+      notify ev
     end;
     Mutex.unlock lock
-  end
+  | Open { ev; epoch = e; stored = false } when e = !epoch && ev.dur < 0 ->
+    (* A parked span: promote it if a tail rule fires on the completed
+       interval, count it sampled otherwise. Its duration closes the
+       handle either way, so a second finish is a no-op. *)
+    let dur = max 0 (ts - ev.ts) in
+    let merged = if args = [] then ev.args else ev.args @ args in
+    ev.dur <- dur;
+    if tail_keep ~name:ev.name ~dur merged then begin
+      ev.args <- merged;
+      Mutex.lock lock;
+      ignore (push_locked ev);
+      notify ev;
+      Mutex.unlock lock
+    end
+    else Atomic.incr n_sampled
+  | _ -> ()
 
 let complete ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts ~dur
     () =
   if !flag then begin
     let dur = max 0 dur in
-    Mutex.lock lock;
     if keep_head corr || tail_keep ~name ~dur args then begin
       let ev = { name; cat; corr; board; track; ts; dur; ph = Dur; args } in
+      Mutex.lock lock;
       ignore (push_locked ev);
-      notify ev
+      notify ev;
+      Mutex.unlock lock
     end
-    else incr n_sampled;
-    Mutex.unlock lock
+    else Atomic.incr n_sampled
   end
 
 let instant ?(board = -1) ?(corr = 0) ?(args = []) ~cat ~name ~track ~ts () =
-  if !flag then begin
-    Mutex.lock lock;
-    if keep_head corr || tail_keep ~name ~dur:0 args then
-      ignore
-        (push_locked
-           { name; cat; corr; board; track; ts; dur = 0; ph = Mark; args })
-    else incr n_sampled;
-    Mutex.unlock lock
-  end
+  if !flag then
+    if keep_head corr || tail_keep ~name ~dur:0 args then begin
+      let ev =
+        { name; cat; corr; board; track; ts; dur = 0; ph = Mark; args }
+      in
+      Mutex.lock lock;
+      ignore (push_locked ev);
+      Mutex.unlock lock
+    end
+    else Atomic.incr n_sampled
 
 let events () =
   Mutex.lock lock;
@@ -276,8 +250,4 @@ let dropped () =
   Mutex.unlock lock;
   d
 
-let sampled () =
-  Mutex.lock lock;
-  let s = !n_sampled in
-  Mutex.unlock lock;
-  s
+let sampled () = Atomic.get n_sampled

@@ -14,10 +14,12 @@
     {!Flight.record}). Call sites that would allocate argument lists
     should guard with {!on} themselves.
 
-    Timestamps are simulation cycles — never wall clock. Recording is
-    mutex-protected, so a parallel engine may record concurrently; the
-    global recording order then interleaves boards differently run to
-    run, but each board's own events keep their order, and
+    Timestamps are simulation cycles — never wall clock. The recorder
+    has one mutex, taken only to append a kept event or close a stored
+    one (a sampled-away span takes no lock), so a parallel engine may
+    record concurrently; the global recording order then interleaves
+    boards differently run to run, but each board's own events keep
+    their order, and
     {!Export.chrome_trace} sorts stably by [(ts, board)]. A fixed-seed
     capture is therefore deterministic and its export byte-stable in
     any engine mode, as long as nothing is dropped at the cap (which
@@ -32,8 +34,8 @@
     events ([fault], [deny], [drop], [timeout], [failover],
     [board_down]) and spans whose [status] arg is not ["ok"]. Corr-0
     (uncorrelated) spans are never sampled away. A head-sampled open
-    span is parked off-buffer until {!finish} so a tail rule can still
-    promote it; if tracing ends before its finish, it simply never
+    span lives only in its {!id} until {!finish}, so a tail rule can
+    still promote it; if tracing ends before its finish, it simply never
     appears in the export. *)
 
 type ph =
@@ -62,8 +64,9 @@ val reset : unit -> unit
 (** Drop all recorded spans (the enabled flag is unchanged). *)
 
 type id
-(** Handle to an open span; the null id (returned while disabled) makes
-    {!finish} a no-op. *)
+(** Handle to an open span: its event, and the {!reset} epoch it was
+    opened in. The null id (returned while disabled) makes {!finish} a
+    no-op. *)
 
 val null : id
 
@@ -80,8 +83,9 @@ val start :
 (** Open a span. Returns {!null} when disabled or the buffer is full. *)
 
 val finish : ?args:(string * string) list -> ts:int -> id -> unit
-(** Close an open span; extra [args] are appended. No-op on {!null} or
-    when the recorder was reset since {!start}. *)
+(** Close an open span; extra [args] are appended. No-op on {!null}, on
+    a span already finished, or when the recorder was reset since
+    {!start}. Works after capture is switched off. *)
 
 val complete :
   ?board:int ->
@@ -126,8 +130,7 @@ val sampled : unit -> int
     buffer overflowing). *)
 
 val set_capacity : int -> unit
-(** Cap on retained events (default [1_048_576], or [APIARY_OBS_CAP]
-    from the environment at startup); also resets. *)
+(** Cap on retained events (default [1_048_576]); also resets. *)
 
 val set_sink : board:int -> (event -> unit) -> unit
 (** Install (or replace) a per-board completion tap: the callback fires

@@ -23,7 +23,6 @@ let vu29p =
 
 let all = [ xc7v585t; xc7vh870t; vu3p; vu9p; vu29p ]
 let table1 = [ xc7v585t; xc7vh870t; vu3p; vu29p ]
-let luts p = int_of_float (float_of_int p.logic_cells /. 1.6)
 let find name = List.find_opt (fun p -> p.name = name) all
 
 let generation_scaling () =

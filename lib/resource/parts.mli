@@ -27,9 +27,6 @@ val all : t list
 val table1 : t list
 (** Exactly the paper's Table 1 rows, in its order. *)
 
-val luts : t -> int
-(** logic cells / 1.6, rounded. *)
-
 val find : string -> t option
 
 val generation_scaling : unit -> float * float

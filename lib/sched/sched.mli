@@ -184,8 +184,8 @@ val write_slo_report : t -> string -> unit
 val flight : t -> Flight.t
 (** The controller's flight ring. Burn-rate alerts are recorded into it
     (category ["slo"], name ["page"]/["ticket"]); arm it with
-    [APIARY_FLIGHT=1] (size with [APIARY_FLIGHT_CAP]) or
-    {!Apiary_obs.Flight.set_enabled}, like the kernels' rings. *)
+    [APIARY_FLIGHT=1] or {!Apiary_obs.Flight.set_enabled}, like the
+    kernels' rings. *)
 
 val register_metrics : t -> unit
 (** Install an [Apiary_obs.Registry] sampler publishing per-tenant

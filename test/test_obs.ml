@@ -761,11 +761,13 @@ let span_step_gen =
 let print_span_step =
   let a l = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l) in
   function
-  | P_start (b, c, n, l, t) -> Printf.sprintf "start b%d c%d %s [%s] @%d" b c n (a l) t
+  | P_start (b, c, n, l, t) ->
+    Printf.sprintf "start b%d c%d %s [%s] @%d" b c n (a l) t
   | P_finish (h, l, t) -> Printf.sprintf "finish h%d [%s] @%d" h (a l) t
   | P_complete (b, c, n, l, t, d) ->
     Printf.sprintf "complete b%d c%d %s [%s] @%d+%d" b c n (a l) t d
-  | P_instant (b, c, n, l, t) -> Printf.sprintf "instant b%d c%d %s [%s] @%d" b c n (a l) t
+  | P_instant (b, c, n, l, t) ->
+    Printf.sprintf "instant b%d c%d %s [%s] @%d" b c n (a l) t
   | P_enable b -> Printf.sprintf "enable %b" b
   | P_reset -> "reset"
 
@@ -774,10 +776,15 @@ let print_span_step =
    finish, and [parked] says it has not been finished yet). *)
 type model_handle =
   | M_null
-  | M_open of { ev : Span.event; epoch : int; stored : bool; mutable parked : bool }
+  | M_open of {
+      ev : Span.event;
+      epoch : int;
+      stored : bool;
+      mutable parked : bool;
+    }
 
 let snap (e : Span.event) =
-  (e.name, e.cat, e.corr, e.board, e.track, e.ts, e.dur, e.ph = Span.Mark, e.args)
+  (e.name, e.cat, e.corr, e.board, e.track, e.ts, e.dur, e.ph, e.args)
 
 let prop_span_model =
   QCheck.Test.make ~name:"recorder matches a reference model" ~count:500
@@ -837,20 +844,28 @@ let prop_span_model =
           in
           let step = function
             | P_start (board, corr, name, args, ts) ->
-              let id = Span.start ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts () in
+              let id =
+                Span.start ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts ()
+              in
               let m =
                 if not !flag then M_null
                 else
                   let e = ev board corr name args ts (-1) Span.Dur in
-                  if head.(corr) then
-                    if push e then M_open { ev = e; epoch = !epoch; stored = true; parked = false }
-                    else M_null
-                  else M_open { ev = e; epoch = !epoch; stored = false; parked = true }
+                  let opened stored =
+                    let parked = not stored in
+                    M_open { ev = e; epoch = !epoch; stored; parked }
+                  in
+                  if not head.(corr) then opened false
+                  else if push e then opened true
+                  else M_null
               in
               handles := Array.append !handles [| (id, m) |]
             | P_finish (h, args, ts) -> (
               let n = Array.length !handles in
-              let id, m = if h mod (n + 1) = n then (Span.null, M_null) else !handles.(h mod (n + 1)) in
+              let id, m =
+                if h mod (n + 1) = n then (Span.null, M_null)
+                else !handles.(h mod (n + 1))
+              in
               Span.finish ~args ~ts id;
               match m with
               | M_null -> ()
@@ -874,7 +889,8 @@ let prop_span_model =
                   else incr sampled
                 end)
             | P_complete (board, corr, name, args, ts, dur) ->
-              Span.complete ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts ~dur ();
+              Span.complete ~board ~corr ~args ~cat:"c" ~name ~track:0 ~ts ~dur
+                ();
               if !flag then begin
                 let dur = max 0 dur in
                 if head.(corr) || tail ~name ~dur args then begin

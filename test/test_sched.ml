@@ -224,7 +224,7 @@ let test_directory_unregister_replica () =
     Alcotest.(check int) "board 0 now calls out" 1 r.Directory.board
   | Some Directory.Local -> Alcotest.fail "drained replica still local"
   | None -> Alcotest.fail "kv should resolve");
-  (* The board's other services are untouched — unlike unregister_board. *)
+  (* The board's other services are untouched — unlike a failure report. *)
   match Directory.resolve d ~from_board:0 ~service:"log" with
   | Some Directory.Local -> ()
   | _ -> Alcotest.fail "log on board 0 must survive the kv drain"

@@ -260,8 +260,8 @@ let test_hosted_serves_and_is_slower () =
 
 let test_qserver_fcfs_and_parallelism () =
   let sim = Sim.create () in
-  let q1 = Qserver.create sim ~servers:1 "one" in
-  let q2 = Qserver.create sim ~servers:2 "two" in
+  let q1 = Qserver.create sim ~servers:1 in
+  let q2 = Qserver.create sim ~servers:2 in
   let d1 = ref 0 and d2 = ref 0 in
   for _ = 1 to 2 do
     Qserver.submit q1 ~cycles:100 (fun () -> d1 := Sim.now sim);

@@ -13,7 +13,6 @@ module Agent = Apiary_obs.Agent
 module Wire = Apiary_obs.Agent.Wire
 module Span = Apiary_obs.Span
 module Registry = Apiary_obs.Registry
-module Env = Apiary_obs.Env
 
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
@@ -537,23 +536,6 @@ let test_collector_conservation () =
          = Collector.delivered col ~board:0);
       Collector.detach col)
 
-(* ------------------------------------------------------------------ *)
-(* Env fallback *)
-
-let test_env_fallback () =
-  Unix.putenv "APIARY_TEST_TELEM_KNOB" "banana";
-  Alcotest.(check int) "garbage falls back to default" 7
-    (Env.int "APIARY_TEST_TELEM_KNOB" ~default:7);
-  (* The warning is one-shot; a second read must stay quiet and still
-     return the default rather than raising or caching garbage. *)
-  Alcotest.(check int) "second read same fallback" 7
-    (Env.int "APIARY_TEST_TELEM_KNOB" ~default:7);
-  Unix.putenv "APIARY_TEST_TELEM_KNOB" "12";
-  Alcotest.(check int) "valid value parses" 12
-    (Env.int "APIARY_TEST_TELEM_KNOB" ~default:7);
-  Alcotest.(check int) "below min falls back" 7
-    (Env.int ~min:100 "APIARY_TEST_TELEM_KNOB" ~default:7)
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -577,5 +559,4 @@ let () =
           Alcotest.test_case "conservation under kill" `Quick
             test_collector_conservation;
         ] );
-      ( "env", [ Alcotest.test_case "tolerant fallback" `Quick test_env_fallback ] );
     ]
