@@ -19,11 +19,11 @@
     one (a sampled-away span takes no lock), so a parallel engine may
     record concurrently; the global recording order then interleaves
     boards differently run to run, but each board's own events keep
-    their order, and
-    {!Export.chrome_trace} sorts stably by [(ts, board)]. A fixed-seed
-    capture is therefore deterministic and its export byte-stable in
-    any engine mode, as long as nothing is dropped at the cap (which
-    events the cap drops depends on the interleaving).
+    their order, and {!Export.chrome_trace} sorts stably by
+    [(ts, board)]. A fixed-seed capture is therefore deterministic and
+    its export byte-stable in any engine mode, as long as nothing is
+    dropped at the cap (which events the cap drops depends on the
+    interleaving).
 
     {b Sampling} ({!set_sampling}) keeps full-scale captures inside the
     buffer cap without losing determinism: correlation families are
