@@ -83,13 +83,15 @@ let par_mode () =
    sizes. *)
 let small () = Sys.getenv_opt "APIARY_SMALL" <> None
 
-(* APIARY_DOMAINS caps a partitioned rack's domain fan-out below its
-   member count; the engine's work stealing then keeps the smaller
-   domain pool fed. Unset, every member gets its own domain. *)
+(* A partitioned rack's domain fan-out: one domain per host core, at
+   most one per member, so the pool does not oversubscribe the host.
+   APIARY_DOMAINS overrides it; the engine then gives each domain a
+   fixed share of the members. *)
 let rack_domains ~members =
+  let fit = min members (Domain.recommended_domain_count ()) in
   match Sys.getenv_opt "APIARY_DOMAINS" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> members)
-  | None -> members
+  | Some s -> ( try max 1 (int_of_string s) with _ -> fit)
+  | None -> fit
 
 (* Build a rack, let [body] populate it (returning the result
    extractor), run for [duration], extract. The rack is partitioned one
@@ -161,6 +163,7 @@ type perf_record = {
   pr_active_ticks : int;  (* ticker invocations actually executed *)
   pr_skipped_ticks : int;  (* ticker invocations elided while parked *)
   pr_stall_s : float;  (* barrier stall (parallel engine only) *)
+  pr_merge_s : float;  (* coordinator's serial section (parallel engine only) *)
   pr_windows : int;  (* adaptive sync windows executed during the run *)
   pr_domains : int;  (* OS domains per Par window, mean over the run's
                         Par windows (rounded); 1 when none ran *)
@@ -186,6 +189,7 @@ let timed id f () =
     let active_t0 = Sim.total_active_ticks () in
     let skipped_t0 = Sim.total_skipped_ticks () in
     let stall0 = Par_sim.total_barrier_stall_s () in
+    let merge0 = Par_sim.total_merge_s () in
     let windows0 = Par_sim.total_windows () in
     let par0, dom0 = Par_sim.total_par_windows () in
     let alloc0 = alloc_words () in
@@ -204,6 +208,7 @@ let timed id f () =
         pr_active_ticks = Sim.total_active_ticks () - active_t0;
         pr_skipped_ticks = Sim.total_skipped_ticks () - skipped_t0;
         pr_stall_s = Par_sim.total_barrier_stall_s () -. stall0;
+        pr_merge_s = Par_sim.total_merge_s () -. merge0;
         pr_windows = Par_sim.total_windows () - windows0;
         pr_domains = (if par = 0 then 1 else (dom1 - dom0 + (par / 2)) / par);
         pr_alloc_words = alloc;
@@ -235,6 +240,9 @@ let write_perf_json path =
         ((if r.pr_stall_s > 0.0 then
             Printf.sprintf ", \"barrier_stall_s\": %.3f" r.pr_stall_s
           else "")
+        ^ (if r.pr_merge_s > 0.0 then
+             Printf.sprintf ", \"merge_s\": %.3f" r.pr_merge_s
+           else "")
         ^
         if r.pr_windows > 0 then Printf.sprintf ", \"windows\": %d" r.pr_windows
         else "")
