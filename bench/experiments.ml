@@ -51,7 +51,6 @@ let mk_kernel ?(cols = 4) ?(rows = 4) ?(monitor = Monitor.default_config)
       Kernel.mesh;
       monitor;
       monitor_overrides = overrides;
-      mem_tile = (cols * rows) - 1;
       dram_bytes = 4 * 1024 * 1024;
     }
   in
@@ -315,10 +314,7 @@ let e2_direct ~value_bytes ~concurrency ~duration =
      request; all on the FPGA. *)
   let fpga_cycles = served * (kv_cost_model value_bytes + 100) in
   let net_bytes = served * 2 * (value_bytes + 80) in
-  let uj =
-    Energy.direct_uj ~fpga_cycles ~net_bytes ()
-    /. float_of_int (max 1 served)
-  in
+  let uj = Energy.direct_uj ~fpga_cycles ~net_bytes /. float_of_int (max 1 served) in
   (p50 lat, p99 lat, served, uj)
 
 let e2_hosted ~value_bytes ~concurrency ~duration =
@@ -346,7 +342,7 @@ let e2_hosted ~value_bytes ~concurrency ~duration =
     | Error e -> Kv.Proto.encode_resp (Kv.Proto.Failed e)
   in
   let server =
-    Hosted.create sim Hosted.default_config ~mac:server_mac ~my_mac:0xAA
+    Hosted.create sim ~mac:server_mac ~my_mac:0xAA
       ~accel_cycles:(fun len -> kv_cost_model len)
       ~handler
   in
@@ -365,11 +361,10 @@ let e2_hosted ~value_bytes ~concurrency ~duration =
   let served = max 1 (Hosted.served server) in
   let uj =
     Energy.hosted_uj
-      ~cpu_cycles:(Hosted.host_busy_cycles server + (served * 2 * Hosted.default_config.Hosted.nic_cycles))
+      ~cpu_cycles:(Hosted.host_busy_cycles server + (served * 2 * Hosted.nic_cycles))
       ~accel_cycles:(Hosted.accel_busy_cycles server)
       ~pcie_bytes:(served * 2 * value_bytes)
       ~net_bytes:(served * 2 * (value_bytes + 80))
-      ()
     /. float_of_int served
   in
   let lat = Client.latency client in
@@ -1280,7 +1275,6 @@ let e11 () =
     let remote_mac, remote_addr = Board.add_client_port board ~port:2 () in
     let _remote =
       Remote_service.create sim ~mac:remote_mac ~my_mac:remote_addr ~nic_cycles
-        ~service_cycles:250
         ~handler:(fun ~service:_ ~op:_ body -> body)
         ()
     in

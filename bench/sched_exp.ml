@@ -223,13 +223,10 @@ let run_variant ~variant ~boards ~duration ~kill =
         | Elastic { migration } ->
           let cfg =
             {
-              Sched.default_config with
-              Sched.report_period = 4_000;
               (* A saturated board at these service times moves ~40
                  msgs/load report, an idle one under 12 (calibrated). *)
-              hot_load = (if migration then 30 else max_int / 2);
+              Sched.hot_load = (if migration then 30 else max_int / 2);
               cold_load = 12;
-              cooldown = 60_000;
               (* Fine-grained SLO windows: a flash crowd exhausts a
                  low-rate tenant's error budget within a couple of
                  thousand cycles, so burn rates must be observable on

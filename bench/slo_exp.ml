@@ -28,13 +28,7 @@ let bytes_of n = Bytes.make n 'x'
 
 let mk_kernel () =
   let sim = Sim.create () in
-  let cfg =
-    {
-      Kernel.default_config with
-      Kernel.mem_tile = 15;
-      dram_bytes = 4 * 1024 * 1024;
-    }
-  in
+  let cfg = { Kernel.default_config with Kernel.dram_bytes = 4 * 1024 * 1024 } in
   (sim, Kernel.create sim cfg)
 
 (* One rung: the fixed KV workload with a per-completion latency hook.

@@ -391,10 +391,8 @@ let e16e_run ~feed ~duration =
     with_rack ~boards:4 ~clients:3 ~duration (fun sim cluster ->
         let cfg =
           {
-            Sched.default_config with
-            Sched.report_period = 4_000;
             (* autoscale only: load-balance migrations off *)
-            hot_load = max_int / 2;
+            Sched.hot_load = max_int / 2;
             cold_load = 0;
             slo_window = 1_000;
             slo_min_samples = 4;

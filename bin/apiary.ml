@@ -287,14 +287,13 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
           "board: %d router-busy cycles — %.1f%% mean router utilization\n" busy
           (100.0 *. float_of_int busy /. float_of_int (max 1 (now * n)));
         observe now;
-        let obj = Slo.objective slo in
         Printf.printf
           "slo:   %d/%d within %d cycles — attainment %.1f%%, budget left \
            %.1f%%, burn fast %.1f / slow %.1f%s\n"
           !last_good !last_total slo_cycles (Slo.attainment_pct slo)
           (Slo.budget_remaining_pct slo)
-          (Slo.burn_rate slo ~windows:obj.Slo.fast_windows)
-          (Slo.burn_rate slo ~windows:obj.Slo.slow_windows)
+          (Slo.burn_rate slo ~windows:Slo.fast_windows)
+          (Slo.burn_rate slo ~windows:Slo.slow_windows)
           (match List.length (Slo.alerts slo) with
           | 0 -> ""
           | k -> Printf.sprintf ", %d burn alerts" k));
@@ -365,7 +364,6 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
       Export.buf_add_float b
         (100.0 *. float_of_int busy /. float_of_int (max 1 (now * n)));
       Buffer.add_char b '}');
-    let obj = Slo.objective slo in
     Buffer.add_string b ",\"slo\":{\"latency_cycles\":";
     Buffer.add_string b (string_of_int slo_cycles);
     Buffer.add_string b ",\"good\":";
@@ -377,9 +375,9 @@ let top_cmd scenario cycles clients interval once json seed slo_cycles =
     Buffer.add_string b ",\"budget_remaining_pct\":";
     Export.buf_add_float b (Slo.budget_remaining_pct slo);
     Buffer.add_string b ",\"burn_fast\":";
-    Export.buf_add_float b (Slo.burn_rate slo ~windows:obj.Slo.fast_windows);
+    Export.buf_add_float b (Slo.burn_rate slo ~windows:Slo.fast_windows);
     Buffer.add_string b ",\"burn_slow\":";
-    Export.buf_add_float b (Slo.burn_rate slo ~windows:obj.Slo.slow_windows);
+    Export.buf_add_float b (Slo.burn_rate slo ~windows:Slo.slow_windows);
     Buffer.add_string b ",\"alerts\":";
     Buffer.add_string b (string_of_int (List.length (Slo.alerts slo)));
     Buffer.add_string b "},\"alarms\":[";
@@ -577,15 +575,7 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
         ~cost:(if s.Placer.name = "ml" then 1_200 else 300)
         ()
     in
-    let cfg =
-      {
-        Sched.default_config with
-        Sched.report_period = 4_000;
-        hot_load = 30;
-        cold_load = 12;
-        cooldown = 60_000;
-      }
-    in
+    let cfg = { Sched.default_config with Sched.hot_load = 30; cold_load = 12 } in
     let collector = Collector.create cluster in
     let sched = Sched.create ~config:cfg cluster ~collector ~slot_cells in
     List.iter
@@ -604,7 +594,6 @@ let run_sched_demo ?(echo = true) ~boards ~cycles ~kill () =
         specs
     in
     Sched.start sched;
-    Sched.register_metrics sched;
     let health = Rack_health.create cluster in
     let client name = List.assq (List.find (fun s -> s.Placer.name = name) specs) clients in
     let ramp name at extra =
@@ -705,11 +694,10 @@ let slo_cmd boards cycles kill json report_out =
         (fun i ((s : Placer.tenant), _) ->
           if i > 0 then Buffer.add_char b ',';
           let t = Sched.slo sched ~tenant:s.Placer.name in
-          let obj = Slo.objective t in
           Buffer.add_string b "{\"tenant\":";
           Export.buf_add_json_string b s.Placer.name;
           Buffer.add_string b ",\"target_pct\":";
-          Export.buf_add_float b obj.Slo.target_pct;
+          Export.buf_add_float b Slo.target_pct;
           Buffer.add_string b ",\"good\":";
           Buffer.add_string b (string_of_int (Slo.good_total t));
           Buffer.add_string b ",\"bad\":";
@@ -719,11 +707,9 @@ let slo_cmd boards cycles kill json report_out =
           Buffer.add_string b ",\"budget_remaining_pct\":";
           Export.buf_add_float b (Slo.budget_remaining_pct t);
           Buffer.add_string b ",\"burn_fast\":";
-          Export.buf_add_float b
-            (Slo.burn_rate t ~windows:obj.Slo.fast_windows);
+          Export.buf_add_float b (Slo.burn_rate t ~windows:Slo.fast_windows);
           Buffer.add_string b ",\"burn_slow\":";
-          Export.buf_add_float b
-            (Slo.burn_rate t ~windows:obj.Slo.slow_windows);
+          Export.buf_add_float b (Slo.burn_rate t ~windows:Slo.slow_windows);
           Buffer.add_string b ",\"alerts\":[";
           List.iteri
             (fun j (a : Slo.alert) ->
@@ -750,13 +736,12 @@ let slo_cmd boards cycles kill json report_out =
       List.iter
         (fun ((s : Placer.tenant), _) ->
           let t = Sched.slo sched ~tenant:s.Placer.name in
-          let obj = Slo.objective t in
           Printf.printf "%-6s %6.1f%% %10d %6d %8.1f %7.1f %6.1f %6.1f %7d\n"
-            s.Placer.name obj.Slo.target_pct (Slo.good_total t)
+            s.Placer.name Slo.target_pct (Slo.good_total t)
             (Slo.bad_total t) (Slo.attainment_pct t)
             (Slo.budget_remaining_pct t)
-            (Slo.burn_rate t ~windows:obj.Slo.fast_windows)
-            (Slo.burn_rate t ~windows:obj.Slo.slow_windows)
+            (Slo.burn_rate t ~windows:Slo.fast_windows)
+            (Slo.burn_rate t ~windows:Slo.slow_windows)
             (List.length (Slo.alerts t)))
         clients;
       List.iter

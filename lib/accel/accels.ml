@@ -1,14 +1,16 @@
-module Checksum = Apiary_engine.Checksum
 module Message = Apiary_core.Message
 module Shell = Apiary_core.Shell
 
 let op_echo = 1
 let op_encode = 2
 let op_compress = 3
-let op_checksum = 4
 let op_stream = 5
 
-let charge sh ~cost_x16 nbytes = Shell.busy sh (cost_x16 * (nbytes / 16 + 1))
+(* Encoder, compressor and pipeline stages all stream one byte per cycle:
+   16 cycles per 16 input bytes. *)
+let cycles_per_byte_x16 = 16
+
+let charge sh nbytes = Shell.busy sh (cycles_per_byte_x16 * (nbytes / 16 + 1))
 
 let echo ?(service = "echo") ?(cost = 0) () =
   Shell.behavior service
@@ -28,36 +30,24 @@ let sink ?(service = "sink") () =
         match msg.Message.kind with Message.Data _ -> incr count | _ -> ()),
     fun () -> !count )
 
-let serve ~service ~opcode ~cost_x16 ~f =
+let serve ~service ~opcode ~f =
   Shell.behavior service
     ~on_boot:(fun sh -> Shell.register_service sh service)
     ~on_message:(fun sh msg ->
       match msg.Message.kind with
       | Message.Data _ ->
-        charge sh ~cost_x16 (Bytes.length msg.Message.payload);
+        charge sh (Bytes.length msg.Message.payload);
         Shell.respond sh msg ~opcode (f msg.Message.payload)
       | _ -> ())
 
-let video_encoder ?(service = "encode") ?(q = 2) ?(width = 64)
-    ?(cycles_per_byte_x16 = 16) () =
-  serve ~service ~opcode:op_encode ~cost_x16:cycles_per_byte_x16
-    ~f:(Codec.video_encode ~q ~width)
+let video_encoder ?(service = "encode") ?(q = 2) ?(width = 64) () =
+  serve ~service ~opcode:op_encode ~f:(Codec.video_encode ~q ~width)
 
-let compressor ?(service = "compress") ?(algo = `Lz) ?(cycles_per_byte_x16 = 16) () =
+let compressor ?(service = "compress") ?(algo = `Lz) () =
   let f = match algo with `Rle -> Codec.rle_encode | `Lz -> Codec.lz_encode in
-  serve ~service ~opcode:op_compress ~cost_x16:cycles_per_byte_x16 ~f
+  serve ~service ~opcode:op_compress ~f
 
-let checksummer ?(service = "checksum") ?(cycles_per_byte_x16 = 4) () =
-  let f payload =
-    let crc = Checksum.crc32 payload in
-    let out = Bytes.create 4 in
-    Bytes.set_uint16_be out 0 (Int32.to_int (Int32.shift_right_logical crc 16));
-    Bytes.set_uint16_be out 2 (Int32.to_int (Int32.logand crc 0xFFFFl));
-    out
-  in
-  serve ~service ~opcode:op_checksum ~cost_x16:cycles_per_byte_x16 ~f
-
-let transform_stage ~service ~next ~f ?(cost_per_byte_x16 = 16) () =
+let transform_stage ~service ~next ~f () =
   let downstream = ref None in
   let connect_downstream sh =
     Shell.connect sh ~service:next (fun r ->
@@ -81,7 +71,7 @@ let transform_stage ~service ~next ~f ?(cost_per_byte_x16 = 16) () =
     ~on_message:(fun sh msg ->
       match (msg.Message.kind, !downstream) with
       | Message.Data _, Some conn ->
-        charge sh ~cost_x16:cost_per_byte_x16 (Bytes.length msg.Message.payload);
+        charge sh (Bytes.length msg.Message.payload);
         let transformed = f msg.Message.payload in
         Shell.request sh conn ~opcode:op_encode transformed (fun r ->
             match r with

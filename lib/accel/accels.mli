@@ -4,14 +4,15 @@ module Shell := Apiary_core.Shell
 
     Each is a {!Shell.behavior} that registers a service name at boot and
     speaks request/response over data messages. Compute time is modelled
-    with [Shell.busy] using per-byte cost factors loosely calibrated to
-    pipelined streaming hardware (1 byte/cycle/lane class). *)
+    with [Shell.busy]: the video encoder, the compressor and a pipeline
+    stage each stream one byte per cycle, pipelined streaming hardware's
+    class, and charge [16 * (n / 16 + 1)] cycles for [n] payload bytes.
+    No caller varies that rate. *)
 
 (** Opcodes spoken by the library (replies echo the request opcode). *)
 val op_echo : int
 val op_encode : int
 val op_compress : int
-val op_checksum : int
 val op_stream : int
 
 val echo : ?service:string -> ?cost:int -> unit -> Shell.behavior
@@ -20,25 +21,16 @@ val echo : ?service:string -> ?cost:int -> unit -> Shell.behavior
 val sink : ?service:string -> unit -> Shell.behavior * (unit -> int)
 (** Accepts one-way data, counts it; returns the counter reader. *)
 
-val video_encoder :
-  ?service:string -> ?q:int -> ?width:int -> ?cycles_per_byte_x16:int -> unit ->
-  Shell.behavior
+val video_encoder : ?service:string -> ?q:int -> ?width:int -> unit -> Shell.behavior
 (** Intra-frame encoder over {!Codec.video_encode} (default [q = 2],
-    [width = 64]). Cost: 16 cycles per 16 input bytes by default — a
-    1 byte/cycle systolic transform. *)
+    [width = 64]): a 1 byte/cycle systolic transform. *)
 
-val compressor :
-  ?service:string -> ?algo:[ `Rle | `Lz ] -> ?cycles_per_byte_x16:int -> unit ->
-  Shell.behavior
+val compressor : ?service:string -> ?algo:[ `Rle | `Lz ] -> unit -> Shell.behavior
 (** The "third-party compression accelerator" of paper §2 (default
     [`Lz]). *)
 
-val checksummer : ?service:string -> ?cycles_per_byte_x16:int -> unit -> Shell.behavior
-(** CRC-32 engine: replies with the 4-byte big-endian checksum. *)
-
 val transform_stage :
-  service:string -> next:string -> f:(bytes -> bytes) -> ?cost_per_byte_x16:int ->
-  unit -> Shell.behavior
+  service:string -> next:string -> f:(bytes -> bytes) -> unit -> Shell.behavior
 (** A pipeline stage: applies [f], forwards to service [next], and relays
     the downstream response to the original requester — the video
     processing pipeline composition of paper §2. *)

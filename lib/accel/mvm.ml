@@ -67,7 +67,7 @@ let decode_grant b =
         Bytes.get_uint16_be b 4,
         Bytes.get_uint16_be b 6 )
 
-let loader ?(workers_service_prefix = "mvm") ~weights ~rows ~cols ~worker_tiles () =
+let loader ~weights ~rows ~cols ~worker_tiles () =
   assert (Bytes.length weights = rows * cols);
   let on_boot sh =
     Shell.alloc sh ~bytes:(rows * cols) (fun r ->
@@ -100,7 +100,7 @@ let loader ?(workers_service_prefix = "mvm") ~weights ~rows ~cols ~worker_tiles 
                     (Printf.sprintf "grant to tile %d failed: %s" tile
                        (Apiary_cap.Store.error_to_string e))
                 | Ok handle ->
-                  let service = Printf.sprintf "%s%d" workers_service_prefix idx in
+                  let service = Printf.sprintf "mvm%d" idx in
                   let rec tell attempts =
                     Shell.connect sh ~service (fun r ->
                         match r with

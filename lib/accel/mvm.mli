@@ -37,11 +37,11 @@ type stats = {
   mutable rejected : int;  (** malformed / wrong-dimension requests *)
 }
 
-val loader : ?workers_service_prefix:string -> weights:bytes -> rows:int ->
-  cols:int -> worker_tiles:int list -> unit -> Shell.behavior
+val loader : weights:bytes -> rows:int -> cols:int -> worker_tiles:int list ->
+  unit -> Shell.behavior
 (** Uploads the weights to DRAM and grants each worker tile a read-only
-    view, then messages each worker (service ["<prefix><i>"], default
-    prefix ["mvm"]) the grant handle. *)
+    view, then messages the [i]th worker, service ["mvm<i>"], the grant
+    handle. *)
 
 val worker : ?service:string -> rows:int -> cols:int -> unit ->
   Shell.behavior * stats

@@ -22,8 +22,12 @@ let gbps_to_bytes_per_cycle g =
   (* bytes/cycle at 250 MHz: 10 Gb/s = 1.25 GB/s = 5 B/cycle. *)
   g *. 0.5
 
-let create ?kernel_cfg ?(mac_gen = Mac.Gen_100g) ?(switch_ports = 8) ?net_tile
-    ?attach:attach_to ?(mac_addr = fpga_mac_addr) ?ext_link sim =
+(* A private switch's ports: the board's on port 0 and seven client
+   ports. *)
+let switch_ports = 8
+
+let create ?kernel_cfg ?(mac_gen = Mac.Gen_100g) ?attach:attach_to
+    ?(mac_addr = fpga_mac_addr) ?ext_link sim =
   let kcfg = Option.value ~default:Kernel.default_config kernel_cfg in
   let kernel = Kernel.create sim kcfg in
   let switch, board_port =
@@ -42,12 +46,9 @@ let create ?kernel_cfg ?(mac_gen = Mac.Gen_100g) ?(switch_ports = 8) ?net_tile
   Switch.attach switch ~port:board_port board_link Link.B;
   let fpga_mac = Mac.create sim mac_gen board_link Link.A in
   let net_tile =
-    match net_tile with
-    | Some tile -> tile
-    | None -> (
-      match Kernel.user_tiles kernel with
-      | tile :: _ -> tile
-      | [] -> invalid_arg "Board.create: no user tile for the network service")
+    match Kernel.user_tiles kernel with
+    | tile :: _ -> tile
+    | [] -> invalid_arg "Board.create: no user tile for the network service"
   in
   let net_behavior, net_stats = Netsvc.behavior ~mac:fpga_mac ~my_mac:mac_addr () in
   Kernel.install kernel ~tile:net_tile net_behavior;

@@ -34,20 +34,20 @@ val gbps_to_bytes_per_cycle : float -> float
 val create :
   ?kernel_cfg:Kernel.config ->
   ?mac_gen:Mac.generation ->
-  ?switch_ports:int ->
-  ?net_tile:int ->
   ?attach:Switch.t * int ->
   ?mac_addr:int ->
   ?ext_link:Link.t ->
   Sim.t ->
   t
-(** Defaults: 100G board MAC on switch port 0, 8-port 1 µs switch, the
-    network service on the first user tile.
+(** Defaults: 100G board MAC on port 0 of a private 8-port 1 µs switch,
+    so ports 1–7 take clients. The network service always runs on the
+    kernel's first user tile, and a private switch always has 8 ports:
+    every board the benches, CLI and examples build uses both.
 
     [attach:(switch, port)] wires the board's MAC into an existing
     switch at the given port instead of creating a private one —
     several boards sharing one ToR switch is how {!Apiary_cluster}
-    builds a rack. [switch_ports] is then ignored. [mac_addr] overrides
+    builds a rack. [mac_addr] overrides
     the board's MAC address (mandatory for multi-board setups, where
     each board needs a distinct identity).
 

@@ -1,36 +1,20 @@
-type profile = {
-  cpu_core_watts : float;
-  fpga_dynamic_watts : float;
-  pcie_pj_per_byte : float;
-  nic_pj_per_byte : float;
-  cycle_seconds : float;
-}
-
-let default_profile =
-  {
-    cpu_core_watts = 12.0;
-    fpga_dynamic_watts = 12.0;
-    pcie_pj_per_byte = 15.0;
-    nic_pj_per_byte = 5.0;
-    cycle_seconds = 4e-9;
-  }
+let cpu_core_watts = 12.0
+let fpga_dynamic_watts = 12.0
+let pcie_pj_per_byte = 15.0
+let nic_pj_per_byte = 5.0
+let cycle_seconds = 4e-9
 
 let joules_to_uj j = j *. 1e6
 let pj_to_uj p = p *. 1e-6
 
-let hosted_uj ?(profile = default_profile) ~cpu_cycles ~accel_cycles ~pcie_bytes
-    ~net_bytes () =
-  let cpu = profile.cpu_core_watts *. float_of_int cpu_cycles *. profile.cycle_seconds in
-  let fpga =
-    profile.fpga_dynamic_watts *. float_of_int accel_cycles *. profile.cycle_seconds
-  in
-  let pcie = pj_to_uj (profile.pcie_pj_per_byte *. float_of_int pcie_bytes) in
-  let nic = pj_to_uj (profile.nic_pj_per_byte *. float_of_int net_bytes) in
+let hosted_uj ~cpu_cycles ~accel_cycles ~pcie_bytes ~net_bytes =
+  let cpu = cpu_core_watts *. float_of_int cpu_cycles *. cycle_seconds in
+  let fpga = fpga_dynamic_watts *. float_of_int accel_cycles *. cycle_seconds in
+  let pcie = pj_to_uj (pcie_pj_per_byte *. float_of_int pcie_bytes) in
+  let nic = pj_to_uj (nic_pj_per_byte *. float_of_int net_bytes) in
   joules_to_uj (cpu +. fpga) +. pcie +. nic
 
-let direct_uj ?(profile = default_profile) ~fpga_cycles ~net_bytes () =
-  let fpga =
-    profile.fpga_dynamic_watts *. float_of_int fpga_cycles *. profile.cycle_seconds
-  in
-  let nic = pj_to_uj (profile.nic_pj_per_byte *. float_of_int net_bytes) in
+let direct_uj ~fpga_cycles ~net_bytes =
+  let fpga = fpga_dynamic_watts *. float_of_int fpga_cycles *. cycle_seconds in
+  let nic = pj_to_uj (nic_pj_per_byte *. float_of_int net_bytes) in
   joules_to_uj fpga +. nic

@@ -9,12 +9,15 @@ type t = {
   my_mac : int;
   nic_cycles : int;
   cpu : Qserver.t;
-  service_cycles : int;
   handler : service:string -> op:int -> bytes -> bytes;
 }
 
-let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
-    ?(service_cycles = 250) ~handler () =
+(* The remote host's 2 cores, and 250 cycles (1 us) of handler time per
+   request. *)
+let cores = 2
+let service_cycles = 250
+
+let create sim ~mac ~my_mac ?(nic_cycles = 500) ~handler () =
   let t =
     {
       sim;
@@ -22,7 +25,6 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
       my_mac;
       nic_cycles;
       cpu = Qserver.create sim ~servers:cores;
-      service_cycles;
       handler;
     }
   in
@@ -31,7 +33,7 @@ let create sim ~mac ~my_mac ?(nic_cycles = 500) ?(cores = 2)
       | Error _ -> ()
       | Ok req ->
         Sim.after t.sim t.nic_cycles (fun () ->
-            Qserver.submit t.cpu ~cycles:t.service_cycles (fun () ->
+            Qserver.submit t.cpu ~cycles:service_cycles (fun () ->
                 let body =
                   t.handler ~service:req.Netproto.service ~op:req.Netproto.op
                     req.Netproto.body

@@ -15,8 +15,9 @@ module Sim := Apiary_engine.Sim
 type t
 
 val create :
-  Sim.t -> mac:Mac.t -> my_mac:int -> ?nic_cycles:int -> ?cores:int ->
-  ?service_cycles:int ->
+  Sim.t -> mac:Mac.t -> my_mac:int -> ?nic_cycles:int ->
   handler:(service:string -> op:int -> bytes -> bytes) -> unit -> t
-(** Defaults: 500-cycle (2 µs) NIC+kernel path per direction, 2 cores,
-    250-cycle (1 µs) handler time. *)
+(** [nic_cycles] is the NIC+kernel path per direction (default 500
+    cycles, 2 µs); E11 sweeps it. The host has 2 cores and spends 250
+    cycles (1 µs) in the handler per request: every caller uses those
+    values, so they are fixed. *)

@@ -1,5 +1,5 @@
 (* Federated name server: rack-wide service -> replica registry with
-   per-(board, service) route caches.
+   per-(board, service) sticky routes.
 
    Models the paper's remote control plane (§6-Q3). The directory is
    replicated one copy per engine member: replica 0 is the rack
@@ -14,10 +14,10 @@
    [announce_delay] is the wire latency and must be at least the engine
    lookahead.
 
-   Route caches (the per-(from_board, service) resolution decisions) are
+   Routes (the sticky per-(from_board, service) remote picks) are
    replica-local and written only by the owning member — the write
-   paths assert this against {!Par_sim.current_partition} in debug
-   builds. Failure detection is caller-driven: a failed remote call
+   paths assert this against {!Par_sim.current_partition}. Failure
+   detection is caller-driven: a failed remote call
    invalidates the cached route and reports the replica's board; the
    directory never observes failures on its own. *)
 
@@ -34,27 +34,20 @@ type update =
 
 type ann = { a_time : int; u : update }
 
-(* One resolution slot per (from_board, service), int-keyed. [dec] is
-   the decided resolution, valid while [epoch] matches the replica's
-   registry epoch; [picked] is the sticky remote pick that survives
-   registry changes until invalidated or its board unregisters — the
-   cache the old hash-of-tuples table provided, now a single int-keyed
-   lookup plus an int compare on the hot path. *)
+(* One route per service in each replica: replica [b + 1] resolves
+   only for board [b], and replica 0 never resolves. [picked] is the
+   sticky remote pick, kept until invalidated or until its board
+   unregisters the service. *)
 type route = {
-  mutable dec : resolution option;
-  mutable epoch : int;  (* -1 forces recomputation *)
   mutable picked : replica option;
-  mutable rot : int;  (* per-slot rotation for fresh remote picks *)
+  mutable rot : int;  (* rotation for fresh remote picks *)
 }
 
 type rep = {
   part : int;  (* owning engine partition *)
   rsim : Sim.t;
   registry : (string, replica list) Hashtbl.t;  (* registration order *)
-  sids : (string, int) Hashtbl.t;  (* replica-local service interning *)
-  mutable next_sid : int;
-  routes : (int, route) Hashtbl.t;  (* (from_board lsl 16) lor sid *)
-  mutable reg_epoch : int;
+  routes : (string, route) Hashtbl.t;
   inbox : ann Queue.t;  (* delivered, not yet applied; in delivery order *)
   mutable lookups : int;
   mutable cache_hits : int;
@@ -69,7 +62,8 @@ type t = {
 
 (* Replica state may only be written by its owning partition's
    execution (or by coordinator code between windows, which holds every
-   partition quiescent). Compiled out in release builds. *)
+   partition quiescent). The assert runs in every build: no build
+   profile of this workspace passes -noassert. *)
 let owner_check rep =
   assert (
     match Par_sim.current_partition () with
@@ -81,10 +75,7 @@ let mk_rep part rsim =
     part;
     rsim;
     registry = Hashtbl.create 16;
-    sids = Hashtbl.create 16;
-    next_sid = 0;
-    routes = Hashtbl.create 32;
-    reg_epoch = 0;
+    routes = Hashtbl.create 16;
     inbox = Queue.create ();
     lookups = 0;
     cache_hits = 0;
@@ -112,12 +103,19 @@ let rep_for t from_board = t.reps.(home from_board)
 let registered rep service =
   Option.value ~default:[] (Hashtbl.find_opt rep.registry service)
 
+(* Drop a sticky pick of [board], counted as an invalidation. *)
+let unpick rep route board =
+  match route.picked with
+  | Some r when r.board = board ->
+    route.picked <- None;
+    rep.invalidations <- rep.invalidations + 1
+  | _ -> ()
+
 let apply rep = function
   | U_register { service; board; mac } ->
     let rs = registered rep service in
     if not (List.exists (fun r -> r.board = board) rs) then
-      Hashtbl.replace rep.registry service (rs @ [ { board; mac } ]);
-    rep.reg_epoch <- rep.reg_epoch + 1
+      Hashtbl.replace rep.registry service (rs @ [ { board; mac } ])
   | U_unregister { board } ->
     let keys = Hashtbl.fold (fun s _ acc -> s :: acc) rep.registry [] in
     List.iter
@@ -128,15 +126,7 @@ let apply rep = function
       keys;
     (* Prune sticky routes to the dead board — the replicated equivalent
        of dropping its cached routes, counted identically. *)
-    Hashtbl.iter
-      (fun _ slot ->
-        match slot.picked with
-        | Some r when r.board = board ->
-          slot.picked <- None;
-          rep.invalidations <- rep.invalidations + 1
-        | _ -> ())
-      rep.routes;
-    rep.reg_epoch <- rep.reg_epoch + 1
+    Hashtbl.iter (fun _ route -> unpick rep route board) rep.routes
   | U_unregister_service { service; board } ->
     (* One (service, board) pair — the scheduler draining a single
        replica off a live board, not a whole-board failure. Sticky
@@ -148,19 +138,9 @@ let apply rep = function
       let rs = List.filter (fun r -> r.board <> board) rs in
       if rs = [] then Hashtbl.remove rep.registry service
       else Hashtbl.replace rep.registry service rs);
-    (match Hashtbl.find_opt rep.sids service with
-    | None -> ()
-    | Some sid ->
-      Hashtbl.iter
-        (fun key slot ->
-          match slot.picked with
-          | Some r
-            when r.board = board && key land 0xffff = sid ->
-            slot.picked <- None;
-            rep.invalidations <- rep.invalidations + 1
-          | _ -> ())
-        rep.routes);
-    rep.reg_epoch <- rep.reg_epoch + 1
+    Option.iter
+      (fun route -> unpick rep route board)
+      (Hashtbl.find_opt rep.routes service)
 
 (* An announcement made at cycle [c] becomes visible to reads strictly
    after [c + delay] — one delay for the wire, visible the next cycle —
@@ -200,81 +180,51 @@ let report_failure t ?from_board ~board () =
 (* ------------------------------------------------------------------ *)
 (* Resolution *)
 
-let intern rep service =
-  match Hashtbl.find_opt rep.sids service with
-  | Some sid -> sid
+let route_for rep service =
+  match Hashtbl.find_opt rep.routes service with
+  | Some route -> route
   | None ->
-    let sid = rep.next_sid in
-    assert (sid < 0x10000);
-    rep.next_sid <- sid + 1;
-    Hashtbl.add rep.sids service sid;
-    sid
-
-let slot_for rep ~from_board ~service =
-  let key = (from_board lsl 16) lor intern rep service in
-  match Hashtbl.find_opt rep.routes key with
-  | Some slot -> slot
-  | None ->
-    let slot = { dec = None; epoch = -1; picked = None; rot = 0 } in
-    Hashtbl.add rep.routes key slot;
-    slot
+    let route = { picked = None; rot = 0 } in
+    Hashtbl.add rep.routes service route;
+    route
 
 let resolve t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
   drain rep;
   rep.lookups <- rep.lookups + 1;
-  let slot = slot_for rep ~from_board ~service in
-  if slot.epoch = rep.reg_epoch then begin
-    (match slot.dec with
-    | Some (Remote _) -> rep.cache_hits <- rep.cache_hits + 1
-    | _ -> ());
-    slot.dec
-  end
-  else begin
-    let rs = registered rep service in
-    let dec =
-      if List.exists (fun r -> r.board = from_board) rs then Some Local
-      else
-        match slot.picked with
-        | Some r when List.exists (fun x -> x.board = r.board) rs ->
-          rep.cache_hits <- rep.cache_hits + 1;
-          Some (Remote r)
-        | _ -> (
-          match rs with
-          | [] ->
-            slot.picked <- None;
-            None
-          | rs ->
-            (* Spread first-time resolutions across remote replicas —
-               offset by the asking board so different boards start on
-               different picks — then stick to the choice until it is
-               invalidated. *)
-            let r = List.nth rs ((from_board + slot.rot) mod List.length rs) in
-            slot.rot <- slot.rot + 1;
-            slot.picked <- Some r;
-            Some (Remote r))
-    in
-    slot.dec <- dec;
-    slot.epoch <- rep.reg_epoch;
-    dec
-  end
+  let rs = registered rep service in
+  if List.exists (fun r -> r.board = from_board) rs then Some Local
+  else
+    let route = route_for rep service in
+    match route.picked with
+    | Some r when List.exists (fun x -> x.board = r.board) rs ->
+      rep.cache_hits <- rep.cache_hits + 1;
+      Some (Remote r)
+    | _ -> (
+      match rs with
+      | [] ->
+        route.picked <- None;
+        None
+      | rs ->
+        (* Spread first-time resolutions across remote replicas —
+           offset by the asking board so different boards start on
+           different picks — then stick to the choice until it is
+           invalidated. *)
+        let r = List.nth rs ((from_board + route.rot) mod List.length rs) in
+        route.rot <- route.rot + 1;
+        route.picked <- Some r;
+        Some (Remote r))
 
 let invalidate t ~from_board ~service =
   let rep = rep_for t from_board in
   owner_check rep;
   drain rep;
-  match Hashtbl.find_opt rep.sids service with
-  | None -> ()
-  | Some sid -> (
-    match Hashtbl.find_opt rep.routes ((from_board lsl 16) lor sid) with
-    | None -> ()
-    | Some slot ->
-      if slot.picked <> None then begin
-        slot.picked <- None;
-        rep.invalidations <- rep.invalidations + 1
-      end;
-      slot.epoch <- -1)
+  match Hashtbl.find_opt rep.routes service with
+  | Some ({ picked = Some _; _ } as route) ->
+    route.picked <- None;
+    rep.invalidations <- rep.invalidations + 1
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Controller-view accessors (replica 0) *)

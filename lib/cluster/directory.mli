@@ -21,12 +21,12 @@
     mode. A mutation announced at cycle [c] becomes visible to reads
     strictly after [c + announce_delay].
 
-    Resolution results are cached per [(from_board, service)] in the
-    asking board's replica; a failed remote call must {!invalidate} its
-    route (and {!report_failure} the board if it timed out). The
-    directory itself never detects failures — it is deterministic
-    rack-controller state. Replica caches are single-writer (the owning
-    partition); debug builds assert this on every write path. *)
+    A remote pick is sticky per [(from_board, service)] in the asking
+    board's replica; a failed remote call must {!invalidate} its route
+    (and {!report_failure} the board if it timed out). The directory
+    itself never detects failures — it is deterministic rack-controller
+    state. Replica state is single-writer (the owning partition); every
+    write path asserts this, in every build. *)
 
 type replica = { board : int; mac : int }
 

@@ -4,9 +4,8 @@ module Flight = Apiary_obs.Flight
 module Mesh = Apiary_noc.Mesh
 module Router = Apiary_noc.Router
 
-type config = { period : int; stuck_deadline : int }
-
-let default_config = { period = 200; stuck_deadline = 2_000 }
+let period = 200
+let stuck_deadline = 2_000
 
 (* Router input occupancy, in flits, and how many consecutive sweeps at
    or above it raise a congestion alarm. *)
@@ -25,7 +24,6 @@ let alarm_to_string = function
 
 type t = {
   kernel : Kernel.t;
-  cfg : config;
   stuck_raised : bool array;
   cong_streak : int array;
   cong_raised : bool array;
@@ -64,7 +62,7 @@ let check t =
     | Monitor.Running ->
       let backlog = Monitor.rx_backlog m > 0 || Monitor.has_egress_backlog m in
       let stalled_for = now - Monitor.last_progress m in
-      if backlog && stalled_for > t.cfg.stuck_deadline then begin
+      if backlog && stalled_for > stuck_deadline then begin
         if not t.stuck_raised.(tile) then begin
           t.stuck_raised.(tile) <- true;
           raise_alarm t now (Stuck_tile { tile; stalled_for })
@@ -90,12 +88,11 @@ let check t =
     end
   done
 
-let create ?(config = default_config) k =
+let create k =
   let n = Kernel.n_tiles k in
   let t =
     {
       kernel = k;
-      cfg = config;
       stuck_raised = Array.make n false;
       cong_streak = Array.make n 0;
       cong_raised = Array.make n false;
@@ -104,5 +101,5 @@ let create ?(config = default_config) k =
       n_checks = 0;
     }
   in
-  Sim.every (Kernel.sim k) config.period (fun () -> check t);
+  Sim.every (Kernel.sim k) period (fun () -> check t);
   t

@@ -18,15 +18,13 @@
     fail-stopping it with {!Monitor.fault}, or pushing the alarm to the
     rack scheduler over the board's telemetry agent. *)
 
-type config = {
-  period : int;  (** Cycles between sweeps. *)
-  stuck_deadline : int;
-      (** A tile with queued work and no progress for more than this many
-          cycles is declared stuck. *)
-}
+val period : int
+(** 200 cycles between sweeps. *)
 
-val default_config : config
-(** period 200, deadline 2000. *)
+val stuck_deadline : int
+(** 2,000: a tile with queued work and no progress for more than this
+    many cycles is declared stuck. Every sweep (the scheduler's, one
+    per board, and [apiary top]'s) uses these two values. *)
 
 type alarm =
   | Stuck_tile of { tile : int; stalled_for : int }
@@ -36,7 +34,7 @@ val alarm_to_string : alarm -> string
 
 type t
 
-val create : ?config:config -> Kernel.t -> t
+val create : Kernel.t -> t
 (** Install the periodic sweep on the kernel's simulator. *)
 
 val on_alarm : t -> (alarm -> unit) -> unit

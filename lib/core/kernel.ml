@@ -10,7 +10,6 @@ type config = {
   monitor : Monitor.config;
   monitor_overrides : (int * Monitor.config) list;
   dram_bytes : int;
-  mem_tile : int;
 }
 
 let default_config =
@@ -19,7 +18,6 @@ let default_config =
     monitor = Monitor.default_config;
     monitor_overrides = [];
     dram_bytes = 64 * 1024 * 1024;
-    mem_tile = (Mesh.default_config.Mesh.cols * Mesh.default_config.Mesh.rows) - 1;
   }
 
 let pr_bytes_per_cycle = 8
@@ -41,11 +39,14 @@ let sim t = t.k_sim
 let n_tiles t = t.cfg.mesh.Mesh.cols * t.cfg.mesh.Mesh.rows
 let coord_of_tile t i = Coord.of_index ~cols:t.cfg.mesh.Mesh.cols i
 let name_tile _ = name_service_tile
-let mem_tile t = t.cfg.mem_tile
+
+(* The memory service sits on the mesh's last tile, the far corner from
+   the name service, where the controller pins would be. *)
+let mem_tile t = n_tiles t - 1
 
 let user_tiles t =
   List.filter
-    (fun i -> i <> name_service_tile && i <> t.cfg.mem_tile)
+    (fun i -> i <> name_service_tile && i <> mem_tile t)
     (List.init (n_tiles t) (fun i -> i))
 
 let mesh t = t.k_mesh
@@ -53,7 +54,7 @@ let allocator t = t.k_alloc
 let flight t = t.k_flight
 let monitor t i = t.monitors.(i)
 
-let is_service_tile t i = i = name_service_tile || i = t.cfg.mem_tile
+let is_service_tile t i = i = name_service_tile || i = mem_tile t
 
 let install t ~tile b =
   if is_service_tile t tile then
@@ -120,10 +121,11 @@ let register_metrics t ~prefix =
 
 let create sim cfg =
   let ntiles = cfg.mesh.Mesh.cols * cfg.mesh.Mesh.rows in
-  assert (cfg.mem_tile <> name_service_tile);
-  assert (cfg.mem_tile >= 0 && cfg.mem_tile < ntiles);
+  let mem_tile = ntiles - 1 in
+  assert (mem_tile <> name_service_tile);
+  assert (mem_tile >= 0 && mem_tile < ntiles);
   let k_mesh = Mesh.create sim cfg.mesh in
-  let k_dram = Dram.create sim Dram.default_config ~size_bytes:cfg.dram_bytes in
+  let k_dram = Dram.create sim ~size_bytes:cfg.dram_bytes in
   let k_alloc = Seg_alloc.create ~base:0 ~size:cfg.dram_bytes Seg_alloc.First_fit in
   (* The board's black box. Disabled (the default), it records nothing
      and changes no output; the CLI and bench also arm it explicitly. *)
@@ -161,7 +163,7 @@ let create sim cfg =
       f_store_of = (fun i -> Monitor.store !monitors_ref.(i));
       f_monitor_of = (fun i -> !monitors_ref.(i));
       f_name_addr = { Message.tile = name_service_tile; ep = Message.app_ep };
-      f_mem_addr = { Message.tile = cfg.mem_tile; ep = Message.app_ep };
+      f_mem_addr = { Message.tile = mem_tile; ep = Message.app_ep };
       f_on_fault = fire_fault;
     }
   in
@@ -169,7 +171,7 @@ let create sim cfg =
     match List.assoc_opt tile cfg.monitor_overrides with
     | Some c -> c
     | None ->
-      if tile = name_service_tile || tile = cfg.mem_tile then
+      if tile = name_service_tile || tile = mem_tile then
         (* Trusted OS services are not rate-policed: the memory service
            must stream DRAM replies at line rate. *)
         { cfg.monitor with rate = 1e9; burst = 1 lsl 20 }
@@ -177,10 +179,10 @@ let create sim cfg =
   in
   let monitors =
     Array.init ntiles (fun tile ->
-        let privileged = tile = name_service_tile || tile = cfg.mem_tile in
+        let privileged = tile = name_service_tile || tile = mem_tile in
         let behavior =
           if tile = name_service_tile then name_behavior
-          else if tile = cfg.mem_tile then mem_behavior
+          else if tile = mem_tile then mem_behavior
           else Monitor.idle_behavior
         in
         Monitor.create sim ~tile (monitor_cfg_of tile) (fabric_of tile)

@@ -19,17 +19,14 @@ type config = {
   monitor_overrides : (int * Monitor.config) list;
       (** Per-tile monitor configs (e.g. an enforcement-off tile). *)
   dram_bytes : int;  (** Carved into segments first-fit. *)
-  mem_tile : int;
-      (** Tile hosting the memory service; place it at the edge where the
-          controller pins would be (default: last tile). It must not be
-          tile 0, the name service's. *)
 }
 
 val default_config : config
 (** 4x4 mesh, enforcing monitors, 64 MiB DRAM. Fixed: the name service
-    runs on tile 0, and the DRAM has {!Dram.default_config}'s
-    geometry and timing (one channel of 8 banks, 2 KiB rows, CAS, RCD
-    and RP of 8 cycles, 16 bytes per cycle, 16-deep queue). *)
+    runs on tile 0 and the memory service on the mesh's last tile
+    ({!mem_tile}), and the DRAM has {!Dram}'s one geometry and timing
+    (one channel of 8 banks, 2 KiB rows, CAS, RCD and RP of 8 cycles,
+    16 bytes per cycle, 16-deep queue). *)
 
 val pr_bytes_per_cycle : int
 (** Partial-reconfiguration port bandwidth, 8 bytes/cycle: {!reconfigure}
@@ -49,6 +46,11 @@ val name_tile : t -> int
 (** Always 0. *)
 
 val mem_tile : t -> int
+(** The mesh's last tile, [cols * rows - 1]: the corner opposite the
+    name service, at the edge where the controller pins would be. The
+    benches, CLI and examples all put it there, so it is derived from
+    the mesh rather than set. [create] asserts it is not tile 0, so a
+    kernel needs at least two tiles. *)
 
 val user_tiles : t -> int list
 (** Tiles available for accelerators (everything but the OS services). *)

@@ -14,7 +14,6 @@ type config = {
   rate : float;
   burst : int;
   egress_classes : int;
-  rpc_timeout : int;
 }
 
 let default_config =
@@ -24,13 +23,13 @@ let default_config =
     rate = 4.0;
     burst = 512;
     egress_classes = 1;
-    rpc_timeout = 50_000;
   }
 
-(* Egress queue depth per class, in messages, and capability table
-   slots per tile. *)
+(* Egress queue depth per class, in messages, capability table slots
+   per tile, and the cycles a pending RPC waits before it times out. *)
 let egress_capacity = 64
 let cap_capacity = 256
+let rpc_timeout = 50_000
 
 type state = Running | Draining of string | Offline
 
@@ -296,7 +295,7 @@ let fresh_corr t =
   t.next_corr <- t.next_corr + 1;
   t.next_corr
 
-let add_pending t ?timeout corr peer cb =
+let add_pending t corr peer cb =
   (* Every outstanding RPC flows through here; with spans on, the reply
      callback closes a corr-keyed "rpc" span so the whole call (local or
      cross-board) has one parent interval on the caller's track. *)
@@ -321,21 +320,20 @@ let add_pending t ?timeout corr peer cb =
     end
   in
   Hashtbl.replace t.pending corr (peer, cb);
-  let timeout = Option.value ~default:t.cfg.rpc_timeout timeout in
-  Sim.after t.m_sim timeout (fun () ->
+  Sim.after t.m_sim rpc_timeout (fun () ->
       match Hashtbl.find_opt t.pending corr with
       | Some (_, cb) ->
         Hashtbl.remove t.pending corr;
         cb (Error Timeout)
       | None -> ())
 
-let control_rpc t ?timeout ~(dst : Message.addr) control cb =
+let control_rpc t ~(dst : Message.addr) control cb =
   let corr = fresh_corr t in
   let msg =
     Message.make ~src:(control_addr t) ~dst ~kind:(Message.Control control) ~corr
       ~now:(now t) ()
   in
-  add_pending t ?timeout corr dst.Message.tile cb;
+  add_pending t corr dst.Message.tile cb;
   enqueue t (E_control msg)
 
 let control_send t ~(dst : Message.addr) ?(corr = 0) ?(is_reply = false)

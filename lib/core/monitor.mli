@@ -29,10 +29,13 @@ type config = {
       (** Number of per-class egress queues (64 messages each); higher
           classes drain first, so bulk traffic cannot head-of-line block
           priority replies. [1] (default) is a single FIFO. *)
-  rpc_timeout : int;  (** Cycles before a pending RPC fails. *)
 }
 
 val default_config : config
+(** Enforcing, a 2-cycle check, 4 flits/cycle with a 512-flit burst,
+    one egress class. Not a field: a pending RPC fails with [Timeout]
+    after 50,000 cycles in every monitor, since no kernel the benches,
+    CLI and examples build waits any other time. *)
 
 type state = Running | Draining of string | Offline
 

@@ -3,11 +3,11 @@
     by the accelerator library). Both are real implementations — frames
     and stored blocks carry checksums that actually validate. *)
 
-val crc32 : ?init:int32 -> bytes -> int32
+val crc32 : bytes -> int32
 (** IEEE CRC-32 (reflected, polynomial 0xEDB88320), as used by Ethernet
-    FCS, gzip, zlib. *)
-
-val crc32_string : string -> int32
+    FCS, gzip, zlib, over one whole buffer: every caller checksums a
+    complete frame or block, so there is no running value to resume
+    from. *)
 
 val adler32 : bytes -> int32
 

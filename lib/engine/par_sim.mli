@@ -102,8 +102,9 @@ val run_for : t -> int -> unit
 val current_partition : unit -> int option
 (** The partition index the calling domain is currently executing, or
     [None] on a coordinating thread between windows. Partition-owned
-    state (e.g. the cluster directory's replica caches) asserts against
-    this to trip on cross-domain writes in debug builds. *)
+    state (e.g. the cluster directory's replicas) asserts against this
+    to trip on cross-domain writes; no build profile of this workspace
+    passes [-noassert], so the asserts run in every build. *)
 
 val window_stats : t -> int * int * int
 (** [(count, min_width, max_width)] over the engine's lifetime — the

@@ -1,27 +1,13 @@
 module Sim = Apiary_engine.Sim
 
-type config = {
-  channels : int;
-  banks_per_channel : int;
-  row_bytes : int;
-  t_cas : int;
-  t_rcd : int;
-  t_rp : int;
-  bus_bytes_per_cycle : int;
-  queue_depth : int;
-}
-
-let default_config =
-  {
-    channels = 1;
-    banks_per_channel = 8;
-    row_bytes = 2048;
-    t_cas = 8;
-    t_rcd = 8;
-    t_rp = 8;
-    bus_bytes_per_cycle = 16;
-    queue_depth = 16;
-  }
+let channels = 1
+let banks_per_channel = 8
+let row_bytes = 2048
+let t_cas = 8
+let t_rcd = 8
+let t_rp = 8
+let bus_bytes_per_cycle = 16
+let queue_depth = 16
 
 type req = {
   addr : int;
@@ -48,7 +34,6 @@ let absent = Bytes.empty
 
 type t = {
   sim : Sim.t;
-  cfg : config;
   size : int;
   pages : Bytes.t array;
   chans : channel array;
@@ -57,18 +42,17 @@ type t = {
   mutable n_bytes : int;
 }
 
-let create sim cfg ~size_bytes =
+let create sim ~size_bytes =
   assert (size_bytes > 0);
   {
     sim;
-    cfg;
     size = size_bytes;
     pages = Array.make ((size_bytes + page_bytes - 1) lsr page_bits) absent;
     chans =
-      Array.init cfg.channels (fun _ ->
+      Array.init channels (fun _ ->
           {
             banks =
-              Array.init cfg.banks_per_channel (fun _ ->
+              Array.init banks_per_channel (fun _ ->
                   { open_row = -1; busy = false; queue = Queue.create () });
             bus_free_at = 0;
           });
@@ -78,7 +62,6 @@ let create sim cfg ~size_bytes =
   }
 
 let size t = t.size
-let config t = t.cfg
 let row_hits t = t.n_row_hits
 let row_misses t = t.n_row_misses
 let bytes_transferred t = t.n_bytes
@@ -86,10 +69,10 @@ let bytes_transferred t = t.n_bytes
 (* Address mapping: row-interleaved across banks, banks interleaved across
    channels, so sequential streams hit open rows within a bank. *)
 let locate t addr =
-  let row_global = addr / t.cfg.row_bytes in
-  let chan_i = row_global mod t.cfg.channels in
-  let bank_i = row_global / t.cfg.channels mod t.cfg.banks_per_channel in
-  let row = row_global / t.cfg.channels / t.cfg.banks_per_channel in
+  let row_global = addr / row_bytes in
+  let chan_i = row_global mod channels in
+  let bank_i = row_global / channels mod banks_per_channel in
+  let row = row_global / channels / banks_per_channel in
   (t.chans.(chan_i), t.chans.(chan_i).banks.(bank_i), row)
 
 let check t addr len =
@@ -136,18 +119,16 @@ let rec kick t chan bank =
     let access =
       if bank.open_row = row then begin
         t.n_row_hits <- t.n_row_hits + 1;
-        t.cfg.t_cas
+        t_cas
       end
       else begin
         t.n_row_misses <- t.n_row_misses + 1;
         bank.open_row <- row;
-        t.cfg.t_rp + t.cfg.t_rcd + t.cfg.t_cas
+        t_rp + t_rcd + t_cas
       end
     in
     let now = Sim.now t.sim in
-    let transfer =
-      (r.len + t.cfg.bus_bytes_per_cycle - 1) / t.cfg.bus_bytes_per_cycle
-    in
+    let transfer = (r.len + bus_bytes_per_cycle - 1) / bus_bytes_per_cycle in
     let transfer = max 1 transfer in
     (* The data burst needs the channel bus after the access latency. *)
     let burst_start = max (now + access) chan.bus_free_at in
@@ -163,7 +144,7 @@ let rec kick t chan bank =
 let submit t r =
   check t r.addr r.len;
   let chan, bank, _ = locate t r.addr in
-  if Queue.length bank.queue >= t.cfg.queue_depth then false
+  if Queue.length bank.queue >= queue_depth then false
   else begin
     Queue.add r bank.queue;
     kick t chan bank;

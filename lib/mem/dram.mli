@@ -15,27 +15,34 @@
 
 module Sim := Apiary_engine.Sim
 
-type config = {
-  channels : int;
-  banks_per_channel : int;
-  row_bytes : int;
-  t_cas : int;  (** column access, cycles *)
-  t_rcd : int;  (** row activate *)
-  t_rp : int;  (** precharge *)
-  bus_bytes_per_cycle : int;
-  queue_depth : int;  (** per-bank request queue bound *)
-}
+(** {1 Geometry and timing}
 
-val default_config : config
-(** 1 channel, 8 banks, 2 KiB rows, CAS/RCD/RP = 8/8/8 cycles at fabric
-    clock, 16 B/cycle bus, queue depth 16 — a DDR4-ish controller seen
-    from a 250 MHz fabric. *)
+    One value each: a DDR4-ish controller seen from the 250 MHz fabric
+    clock, with one channel of 8 banks and a 16 bytes/cycle data bus
+    shared by the banks. Every board's kernel builds its DRAM from
+    these and no experiment varies them: the paper's claims concern the
+    monitor and the NoC, not the memory controller's timing. *)
+
+val row_bytes : int
+(** 2,048: a 2 KiB row. Addresses interleave across banks row by row,
+    so a sequential stream stays in one open row. *)
+
+val t_cas : int
+(** 8 cycles of column access: a row hit costs this alone. *)
+
+val t_rcd : int
+(** 8 cycles to activate a row. *)
+
+val t_rp : int
+(** 8 cycles to precharge: a row miss costs [t_rp + t_rcd + t_cas]. *)
+
+val queue_depth : int
+(** 16 requests per bank; a submission to a full queue is refused. *)
 
 type t
 
-val create : Sim.t -> config -> size_bytes:int -> t
+val create : Sim.t -> size_bytes:int -> t
 val size : t -> int
-val config : t -> config
 
 val read : t -> addr:int -> len:int -> (bytes -> unit) -> bool
 (** Submit a read; the callback fires with the data when the access

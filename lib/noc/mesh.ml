@@ -49,7 +49,6 @@ let in_bounds t (c : Coord.t) =
 let coords t =
   List.init (t.cfg.cols * t.cfg.rows) (fun i -> Coord.of_index ~cols:t.cfg.cols i)
 
-let nic_at t c = t.nics.(idx t c)
 let router_at t c = t.routers.(idx t c)
 
 let send t ~src ~dst ?(cls = 0) ?(corr = 0) ~payload_bytes payload =
@@ -57,7 +56,7 @@ let send t ~src ~dst ?(cls = 0) ?(corr = 0) ~payload_bytes payload =
   assert (cls >= 0);
   let size_flits = Packet.flits_for ~flit_bytes:t.cfg.flit_bytes ~payload_bytes in
   t.sent <- t.sent + 1;
-  Nic.send (nic_at t src) ~dst:(idx t dst) ~cls ~corr ~size_flits ~now:(Sim.now t.sim)
+  Nic.send t.nics.(idx t src) ~dst:(idx t dst) ~cls ~corr ~size_flits ~now:(Sim.now t.sim)
     payload
 
 let set_obs_board t board =

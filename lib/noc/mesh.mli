@@ -60,7 +60,6 @@ val register_metrics : 'a t -> prefix:string -> unit
 val set_receiver : 'a t -> Coord.t -> ('a Packet.t -> unit) -> unit
 (** Install the delivery callback for a tile (replaces any previous). *)
 
-val nic_at : 'a t -> Coord.t -> 'a Nic.t
 val router_at : 'a t -> Coord.t -> 'a Router.t
 
 val latency : 'a t -> Stats.Histogram.t

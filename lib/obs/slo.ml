@@ -7,37 +7,23 @@ type alert = {
   a_burn_slow : float;
 }
 
+let target_pct = 99.0
+let fast_windows = 2
+let slow_windows = 12
+let page_burn = 8.0
+let ticket_burn = 2.0
+
 type objective = {
   tenant : string;
-  target_pct : float;
   latency_cycles : int;
   window : int;
-  fast_windows : int;
-  slow_windows : int;
-  page_burn : float;
-  ticket_burn : float;
   min_samples : int;
 }
 
-let default_objective ?(target_pct = 99.0) ?(window = 5_000)
-    ?(fast_windows = 2) ?(slow_windows = 12) ?(page_burn = 8.0)
-    ?(ticket_burn = 2.0) ?(min_samples = 20) ~tenant ~latency_cycles () =
-  if not (target_pct > 0.0 && target_pct < 100.0) then
-    invalid_arg "Slo.default_objective: target_pct must be in (0, 100)";
+let default_objective ?(window = 5_000) ?(min_samples = 20) ~tenant
+    ~latency_cycles () =
   if window <= 0 then invalid_arg "Slo.default_objective: window must be > 0";
-  if fast_windows < 1 || slow_windows < fast_windows then
-    invalid_arg "Slo.default_objective: need 1 <= fast_windows <= slow_windows";
-  {
-    tenant;
-    target_pct;
-    latency_cycles;
-    window;
-    fast_windows;
-    slow_windows;
-    page_burn;
-    ticket_burn;
-    min_samples;
-  }
+  { tenant; latency_cycles; window; min_samples }
 
 type t = {
   obj : objective;
@@ -56,14 +42,14 @@ type t = {
   mutable alerts : alert list;  (* newest first *)
   mutable first_below : int option;
   mutable subscribers : (alert -> unit) list;
-  (* 1/(1 - target) as a fraction in basis points, precomputed *)
-  target_bp : int;
 }
+
+let target_bp = int_of_float ((target_pct *. 100.0) +. 0.5)
 
 let create obj =
   {
     obj;
-    ring = Array.make obj.slow_windows (0, 0);
+    ring = Array.make slow_windows (0, 0);
     closed = 0;
     edge = 0;
     w_good = 0;
@@ -75,10 +61,8 @@ let create obj =
     alerts = [];
     first_below = None;
     subscribers = [];
-    target_bp = int_of_float ((obj.target_pct *. 100.0) +. 0.5);
   }
 
-let objective t = t.obj
 let on_alert t f = t.subscribers <- f :: t.subscribers
 
 (* Burn rate over the last [k] closed windows: observed bad fraction
@@ -87,10 +71,10 @@ let on_alert t f = t.subscribers <- f :: t.subscribers
    fast horizon is the classic page threshold. Returns 0 under the
    traffic guard — alerting on a handful of samples is noise. *)
 let burn_over t k =
-  let k = min k (min t.closed t.obj.slow_windows) in
+  let k = min k (min t.closed slow_windows) in
   let g = ref 0 and b = ref 0 in
   for i = 1 to k do
-    let gi, bi = t.ring.((t.closed - i) mod t.obj.slow_windows) in
+    let gi, bi = t.ring.((t.closed - i) mod slow_windows) in
     g := !g + gi;
     b := !b + bi
   done;
@@ -98,7 +82,7 @@ let burn_over t k =
   if total < t.obj.min_samples then 0.0
   else
     let bad_frac = float_of_int !b /. float_of_int total in
-    let budget_frac = (100.0 -. t.obj.target_pct) /. 100.0 in
+    let budget_frac = (100.0 -. target_pct) /. 100.0 in
     bad_frac /. budget_frac
 
 let burn_rate t ~windows = burn_over t windows
@@ -108,8 +92,8 @@ let fire t severity ~cycle =
     {
       a_cycle = cycle;
       a_severity = severity;
-      a_burn_fast = burn_over t t.obj.fast_windows;
-      a_burn_slow = burn_over t t.obj.slow_windows;
+      a_burn_fast = burn_over t fast_windows;
+      a_burn_slow = burn_over t slow_windows;
     }
   in
   t.alerts <- a :: t.alerts;
@@ -122,26 +106,26 @@ let fire t severity ~cycle =
    edge-triggered and re-arm once their horizon drops back below the
    threshold. *)
 let evaluate t ~cycle =
-  let fast = burn_over t t.obj.fast_windows in
-  let slow = burn_over t t.obj.slow_windows in
+  let fast = burn_over t fast_windows in
+  let slow = burn_over t slow_windows in
   let last = burn_over t 1 in
-  if fast >= t.obj.page_burn && last >= t.obj.page_burn then begin
+  if fast >= page_burn && last >= page_burn then begin
     if not t.page_active then begin
       t.page_active <- true;
       fire t Page ~cycle
     end
   end
-  else if fast < t.obj.page_burn then t.page_active <- false;
-  if slow >= t.obj.ticket_burn && fast >= t.obj.ticket_burn then begin
+  else if fast < page_burn then t.page_active <- false;
+  if slow >= ticket_burn && fast >= ticket_burn then begin
     if not t.ticket_active then begin
       t.ticket_active <- true;
       fire t Ticket ~cycle
     end
   end
-  else if slow < t.obj.ticket_burn then t.ticket_active <- false
+  else if slow < ticket_burn then t.ticket_active <- false
 
 let close_window t =
-  t.ring.(t.closed mod t.obj.slow_windows) <- (t.w_good, t.w_bad);
+  t.ring.(t.closed mod slow_windows) <- (t.w_good, t.w_bad);
   t.closed <- t.closed + 1;
   t.edge <- t.edge + t.obj.window;
   t.w_good <- 0;
@@ -158,7 +142,7 @@ let check t ~now = roll_upto t now
 let note_attainment t now =
   if t.first_below = None then begin
     let total = t.good + t.bad in
-    if total >= t.obj.min_samples && t.good * 10_000 < t.target_bp * total then
+    if total >= t.obj.min_samples && t.good * 10_000 < target_bp * total then
       t.first_below <- Some now
   end
 
@@ -188,9 +172,7 @@ let budget_remaining_pct t =
   let total = t.good + t.bad in
   if total = 0 then 100.0
   else begin
-    let allowed =
-      (100.0 -. t.obj.target_pct) /. 100.0 *. float_of_int total
-    in
+    let allowed = (100.0 -. target_pct) /. 100.0 *. float_of_int total in
     if allowed <= 0.0 then if t.bad = 0 then 100.0 else 0.0
     else max 0.0 (100.0 *. (1.0 -. (float_of_int t.bad /. allowed)))
   end
@@ -219,7 +201,7 @@ let report_json_string ts =
       Buffer.add_string buf "    {\"tenant\": ";
       Export.buf_add_json_string buf o.tenant;
       Buffer.add_string buf ", \"target_pct\": ";
-      Export.buf_add_float buf o.target_pct;
+      Export.buf_add_float buf target_pct;
       Buffer.add_string buf
         (Printf.sprintf
            ", \"latency_cycles\": %d, \"window\": %d,\n     \"good\": %d, \
@@ -229,9 +211,9 @@ let report_json_string ts =
       Buffer.add_string buf ", \"budget_remaining_pct\": ";
       Export.buf_add_float buf (budget_remaining_pct t);
       Buffer.add_string buf ",\n     \"burn_fast\": ";
-      Export.buf_add_float buf (burn_over t o.fast_windows);
+      Export.buf_add_float buf (burn_over t fast_windows);
       Buffer.add_string buf ", \"burn_slow\": ";
-      Export.buf_add_float buf (burn_over t o.slow_windows);
+      Export.buf_add_float buf (burn_over t slow_windows);
       Buffer.add_string buf ",\n     \"first_below_target_cycle\": ";
       buf_add_opt_int buf t.first_below;
       Buffer.add_string buf ", \"first_alert_cycle\": ";

@@ -9,11 +9,11 @@
     budget exactly at the sustainable rate. Two horizons are watched at
     every window close:
 
-    - {b Page}: the fast horizon ([fast_windows]) {e and} the
-      just-closed window both burn at [page_burn] — a fast, confirmed
+    - {b Page}: the fast horizon ({!fast_windows}) {e and} the
+      just-closed window both burn at {!page_burn} — a fast, confirmed
       bleed;
-    - {b Ticket}: the slow horizon ([slow_windows]) {e and} the fast
-      horizon both burn at [ticket_burn] — a slow leak.
+    - {b Ticket}: the slow horizon ({!slow_windows}) {e and} the fast
+      horizon both burn at {!ticket_burn} — a slow leak.
 
     Alerts are edge-triggered (one per excursion) and re-arm once the
     horizon drops back below its threshold. A [min_samples] traffic
@@ -32,37 +32,44 @@ type alert = {
   a_burn_slow : float;
 }
 
+(** {2 The alerting recipe}
+
+    One value each, for every tenant: the scheduler, E15 and
+    [apiary top] all judge against the same target and horizons. What
+    differs between them is the window width and the traffic guard,
+    which stay in {!objective}. *)
+
+val target_pct : float
+(** 99.0: the percentage of requests that must be good. *)
+
+val fast_windows : int
+(** 2: the fast burn horizon, in windows. *)
+
+val slow_windows : int
+(** 12: the slow burn horizon, in windows; also the ring size. *)
+
+val page_burn : float
+(** 8.0: the classic page threshold, eight times the sustainable burn. *)
+
+val ticket_burn : float
+(** 2.0. *)
+
 type objective = {
   tenant : string;
-  target_pct : float;  (** e.g. 99.0 — fraction of requests that must be good *)
   latency_cycles : int;  (** the latency bound the tenant is judged against *)
   window : int;  (** accounting window width, cycles *)
-  fast_windows : int;
-  slow_windows : int;  (** burn horizons, in windows; also the ring size *)
-  page_burn : float;
-  ticket_burn : float;
   min_samples : int;  (** horizon traffic guard *)
 }
 
 val default_objective :
-  ?target_pct:float ->
-  ?window:int ->
-  ?fast_windows:int ->
-  ?slow_windows:int ->
-  ?page_burn:float ->
-  ?ticket_burn:float ->
-  ?min_samples:int ->
-  tenant:string ->
-  latency_cycles:int ->
-  unit ->
-  objective
-(** Defaults: target 99%, window 5000 cycles, fast 2 / slow 12 windows,
-    page burn 8.0, ticket burn 2.0, min 20 samples per horizon. *)
+  ?window:int -> ?min_samples:int -> tenant:string -> latency_cycles:int ->
+  unit -> objective
+(** Defaults: window 5000 cycles, min 20 samples per horizon. Raises
+    [Invalid_argument] unless [window > 0]. *)
 
 type t
 
 val create : objective -> t
-val objective : t -> objective
 
 val observe : t -> now:int -> good:bool -> unit
 (** Record one request outcome at cycle [now]. Closes (and evaluates)
@@ -90,7 +97,7 @@ val budget_remaining_pct : t -> float
 
 val burn_rate : t -> windows:int -> float
 (** Burn over the last [windows] closed windows (capped at
-    [slow_windows]); 0 under the traffic guard. *)
+    {!slow_windows}); 0 under the traffic guard. *)
 
 val first_below_target : t -> int option
 (** First cycle whole-run attainment dropped below target (with at

@@ -13,9 +13,7 @@
    board->controller post is ever needed. *)
 
 module Sim = Apiary_engine.Sim
-module Stats = Apiary_engine.Stats
 module Span = Apiary_obs.Span
-module Registry = Apiary_obs.Registry
 module Perf = Apiary_obs.Perf
 module Slo = Apiary_obs.Slo
 module Flight = Apiary_obs.Flight
@@ -32,37 +30,27 @@ module Directory = Apiary_cluster.Directory
 module Shard_client = Apiary_cluster.Shard_client
 
 type config = {
-  report_period : int;
-  epoch : int;
-  up_epochs : int;
-  down_epochs : int;
   hot_load : int;
   cold_load : int;
-  cooldown : int;
-  drain_delay : int;
   slo_window : int;
   slo_min_samples : int;
 }
 
 let default_config =
-  {
-    report_period = 1_000;
-    epoch = 20_000;
-    up_epochs = 2;
-    down_epochs = 3;
-    hot_load = 2_000;
-    cold_load = 800;
-    cooldown = 60_000;
-    drain_delay = 30_000;
-    slo_window = 5_000;
-    slo_min_samples = 20;
-  }
+  { hot_load = 2_000; cold_load = 800; slo_window = 5_000; slo_min_samples = 20 }
 
-(* Fixed policy: a 99% SLO attainment target, not judged in an epoch
+let report_period = 4_000
+let epoch = 20_000
+let up_epochs = 2
+let down_epochs = 3
+let cooldown = 60_000
+let drain_delay = 30_000
+
+(* Fixed policy: the SLO attainment target, not judged in an epoch
    with fewer than 10 completions; per-replica demand above 90% of the
    capacity hint is saturation and below 25% idle; 128 cycles of slack on
    modelled install/PR completion times; one migration per epoch. *)
-let slo_target_pct = 99
+let slo_target_pct = int_of_float Slo.target_pct
 let min_samples = 10
 let hi_util_pct = 90
 let lo_util_pct = 25
@@ -198,7 +186,6 @@ let decide t ~kind ~tenant ?(board = -1) ?(src = -1) note =
     { d_cycle = now; d_kind = kind; d_tenant = tenant; d_board = board;
       d_src = src; d_note = note }
     :: t.log;
-  Stats.Counter.incr (Registry.counter ("sched." ^ kind));
   if Span.on () then
     Span.instant ~board:(-1)
       ~args:
@@ -280,7 +267,7 @@ let retire t ten rep =
   Directory.unregister (Cluster.directory t.cluster) ~service:name ~board;
   note_replicas t ten;
   sync_client t ten;
-  Sim.after t.sim t.cfg.drain_delay (fun () ->
+  Sim.after t.sim drain_delay (fun () ->
       if List.memq rep t.replicas then
         if t.boards.(board).alive then begin
           let kernel = Node.kernel (Cluster.node t.cluster board) in
@@ -367,8 +354,7 @@ let autoscale_tenant t ten =
       let ok_pct = d_le * 100 / d_cnt in
       if ok_pct < slo_target_pct then begin
         ten.bad_epochs <- ten.bad_epochs + 1;
-        t.n_slo_violations <- t.n_slo_violations + 1;
-        Stats.Counter.incr (Registry.counter "sched.slo_violation")
+        t.n_slo_violations <- t.n_slo_violations + 1
       end
       else ten.bad_epochs <- 0;
       if d_ops * 100 > hi_util_pct * cap * n_serving then
@@ -390,17 +376,14 @@ let autoscale_tenant t ten =
       let n = List.length (counted t name) in
       (* A Page burn alert is an immediate scale-up trigger: the budget
          is bleeding too fast to wait out [up_epochs] of confirmation. *)
-      if (paged
-         || ten.bad_epochs >= t.cfg.up_epochs
-         || ten.hot_epochs >= t.cfg.up_epochs)
+      if (paged || ten.bad_epochs >= up_epochs || ten.hot_epochs >= up_epochs)
          && n < ten.spec.Placer.max_replicas
       then begin
         let why =
           if paged then
             Printf.sprintf "burn-rate page (fast %.1f)"
-              (Slo.burn_rate ten.slo
-                 ~windows:(Slo.objective ten.slo).Slo.fast_windows)
-          else if ten.bad_epochs >= t.cfg.up_epochs then
+              (Slo.burn_rate ten.slo ~windows:Slo.fast_windows)
+          else if ten.bad_epochs >= up_epochs then
             Printf.sprintf "slo attainment %d%%"
               (if d_cnt > 0 then d_le * 100 / d_cnt else 0)
           else "demand above capacity"
@@ -409,7 +392,7 @@ let autoscale_tenant t ten =
         ten.bad_epochs <- 0;
         ten.hot_epochs <- 0
       end
-      else if ten.idle_epochs >= t.cfg.down_epochs
+      else if ten.idle_epochs >= down_epochs
               && n > ten.spec.Placer.reservation
       then begin
         (* Shed the replica on the busiest board: consolidation both
@@ -452,7 +435,7 @@ let consider_migrations t =
           |> List.filter (fun r ->
                  let ten = tenant_of t r.rep_tenant in
                  (not ten.migrating)
-                 && now - ten.last_migration >= t.cfg.cooldown)
+                 && now - ten.last_migration >= cooldown)
           |> List.sort (fun a b ->
                  let m r =
                    if r.rep_tile < Array.length hb.tile_msgs then
@@ -556,7 +539,7 @@ let arm_telemetry t =
       let ntiles = Kernel.n_tiles kernel in
       let last_msgs = ref 0 in
       let last_tile = Array.make ntiles 0 in
-      Sim.every sim ~start:(t.cfg.report_period + i) t.cfg.report_period
+      Sim.every sim ~start:(report_period + i) report_period
         (fun () ->
           match Statsvc.answer kernel Statsvc.Board with
           | None -> ()
@@ -635,9 +618,7 @@ let add_tenant t ~spec ~behavior =
   then invalid_arg "Sched.add_tenant: duplicate tenant";
   let slo =
     Slo.create
-      (Slo.default_objective
-         ~target_pct:(float_of_int slo_target_pct)
-         ~window:t.cfg.slo_window ~min_samples:t.cfg.slo_min_samples
+      (Slo.default_objective ~window:t.cfg.slo_window ~min_samples:t.cfg.slo_min_samples
          ~tenant:spec.Placer.name ~latency_cycles:spec.Placer.slo_cycles ())
   in
   let ten =
@@ -763,7 +744,7 @@ let start t =
   Sim.every t.sim ~start:t.cfg.slo_window t.cfg.slo_window (fun () ->
       let now = Sim.now t.sim in
       List.iter (fun ten -> Slo.check ten.slo ~now) t.tenants);
-  Sim.every t.sim ~start:t.cfg.epoch t.cfg.epoch (fun () -> epoch_tick t)
+  Sim.every t.sim ~start:epoch epoch (fun () -> epoch_tick t)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection *)
@@ -823,26 +804,3 @@ let write_slo_report t path =
   let oc = open_out path in
   output_string oc (slo_report_json t);
   close_out oc
-
-let register_metrics t =
-  Registry.add_sampler ~name:"sched" (fun () ->
-      List.iter
-        (fun ten ->
-          let name = ten.spec.Placer.name in
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.replicas" name))
-            (float_of_int (List.length (serving t name)));
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.burn_fast" name))
-            (Slo.burn_rate ten.slo
-               ~windows:(Slo.objective ten.slo).Slo.fast_windows);
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.%s.budget_pct" name))
-            (Slo.budget_remaining_pct ten.slo))
-        t.tenants;
-      Array.iter
-        (fun bs ->
-          Stats.Gauge.set
-            (Registry.gauge (Printf.sprintf "sched.board%d.load" bs.b_id))
-            (float_of_int bs.load))
-        t.boards)

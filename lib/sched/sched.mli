@@ -26,7 +26,7 @@
     - {b Autoscale}: per epoch, a tenant whose SLO attainment (measured
       on its watched {!Apiary_cluster.Shard_client}) stays below target
       — or whose per-replica throughput saturates its capacity hint —
-      for [up_epochs] gains a replica if capacity exists ({e never} by
+      for 2 epochs gains a replica if capacity exists ({e never} by
       evicting another tenant; denied growth is logged as a [defer]).
       Sustained low utilization sheds replicas down to the reservation.
     - {b Migration}: a board that is congestion-alarmed or beyond
@@ -40,8 +40,8 @@
       displaced tenants re-placed on survivors immediately.
 
     Every decision is cycle-stamped into a log ({!decisions_json} is
-    byte-stable), mirrored as [sched.*] registry counters and, when
-    span tracing is on, as ["sched"]-category instants. *)
+    byte-stable) and, when span tracing is on, mirrored as
+    ["sched"]-category instants. *)
 
 module Shell := Apiary_core.Shell
 module Cluster := Apiary_cluster.Cluster
@@ -51,17 +51,8 @@ module Slo := Apiary_obs.Slo
 module Flight := Apiary_obs.Flight
 
 type config = {
-  report_period : int;  (** cycles between board load reports *)
-  epoch : int;  (** cycles between autoscale/migration evaluations *)
-  up_epochs : int;  (** consecutive bad epochs before scaling up *)
-  down_epochs : int;  (** consecutive idle epochs before scaling down *)
   hot_load : int;  (** board msgs/load report above which it sheds load *)
   cold_load : int;  (** board msgs/load report below which it accepts migrations *)
-  cooldown : int;  (** min cycles between migrations of one tenant *)
-  drain_delay : int;
-      (** cycles a cut-over replica keeps serving before its tile is
-          reclaimed; keep above the shard clients' request timeout so
-          in-flight work drains (zero lost requests) *)
   slo_window : int;
       (** SLO accounting window ({!Apiary_obs.Slo}), cycles; windows
           also close on this clock so alerts fire even when a tenant
@@ -73,12 +64,22 @@ type config = {
 }
 
 val default_config : config
-(** load reports every 1000, epoch 20_000, 2 up / 3 down epochs, hot
-    2000 / cold 800 msgs/report, cooldown 60_000, drain 30_000, SLO
-    window 5_000 with 20 min samples. Fixed policy: 99% SLO target, not
-    judged in an epoch with fewer than 10 completions, 90/25% utilization
-    bands, one migration per epoch, installs counted done 128 cycles
-    after the time predicted from {!Apiary_core.Kernel.pr_bytes_per_cycle}. *)
+(** hot 2000 / cold 800 msgs/report, SLO window 5_000 with 20 min
+    samples.
+
+    Fixed, because every rack that runs a scheduler (E14's elastic
+    variants, E16e, [apiary sched]/[slo]) uses the same values: load
+    reports every 4_000 cycles (the unit of [hot_load] and
+    [cold_load]), a 20_000-cycle epoch, 2 bad or saturated epochs
+    before a scale-up and 3 idle ones before a scale-down, at least
+    60_000 cycles between two migrations of one tenant, and 30_000
+    cycles of draining before a cut-over replica's tile is reclaimed
+    (above the shard clients' 20_000-cycle request timeout, so no
+    in-flight request is lost). The policy is fixed too: the
+    {!Apiary_obs.Slo.target_pct} attainment target, not judged in an
+    epoch with fewer than 10 completions, 90/25% utilization bands, one
+    migration per epoch, installs counted done 128 cycles after the
+    time predicted from {!Apiary_core.Kernel.pr_bytes_per_cycle}. *)
 
 type t
 
@@ -186,9 +187,3 @@ val flight : t -> Flight.t
     (category ["slo"], name ["page"]/["ticket"]); arm it with
     [APIARY_FLIGHT=1] or {!Apiary_obs.Flight.set_enabled}, like the
     kernels' rings. *)
-
-val register_metrics : t -> unit
-(** Install an [Apiary_obs.Registry] sampler publishing per-tenant
-    replica/burn-rate/budget gauges and per-board load gauges under
-    [sched.*] (decision counters are maintained under [sched.<kind>] as
-    they happen). *)

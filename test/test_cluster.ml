@@ -121,7 +121,7 @@ let test_directory_same_cycle_order () =
   Alcotest.(check bool) "board 0's replica" true
     (Directory.resolve d ~from_board:0 ~service:"kv" = None)
 
-(* Debug builds trip on a replica touched from the wrong partition: the
+(* Every build trips on a replica touched from the wrong partition: the
    single-writer discipline the replicated directory is built on. *)
 let test_directory_cross_partition_assert () =
   let eng = Par_sim.create ~lookahead:16 ~n:3 () in

@@ -22,7 +22,7 @@ module Mesh = Apiary_noc.Mesh
 (* Helpers *)
 
 let mk_kernel ?(enforce = true) ?(rate = 1000.0) ?(burst = 100_000)
-    ?(rpc_timeout = 20_000) ?check_latency ?monitor_overrides () =
+    ?check_latency ?monitor_overrides () =
   let sim = Sim.create () in
   let check_latency =
     Option.value ~default:Monitor.default_config.Monitor.check_latency check_latency
@@ -36,7 +36,6 @@ let mk_kernel ?(enforce = true) ?(rate = 1000.0) ?(burst = 100_000)
           Monitor.enforce;
           rate;
           burst;
-          rpc_timeout;
           check_latency;
         };
       monitor_overrides = Option.value ~default:[] monitor_overrides;
@@ -518,7 +517,7 @@ let test_fault_isolates_other_app () =
    every stuck tile turns its alarm into the ordinary fault path. *)
 let test_stuck_alarm_fail_stops () =
   let sim, k = mk_kernel () in
-  let h = Health.create ~config:{ Health.period = 100; stuck_deadline = 500 } k in
+  let h = Health.create k in
   Health.on_alarm h (function
     | Health.Stuck_tile { tile; _ } -> Monitor.fault (Kernel.monitor k tile) "stuck"
     | Health.Congested_router _ -> ());
@@ -892,6 +891,27 @@ let test_user_tiles_excludes_services () =
   Alcotest.(check bool) "no mem tile" true (not (List.mem (Kernel.mem_tile k) tiles));
   Alcotest.(check int) "count" 14 (List.length tiles)
 
+(* The memory service sits on the mesh's last tile whatever the mesh's
+   shape: on 3x2 that is tile 5, which serves an allocation and refuses
+   an install. *)
+let test_mem_tile_last_on_non_square () =
+  let sim = Sim.create () in
+  let mesh = { Mesh.default_config with Mesh.cols = 3; rows = 2 } in
+  let k =
+    Kernel.create sim { Kernel.default_config with Kernel.mesh; dram_bytes = 1 lsl 20 }
+  in
+  Alcotest.(check int) "mem tile" 5 (Kernel.mem_tile k);
+  Alcotest.(check (list int)) "user tiles" [ 1; 2; 3; 4 ] (Kernel.user_tiles k);
+  Alcotest.check_raises "install over the memory service"
+    (Invalid_argument "Kernel.install: tile 5 hosts an OS service") (fun () ->
+      Kernel.install k ~tile:5 (idle_behavior "nope"));
+  let got = ref None in
+  with_client k ~tile:1 (fun sh ->
+      Shell.alloc sh ~bytes:64 (fun r -> got := Some (Result.is_ok r)));
+  Sim.run_for sim 10_000;
+  Alcotest.(check (option bool)) "alloc granted" (Some true) !got;
+  Alcotest.(check bool) "by tile 5" true (Monitor.msgs_in (Kernel.monitor k 5) > 0)
+
 let test_grant_mem_requires_grant_right () =
   (* A tile that received a read-only (non-grantable) segment cannot
      re-grant it. *)
@@ -1152,6 +1172,8 @@ let () =
           Alcotest.test_case "connect to dead tile" `Quick test_connect_to_draining_tile_fails_fast;
           Alcotest.test_case "install on service tile" `Quick test_install_on_service_tile_rejected;
           Alcotest.test_case "user tiles" `Quick test_user_tiles_excludes_services;
+          Alcotest.test_case "mem tile on a 3x2 mesh" `Quick
+            test_mem_tile_last_on_non_square;
           Alcotest.test_case "grant needs grant right" `Quick test_grant_mem_requires_grant_right;
           Alcotest.test_case "restart revives" `Quick test_restart_revives;
           Alcotest.test_case "busy accumulates" `Quick test_busy_accumulates;

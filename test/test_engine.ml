@@ -1088,13 +1088,13 @@ let test_sim_at_past_rejected () =
     (fun () -> Sim.at sim 5 (fun () -> ()))
 
 let test_checksum_crc32_incremental_differs () =
-  (* init parameter chains state: crc(a++b) computable via init. *)
-  let a = Bytes.of_string "hello " and bb = Bytes.of_string "world" in
+  (* Every call starts from the standard initial value, so a prefix's
+     CRC is not the whole buffer's. *)
+  let a = Bytes.of_string "hello " in
   let whole = Apiary_engine.Checksum.crc32 (Bytes.of_string "hello world") in
   let part = Apiary_engine.Checksum.crc32 a in
   Alcotest.(check bool) "parts differ from whole" true
-    (part <> whole);
-  ignore bb
+    (part <> whole)
 
 let qc = QCheck_alcotest.to_alcotest
 

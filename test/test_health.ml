@@ -67,13 +67,14 @@ let test_perf_merge () =
 
 let test_watchdog_quiet_on_idle_fastforward () =
   let sim, k = mk_kernel () in
-  let h = Health.create ~config:{ Health.period = 100; stuck_deadline = 500 } k
-  in
+  let h = Health.create k in
   (* Nothing installed: after boot traffic settles the fabric is idle
      and the engine fast-forwards between watchdog sweeps. *)
   Sim.run_for sim 100_000;
-  Alcotest.(check bool) "sweeps kept firing across fast-forward" true
-    (Health.checks h > 900);
+  (* One sweep per period, the first at cycle [period]; the run stops
+     before cycle 100,000. *)
+  Alcotest.(check int) "sweeps kept firing across fast-forward"
+    ((100_000 / Health.period) - 1) (Health.checks h);
   Alcotest.(check (list reject)) "no alarms on an idle board" []
     (Health.alarms h);
   (* Every sweep pulsed every tile's heartbeat counter. *)
@@ -83,8 +84,7 @@ let test_watchdog_quiet_on_idle_fastforward () =
 let test_watchdog_trips_on_stuck_tile () =
   let sim, k = mk_kernel () in
   let victim = 5 in
-  let h = Health.create ~config:{ Health.period = 100; stuck_deadline = 1_000 } k
-  in
+  let h = Health.create k in
   Kernel.install k ~tile:victim
     (Shell.behavior "hog"
        ~on_boot:(fun sh -> Shell.register_service sh "hog")

@@ -11,7 +11,7 @@ module Page_alloc = Apiary_mem.Page_alloc
 (* ------------------------------------------------------------------ *)
 (* DRAM *)
 
-let mk_dram ?(size = 1 lsl 20) sim = Dram.create sim Dram.default_config ~size_bytes:size
+let mk_dram ?(size = 1 lsl 20) sim = Dram.create sim ~size_bytes:size
 
 let test_dram_write_read_roundtrip () =
   let sim = Sim.create () in
@@ -44,6 +44,10 @@ let test_dram_latency_row_hit_vs_miss () =
   Alcotest.(check bool)
     (Printf.sprintf "hit (%d) faster than miss (%d)" second first)
     true (second < first);
+  (* A 16-byte burst takes one bus cycle after the access. *)
+  Alcotest.(check int) "miss: precharge + activate + CAS + burst"
+    (Dram.t_rp + Dram.t_rcd + Dram.t_cas + 1) first;
+  Alcotest.(check int) "hit: CAS + burst" (Dram.t_cas + 1) second;
   Alcotest.(check int) "one hit" 1 (Dram.row_hits d);
   Alcotest.(check int) "one miss" 1 (Dram.row_misses d)
 
@@ -56,6 +60,8 @@ let test_dram_queue_full () =
     if Dram.read d ~addr:0 ~len:16 (fun _ -> ()) then incr accepted
   done;
   Alcotest.(check bool) "some rejected" true (!accepted < 40);
+  Alcotest.(check int) "one in service plus a full queue"
+    (Dram.queue_depth + 1) !accepted;
   (* After draining, submissions are accepted again. *)
   Sim.run_for sim 2000;
   Alcotest.(check bool) "accepted after drain" true
@@ -77,7 +83,7 @@ let test_dram_parallel_banks_faster_than_one () =
   in
   (* 8 requests to 8 different banks vs 8 to one bank: bank-parallel case
      has 8 misses (one per bank) but overlaps them. *)
-  let row = Dram.default_config.Dram.row_bytes in
+  let row = Dram.row_bytes in
   let _ = run (List.init 8 (fun i -> i * row)) in
   let hits_same, _ = run (List.init 8 (fun _ -> 0)) in
   Alcotest.(check bool) "same-bank run hits rows" true (hits_same >= 6)

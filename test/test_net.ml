@@ -378,7 +378,7 @@ module Accels = Apiary_accel.Accels
 (* Two boards on one ToR switch; returns (sim, board_a, board_b). *)
 let mk_two_boards () =
   let sim = Sim.create () in
-  let a = Board.create sim ~switch_ports:4 in
+  let a = Board.create sim in
   let bd =
     Board.create sim ~attach:(a.Board.switch, 1) ~mac_addr:0x02_0000_0B0001
   in

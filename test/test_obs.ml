@@ -932,9 +932,8 @@ let prop_span_model =
 
 let mk_slo () =
   Slo.create
-    (Slo.default_objective ~target_pct:99.0 ~window:100 ~fast_windows:2
-       ~slow_windows:12 ~page_burn:8.0 ~ticket_burn:2.0 ~min_samples:5
-       ~tenant:"t" ~latency_cycles:1_000 ())
+    (Slo.default_objective ~window:100 ~min_samples:5 ~tenant:"t"
+       ~latency_cycles:1_000 ())
 
 (* 1000 good requests build up budget, then a total outage burns it:
    the fast-window page fires at the first window close with enough bad

@@ -272,22 +272,10 @@ let test_sync_boards_reconciles_ring () =
 (* ------------------------------------------------------------------ *)
 (* Determinism: a scheduled rack with migrations, Seq vs Par *)
 
-(* Aggressive mini config so the 120k-cycle run sees real scheduler
-   traffic: 1k-cycle load reports, 8k epochs, migration thresholds
-   matched to the ~6-15 msgs/report a saturated board moves at cost-300
-   service. *)
-let mini_cfg =
-  {
-    Sched.default_config with
-    Sched.report_period = 1_000;
-    epoch = 8_000;
-    up_epochs = 2;
-    down_epochs = 3;
-    hot_load = 5;
-    cold_load = 3;
-    cooldown = 20_000;
-    drain_delay = 12_000;
-  }
+(* Migration thresholds matched to the msgs per 4,000-cycle load
+   report a saturated board moves at cost-300 service, so the run sees
+   real scheduler traffic. *)
+let mini_cfg = { Sched.default_config with Sched.hot_load = 16; cold_load = 8 }
 
 let mini_spec =
   {
@@ -303,7 +291,7 @@ let mini_spec =
 
 let run_sched_rack mode =
   let boards = 3 in
-  let cycles = 120_000 in
+  let cycles = 300_000 in
   let eng = Cluster.engine ~mode ~boards () in
   let cluster =
     Cluster.create ~engine:eng (Par_sim.sim eng 0) ~boards ~client_ports:2

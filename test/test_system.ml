@@ -239,7 +239,7 @@ let test_hosted_serves_and_is_slower () =
     in
     let server_mac = mk 0 and client_mac = mk 1 in
     let _server =
-      Hosted.create sim Hosted.default_config ~mac:server_mac ~my_mac:0xAA
+      Hosted.create sim ~mac:server_mac ~my_mac:0xAA
         ~accel_cycles:(fun _ -> 64)
         ~handler:(fun _ body -> body)
     in
@@ -275,10 +275,10 @@ let test_qserver_fcfs_and_parallelism () =
 let test_energy_model_shape () =
   (* The hosted path must cost more energy per request whenever it burns
      CPU cycles, all else equal. *)
-  let direct = Energy.direct_uj ~fpga_cycles:1000 ~net_bytes:512 () in
+  let direct = Energy.direct_uj ~fpga_cycles:1000 ~net_bytes:512 in
   let hosted =
     Energy.hosted_uj ~cpu_cycles:2000 ~accel_cycles:1000 ~pcie_bytes:1024
-      ~net_bytes:512 ()
+      ~net_bytes:512
   in
   Alcotest.(check bool)
     (Printf.sprintf "hosted %.3f > direct %.3f uJ" hosted direct)
