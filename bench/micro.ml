@@ -23,7 +23,7 @@ let msg =
     ~src:{ Message.tile = 1; ep = 1 }
     ~dst:{ Message.tile = 14; ep = 1 }
     ~kind:(Message.Data { opcode = 7 })
-    ~corr:42 ~payload:(Bytes.create 256) ~now:1000 ()
+    ~corr:42 ~is_reply:false ~cls:0 ~payload:(Bytes.create 256) ~now:1000
 
 let msg_wire = Wire.encode msg
 

@@ -59,14 +59,22 @@ let encode ~slot ~gen = (gen lsl 16) lor slot
 let decode_slot h = h land 0xFFFF
 let decode_gen h = h lsr 16
 
-let lookup t h =
+(* The entry a live handle names, read in place, so the per-message
+   checks build nothing; a dead handle raises its [lookup] error. *)
+exception Dead of error
+
+let entry t h =
   let slot = decode_slot h in
-  if slot < 0 || slot >= t.cap_capacity then Error Invalid_handle
-  else if t.gens.(slot) <> decode_gen h then Error Invalid_handle
-  else
-    match t.entries.(slot) with
-    | None -> Error Invalid_handle
-    | Some e -> if e.revoked then Error Revoked else Ok (slot, e)
+  if slot < 0 || slot >= t.cap_capacity || t.gens.(slot) <> decode_gen h then
+    raise_notrace (Dead Invalid_handle);
+  match t.entries.(slot) with
+  | None -> raise_notrace (Dead Invalid_handle)
+  | Some e -> if e.revoked then raise_notrace (Dead Revoked) else e
+
+let lookup t h =
+  match entry t h with
+  | e -> Ok (decode_slot h, e)
+  | exception Dead err -> Error err
 
 let insert t target rights =
   match t.free_slots with
@@ -143,9 +151,9 @@ let inspect t h =
   match lookup t h with Error e -> Error e | Ok (_, e) -> Ok (e.target, e.rights)
 
 let check_send t h ~tile ~endpoint =
-  match lookup t h with
-  | Error e -> Error e
-  | Ok (_, e) ->
+  match entry t h with
+  | exception Dead err -> Error err
+  | e ->
     (match e.target with
     | Endpoint ep ->
       if ep.tile = tile && ep.endpoint = endpoint then
@@ -154,9 +162,9 @@ let check_send t h ~tile ~endpoint =
     | Segment _ -> Error Wrong_type)
 
 let check_mem t h ~addr ~len ~write =
-  match lookup t h with
-  | Error e -> Error e
-  | Ok (_, e) ->
+  match entry t h with
+  | exception Dead err -> Error err
+  | e ->
     (match e.target with
     | Segment { base; len = slen } ->
       if len < 0 || addr < base || addr + len > base + slen then Error Bounds

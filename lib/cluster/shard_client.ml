@@ -196,9 +196,11 @@ let handle_frame t (f : Frame.t) =
     | None -> ()  (* late reply from a board already declared dead *)
     | Some p ->
       Hashtbl.remove t.pending rsp.Netproto.rsp_id;
-      Span.finish
-        ~args:[ ("status", Netproto.status_to_string rsp.Netproto.status) ]
-        ~ts:(Sim.now t.sim) p.sid;
+      (* A null id (capture off) closes nothing: build no arguments. *)
+      if p.sid != Span.null then
+        Span.finish
+          ~args:[ ("status", Netproto.status_to_string rsp.Netproto.status) ]
+          ~ts:(Sim.now t.sim) p.sid;
       if rsp.Netproto.status <> Netproto.Ok_resp then begin
         (* Service-level miss (e.g. Service_unavailable from a board
            whose replica just moved away: its netsvc drops the stale

@@ -143,7 +143,9 @@ let create sim cfg =
       t.unregister_names tile;
       List.iter (fun f -> f tile reason) t.fault_subs
   in
-  let coord_of i = Coord.of_index ~cols:cfg.mesh.Mesh.cols i in
+  (* Each tile's mesh coordinate, made once rather than per message. *)
+  let coords = Array.init ntiles (Coord.of_index ~cols:cfg.mesh.Mesh.cols) in
+  let coord_of i = coords.(i) in
   let fabric_of tile =
     {
       Monitor.f_inject =

@@ -42,10 +42,7 @@ type t = {
   created_at : int;
 }
 
-let empty_payload = Bytes.create 0
-
-let make ~src ~dst ~kind ?(corr = 0) ?(is_reply = false) ?(cls = 0)
-    ?(payload = empty_payload) ~now () =
+let make ~src ~dst ~kind ~corr ~is_reply ~cls ~payload ~now =
   { src; dst; kind; corr; is_reply; cls; payload; created_at = now }
 
 (* src(4) + dst(4) + kind tag(2) + corr(4) + length(2) *)

@@ -62,8 +62,10 @@ type t = {
 }
 
 val make :
-  src:addr -> dst:addr -> kind:kind -> ?corr:int -> ?is_reply:bool -> ?cls:int ->
-  ?payload:bytes -> now:int -> unit -> t
+  src:addr -> dst:addr -> kind:kind -> corr:int -> is_reply:bool -> cls:int ->
+  payload:bytes -> now:int -> t
+(** Every field named, so a hot caller passes no optional-argument
+    boxes. [corr] 0 is uncorrelated, [cls] 0 the lowest class. *)
 
 val header_bytes : int
 (** Fixed wire overhead per message. *)

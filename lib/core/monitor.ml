@@ -31,6 +31,32 @@ let egress_capacity = 64
 let cap_capacity = 256
 let rpc_timeout = 50_000
 
+(* The monitor's tables are keyed by ints: one inline compare per probe,
+   no call to the runtime's polymorphic compare. The hash is the generic
+   one, so a table iterates in the same order as a generic [Hashtbl]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* A reply window's key: the requester's tile and correlation id in one
+   int. A delivered request comes from a tile on this board with a fresh
+   positive corr, so every window has a key. A reply names its pair
+   itself, and an untrusted accelerator may forge it: a pair outside
+   those ranges has no key ([-1]), so it cannot alias another window. *)
+let tile_bits = 16
+
+let reply_key tile corr =
+  if tile lsr tile_bits = 0 && corr > 0 && corr lsr (62 - tile_bits) = 0 then
+    (corr lsl tile_bits) lor tile
+  else -1
+
+(* The connection bucket of a send that has none: it always admits and
+   is never written, so one serves every monitor. *)
+let no_bucket = Rate_limiter.unlimited ()
+
 type state = Running | Draining of string | Offline
 
 let state_to_string = function
@@ -91,19 +117,21 @@ and t = {
   fabric : fabric;
   privileged : bool;
   m_rng : Rng.t;
+  self : Message.addr;  (* the accelerator's endpoint *)
+  ctl : Message.addr;  (* the monitor's own endpoint *)
   mutable m_store : Store.t;
   mutable m_state : state;
   egress : egress_entry Fifo.t array;  (* one queue per class *)
   bucket : Rate_limiter.t;
   mutable next_corr : int;
-  pending : (int, int * reply_cb) Hashtbl.t;  (* corr -> (peer tile, cb) *)
+  pending : (int * reply_cb) Itbl.t;  (* corr -> (peer tile, cb) *)
   rx : Message.t Queue.t;
   mutable behavior : behavior;
   mutable busy_until : int;
   mutable connect_policy : Message.addr -> grant;
-  conn_buckets : (Store.handle, Rate_limiter.t) Hashtbl.t;
+  conn_buckets : Rate_limiter.t Itbl.t;  (* per-connection limits by cap *)
   mutable on_error : string -> unit;
-  reply_ok : (int * int, int) Hashtbl.t;  (* (peer tile, corr) -> windows *)
+  reply_ok : int Itbl.t;  (* reply_key peer corr -> open windows *)
   mutable granted : (Store.t * Store.handle) list;
   perf : Perf.t;  (* the tile's hardware counter block *)
   flight : Flight.t;  (* board flight recorder (shared, owned by kernel) *)
@@ -129,8 +157,7 @@ let sim t = t.m_sim
 let state t = t.m_state
 let store t = t.m_store
 let behavior_name t = t.behavior.bname
-let self_addr t = { Message.tile = t.m_tile; ep = Message.app_ep }
-let control_addr t = { Message.tile = t.m_tile; ep = Message.control_ep }
+let self_addr t = t.self
 let rng t = t.m_rng
 let now t = Sim.now t.m_sim
 
@@ -141,24 +168,27 @@ let obs_board t = Flight.board t.flight
 
 (* The monitor's one recorder: every admit, deny, drop, fault and note
    is a single event, captured by the span recorder when tracing is on
-   and by the board flight ring when it is armed. *)
-let obs_mark t ?corr ?args name =
+   and by the board flight ring when it is armed. [corr] 0 and [args]
+   [] are the recorders' defaults; with both sinks off a mark builds
+   nothing. *)
+let obs_mark t ~corr ~args name =
   if Span.on () then
-    Span.instant ~board:(obs_board t) ?corr ?args ~cat:"monitor" ~name
+    Span.instant ~board:(obs_board t) ~corr ~args ~cat:"monitor" ~name
       ~track:t.m_tile ~ts:(now t) ();
-  Flight.record t.flight ~ts:(now t) ~tile:t.m_tile ~cat:"monitor" ~name ?corr
-    ?args ()
+  if Flight.enabled t.flight then
+    Flight.record t.flight ~ts:(now t) ~tile:t.m_tile ~cat:"monitor" ~name ~corr
+      ~args ()
 
-let log t s = obs_mark t ~args:[ ("msg", s) ] "note"
+let log t s = obs_mark t ~corr:0 ~args:[ ("msg", s) ] "note"
 
 (* ------------------------------------------------------------------ *)
 (* Egress *)
 
 let fail_pending t corr err =
-  match Hashtbl.find_opt t.pending corr with
+  match Itbl.find_opt t.pending corr with
   | None -> ()
   | Some (_, cb) ->
-    Hashtbl.remove t.pending corr;
+    Itbl.remove t.pending corr;
     cb (Error err)
 
 let egress_class t (m : Message.t) =
@@ -196,13 +226,15 @@ let check t entry =
       | Error e -> Error (Printf.sprintf "send cap: %s" (Store.error_to_string e)))
     | E_reply m ->
       (* Verify only — the one-shot window is consumed at the commit
-         point below, so a rate-stalled reply is not denied on retry. *)
-      let key = (m.Message.dst.Message.tile, m.Message.corr) in
-      (match Hashtbl.find_opt t.reply_ok key with
-      | Some n when n > 0 -> Ok ()
-      | Some _ | None -> Error "no reply window")
+         point below, so a rate-stalled reply is not denied on retry. A
+         window in the table has a count of at least 1. *)
+      if Itbl.mem t.reply_ok (reply_key m.Message.dst.Message.tile m.Message.corr)
+      then Ok ()
+      else Error "no reply window"
     | E_mem (m, h) ->
-      if m.Message.dst <> t.fabric.f_mem_addr then Error "mem op to non-memory tile"
+      let dst = m.Message.dst and mem = t.fabric.f_mem_addr in
+      if dst.Message.tile <> mem.Message.tile || dst.Message.ep <> mem.Message.ep then
+        Error "mem op to non-memory tile"
       else
         let verdict =
           match m.Message.kind with
@@ -221,23 +253,37 @@ let check t entry =
 
 (* Highest class with a pending message wins the egress slot, so a
    tile's own bulk traffic cannot head-of-line block its priority
-   replies (the per-class egress extension of E9). *)
-let pick_egress t =
-  let rec go c = if c < 0 then None else
-      match Fifo.peek t.egress.(c) with
-      | Some e -> Some (t.egress.(c), e)
-      | None -> go (c - 1)
-  in
-  go (Array.length t.egress - 1)
+   replies (the per-class egress extension of E9). [-1] when every
+   class is empty. *)
+let rec pick_egress t c =
+  if c < 0 || not (Fifo.is_empty t.egress.(c)) then c else pick_egress t (c - 1)
+
+(* The bucket of the connection [entry] sends on, else [no_bucket]. *)
+let conn_bucket t entry =
+  match entry with
+  | E_conn (_, h) when t.cfg.enforce && Itbl.length t.conn_buckets > 0 -> (
+    match Itbl.find t.conn_buckets h with
+    | b -> b
+    | exception Not_found -> no_bucket)
+  | E_conn _ | E_control _ | E_reply _ | E_mem _ | E_raw _ -> no_bucket
+
+(* Consume the one-shot window an admitted reply answers. *)
+let consume_window t (m : Message.t) =
+  let key = reply_key m.Message.dst.Message.tile m.Message.corr in
+  match Itbl.find t.reply_ok key with
+  | 1 -> Itbl.remove t.reply_ok key
+  | n -> Itbl.replace t.reply_ok key (n - 1)
+  | exception Not_found -> ()
 
 let process_egress t =
-  match pick_egress t with
-  | None -> ()
-  | Some (q, entry) ->
+  let c = pick_egress t (Array.length t.egress - 1) in
+  if c >= 0 then begin
+    let q = t.egress.(c) in
+    let entry = Fifo.top q in
     let m = entry_msg entry in
-    (match check t entry with
+    match check t entry with
     | Error reason ->
-      ignore (Fifo.pop q);
+      Fifo.drop q;
       Perf.incr t.perf Perf.denials;
       obs_mark t ~corr:m.Message.corr ~args:[ ("reason", reason) ] "deny";
       if m.Message.corr > 0 && not m.Message.is_reply then
@@ -245,48 +291,33 @@ let process_egress t =
       t.on_error reason
     | Ok () ->
       let cost = t.fabric.f_flits m in
-      let conn_bucket =
-        if not t.cfg.enforce then None
-        else
-          match entry with
-          | E_conn (_, h) -> Hashtbl.find_opt t.conn_buckets h
-          | E_control _ | E_reply _ | E_mem _ | E_raw _ -> None
-      in
+      let conn = conn_bucket t entry in
       Rate_limiter.advance t.bucket ~now:(now t);
-      Option.iter (fun b -> Rate_limiter.advance b ~now:(now t)) conn_bucket;
+      Rate_limiter.advance conn ~now:(now t);
       let tile_ok = (not t.cfg.enforce) || Rate_limiter.would_admit t.bucket cost in
-      let conn_ok =
-        match conn_bucket with
-        | None -> true
-        | Some b -> Rate_limiter.would_admit b cost
-      in
+      let conn_ok = Rate_limiter.would_admit conn cost in
       if not (tile_ok && conn_ok) then begin
         (* Head-of-line stall (within this class) until the dry bucket
            refills — the policing that protects the fabric and the peer. *)
         if not tile_ok then ignore (Rate_limiter.try_take t.bucket cost);
-        if not conn_ok then
-          Option.iter (fun b -> ignore (Rate_limiter.try_take b cost)) conn_bucket
+        if not conn_ok then ignore (Rate_limiter.try_take conn cost)
       end
       else begin
         if t.cfg.enforce then Rate_limiter.take t.bucket cost;
-        Option.iter (fun b -> Rate_limiter.take b cost) conn_bucket;
+        Rate_limiter.take conn cost;
         (match entry with
-        | E_reply m when t.cfg.enforce ->
-          let key = (m.Message.dst.Message.tile, m.Message.corr) in
-          (match Hashtbl.find_opt t.reply_ok key with
-          | Some 1 -> Hashtbl.remove t.reply_ok key
-          | Some n -> Hashtbl.replace t.reply_ok key (n - 1)
-          | None -> ())
-        | _ -> ());
-        ignore (Fifo.pop q);
+        | E_reply m when t.cfg.enforce -> consume_window t m
+        | E_reply _ | E_control _ | E_conn _ | E_mem _ | E_raw _ -> ());
+        Fifo.drop q;
         Perf.incr t.perf Perf.msgs_out;
         t.last_progress <- now t;
-        obs_mark t ~corr:m.Message.corr "admit";
+        obs_mark t ~corr:m.Message.corr ~args:[] "admit";
         Stats.Histogram.record t.lat_added
           (now t - m.Message.created_at + t.cfg.check_latency);
         if t.cfg.check_latency = 0 then t.fabric.f_inject m
         else Sim.after t.m_sim t.cfg.check_latency (fun () -> t.fabric.f_inject m)
-      end)
+      end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* RPC plumbing *)
@@ -319,30 +350,29 @@ let add_pending t corr peer cb =
         cb r
     end
   in
-  Hashtbl.replace t.pending corr (peer, cb);
+  Itbl.replace t.pending corr (peer, cb);
   Sim.after t.m_sim rpc_timeout (fun () ->
-      match Hashtbl.find_opt t.pending corr with
+      match Itbl.find_opt t.pending corr with
       | Some (_, cb) ->
-        Hashtbl.remove t.pending corr;
+        Itbl.remove t.pending corr;
         cb (Error Timeout)
       | None -> ())
 
 let control_rpc t ~(dst : Message.addr) control cb =
   let corr = fresh_corr t in
   let msg =
-    Message.make ~src:(control_addr t) ~dst ~kind:(Message.Control control) ~corr
-      ~now:(now t) ()
+    Message.make ~src:t.ctl ~dst ~kind:(Message.Control control) ~corr ~is_reply:false
+      ~cls:0 ~payload:Bytes.empty ~now:(now t)
   in
   add_pending t corr dst.Message.tile cb;
   enqueue t (E_control msg)
 
-let control_send t ~(dst : Message.addr) ?(corr = 0) ?(is_reply = false)
-    ?payload control =
-  let msg =
-    Message.make ~src:(control_addr t) ~dst ~kind:(Message.Control control) ~corr
-      ~is_reply ?payload ~now:(now t) ()
-  in
-  enqueue t (E_control msg)
+(* A control-path reply to [req]. *)
+let control_reply t (req : Message.t) payload control =
+  enqueue t
+    (E_control
+       (Message.make ~src:t.ctl ~dst:req.Message.src ~kind:(Message.Control control)
+          ~corr:req.Message.corr ~is_reply:true ~cls:0 ~payload ~now:(now t)))
 
 (* ------------------------------------------------------------------ *)
 (* Shell surface *)
@@ -375,7 +405,7 @@ let connect t ~service cb =
               (* The grantor may have attached a per-connection rate
                  limit; this monitor honours it on egress. *)
               if rate_millis > 0 then
-                Hashtbl.replace t.conn_buckets cap
+                Itbl.replace t.conn_buckets cap
                   (Rate_limiter.create
                      ~rate:(float_of_int rate_millis /. 1000.0)
                      ~burst:(max 1 burst));
@@ -397,25 +427,24 @@ let connect t ~service cb =
 
 let send_data t conn ~opcode ?(cls = 0) payload =
   let msg =
-    Message.make ~src:(self_addr t) ~dst:conn.peer
-      ~kind:(Message.Data { opcode }) ~cls ~payload ~now:(now t) ()
+    Message.make ~src:t.self ~dst:conn.peer ~kind:(Message.Data { opcode }) ~corr:0
+      ~is_reply:false ~cls ~payload ~now:(now t)
   in
   enqueue t (E_conn (msg, conn.cap))
 
 let request t conn ~opcode ?(cls = 0) payload cb =
   let corr = fresh_corr t in
   let msg =
-    Message.make ~src:(self_addr t) ~dst:conn.peer
-      ~kind:(Message.Data { opcode }) ~corr ~cls ~payload ~now:(now t) ()
+    Message.make ~src:t.self ~dst:conn.peer ~kind:(Message.Data { opcode }) ~corr
+      ~is_reply:false ~cls ~payload ~now:(now t)
   in
   add_pending t corr conn.peer.Message.tile cb;
   enqueue t (E_conn (msg, conn.cap))
 
 let respond t (req : Message.t) ~opcode ?(cls = 0) payload =
   let msg =
-    Message.make ~src:(self_addr t) ~dst:req.Message.src
-      ~kind:(Message.Data { opcode }) ~corr:req.Message.corr ~is_reply:true ~cls
-      ~payload ~now:(now t) ()
+    Message.make ~src:t.self ~dst:req.Message.src ~kind:(Message.Data { opcode })
+      ~corr:req.Message.corr ~is_reply:true ~cls ~payload ~now:(now t)
   in
   enqueue t (E_reply msg)
 
@@ -440,17 +469,18 @@ let free t h cb =
       | Ok _ -> cb (Error (Denied "unexpected free reply"))
       | Error e -> cb (Error e))
 
-let mem_rpc t control ?payload h cb =
+let mem_rpc t control payload h cb =
   let corr = fresh_corr t in
   let msg =
-    Message.make ~src:(control_addr t) ~dst:t.fabric.f_mem_addr
-      ~kind:(Message.Control control) ~corr ?payload ~now:(now t) ()
+    Message.make ~src:t.ctl ~dst:t.fabric.f_mem_addr ~kind:(Message.Control control)
+      ~corr ~is_reply:false ~cls:0 ~payload ~now:(now t)
   in
   add_pending t corr t.fabric.f_mem_addr.Message.tile cb;
   enqueue t (E_mem (msg, h.mcap))
 
 let read_mem t h ~off ~len cb =
-  mem_rpc t (Message.Mem_read_req { addr = h.base + off; len }) h (fun r ->
+  mem_rpc t (Message.Mem_read_req { addr = h.base + off; len }) Bytes.empty h
+    (fun r ->
       match r with
       | Ok { Message.kind = Message.Control Message.Mem_read_ok; payload; _ } ->
         cb (Ok payload)
@@ -460,7 +490,7 @@ let read_mem t h ~off ~len cb =
       | Error e -> cb (Error e))
 
 let write_mem t h ~off data cb =
-  mem_rpc t (Message.Mem_write_req { addr = h.base + off }) ~payload:data h
+  mem_rpc t (Message.Mem_write_req { addr = h.base + off }) data h
     (fun r ->
       match r with
       | Ok { Message.kind = Message.Control Message.Mem_write_ok; _ } -> cb (Ok ())
@@ -494,11 +524,10 @@ let set_grant_policy t p = t.connect_policy <- p
 let set_on_error t f = t.on_error <- f
 
 let send_raw t ~dst ~opcode payload =
-  let msg =
-    Message.make ~src:(self_addr t) ~dst ~kind:(Message.Data { opcode }) ~payload
-      ~now:(now t) ()
-  in
-  enqueue t (E_raw msg)
+  enqueue t
+    (E_raw
+       (Message.make ~src:t.self ~dst ~kind:(Message.Data { opcode }) ~corr:0
+          ~is_reply:false ~cls:0 ~payload ~now:(now t)))
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling *)
@@ -508,14 +537,14 @@ let quiesce t ~reason ~notify =
   | Draining _ | Offline -> ()
   | Running ->
     Perf.incr t.perf Perf.faults;
-    obs_mark t ~args:[ ("reason", reason) ] "fault";
+    obs_mark t ~corr:0 ~args:[ ("reason", reason) ] "fault";
     Array.iter Fifo.clear t.egress;
     Queue.clear t.rx;
-    Hashtbl.reset t.reply_ok;
-    Hashtbl.reset t.conn_buckets;
+    Itbl.reset t.reply_ok;
+    Itbl.reset t.conn_buckets;
     (* Fail every outstanding RPC locally. *)
-    let pend = Hashtbl.fold (fun corr (_, cb) acc -> (corr, cb) :: acc) t.pending [] in
-    Hashtbl.reset t.pending;
+    let pend = Itbl.fold (fun corr (_, cb) acc -> (corr, cb) :: acc) t.pending [] in
+    Itbl.reset t.pending;
     List.iter (fun (_, cb) -> cb (Error (Nacked reason))) pend;
     (* Revoke send caps we granted to peers and everything derived from
        our own table (shared segments given to other tiles). *)
@@ -555,18 +584,16 @@ let nack t (m : Message.t) reason =
   if m.Message.corr > 0 && not m.Message.is_reply then begin
     Perf.incr t.perf Perf.nacks;
     let reply =
-      Message.make ~src:(control_addr t) ~dst:m.Message.src
+      Message.make ~src:t.ctl ~dst:m.Message.src
         ~kind:(Message.Control (Message.Nack { reason }))
-        ~corr:m.Message.corr ~is_reply:true ~now:(now t) ()
+        ~corr:m.Message.corr ~is_reply:true ~cls:0 ~payload:Bytes.empty ~now:(now t)
     in
     (* A draining monitor bypasses its own dead egress queue. *)
     t.fabric.f_inject reply
   end
 
 let handle_connect_req t (m : Message.t) =
-  let respond_ctl control =
-    control_send t ~dst:m.Message.src ~corr:m.Message.corr ~is_reply:true control
-  in
+  let respond_ctl control = control_reply t m Bytes.empty control in
   match t.connect_policy m.Message.src with
   | Refuse -> respond_ctl (Message.Connect_denied { reason = "refused by policy" })
   | (Accept | Accept_limited _) as decision ->
@@ -590,13 +617,13 @@ let handle_connect_req t (m : Message.t) =
         (Message.Connect_denied { reason = Store.error_to_string e }))
 
 let deliver_reply t (m : Message.t) =
-  match Hashtbl.find_opt t.pending m.Message.corr with
-  | Some (peer, cb) when peer = m.Message.src.Message.tile ->
-    Hashtbl.remove t.pending m.Message.corr;
+  match Itbl.find t.pending m.Message.corr with
+  | peer, cb when peer = m.Message.src.Message.tile ->
+    Itbl.remove t.pending m.Message.corr;
     (match m.Message.kind with
     | Message.Control (Message.Nack { reason }) -> cb (Error (Nacked reason))
     | _ -> cb (Ok m))
-  | Some _ | None ->
+  | _ | (exception Not_found) ->
     (* Unsolicited or late reply — count and drop. *)
     Perf.incr t.perf Perf.drops;
     obs_mark t ~corr:m.Message.corr
@@ -629,19 +656,22 @@ let deliver_one t =
   if now t >= t.busy_until && not (Queue.is_empty t.rx) then begin
     let m = Queue.take t.rx in
     t.last_progress <- now t;
-    (* Open a one-shot reply window for requests. *)
-    if m.Message.corr > 0 && not m.Message.is_reply then begin
-      let key = (m.Message.src.Message.tile, m.Message.corr) in
-      let cur = Option.value ~default:0 (Hashtbl.find_opt t.reply_ok key) in
-      Hashtbl.replace t.reply_ok key (cur + 1)
-    end;
+    (* Open a one-shot reply window for a data request. A control
+       request is answered on the control path (priv_respond_control),
+       which needs no window, so it opens none. *)
+    (match m.Message.kind with
+    | Message.Data _ when m.Message.corr > 0 && not m.Message.is_reply ->
+      let key = reply_key m.Message.src.Message.tile m.Message.corr in
+      if key >= 0 then begin
+        match Itbl.find_opt t.reply_ok key with
+        | None -> Itbl.add t.reply_ok key 1
+        | Some n -> Itbl.replace t.reply_ok key (n + 1)
+      end
+    | Message.Data _ | Message.Control _ -> ());
     t.behavior.on_message t m
   end
 
-let egress_pending t =
-  let n = Array.length t.egress in
-  let rec go c = c < n && (not (Fifo.is_empty t.egress.(c)) || go (c + 1)) in
-  go 0
+let egress_pending t = pick_egress t (Array.length t.egress - 1) >= 0
 
 let busy_tick t =
   process_egress t;
@@ -680,6 +710,8 @@ let create sim ~tile cfg fabric ~flight ~privileged behavior =
       fabric;
       privileged;
       m_rng = Rng.create ~seed:(0x5EED + tile);
+      self = { Message.tile; ep = Message.app_ep };
+      ctl = { Message.tile; ep = Message.control_ep };
       m_store = Store.create ~capacity:cap_capacity ~tile ();
       m_state = Running;
       egress =
@@ -689,14 +721,14 @@ let create sim ~tile cfg fabric ~flight ~privileged behavior =
         (if cfg.enforce then Rate_limiter.create ~rate:cfg.rate ~burst:cfg.burst
          else Rate_limiter.unlimited ());
       next_corr = 0;
-      pending = Hashtbl.create 16;
+      pending = Itbl.create 16;
       rx = Queue.create ();
       behavior;
       busy_until = 0;
       connect_policy = (fun _ -> Accept);
-      conn_buckets = Hashtbl.create 8;
+      conn_buckets = Itbl.create 8;
       on_error = (fun _ -> ());
-      reply_ok = Hashtbl.create 16;
+      reply_ok = Itbl.create 16;
       granted = [];
       perf = Perf.create ();
       flight;
@@ -732,10 +764,10 @@ let priv_revoke t ~for_tile h =
   require_priv t "priv_revoke";
   match Store.revoke (t.fabric.f_store_of for_tile) h with Ok n -> n | Error _ -> 0
 
-let priv_respond_control t (req : Message.t) ?payload control =
+let priv_respond_control t (req : Message.t) ?(payload = Bytes.empty)
+    control =
   require_priv t "priv_respond_control";
-  control_send t ~dst:req.Message.src ~corr:req.Message.corr ~is_reply:true
-    ?payload control
+  control_reply t req payload control
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -748,5 +780,6 @@ let dropped t = Perf.read t.perf Perf.drops
 let rate_stalls t = Rate_limiter.stalled_msgs t.bucket
 let added_latency t = t.lat_added
 let rx_backlog t = Queue.length t.rx
+let reply_windows t = Itbl.fold (fun _ n acc -> acc + n) t.reply_ok 0
 let last_progress t = t.last_progress
 let has_egress_backlog t = egress_pending t

@@ -198,7 +198,8 @@ val priv_revoke : t -> for_tile:int -> Store.handle -> int
 val priv_respond_control :
   t -> Message.t -> ?payload:bytes -> Message.control -> unit
 (** Reply to a control request with a control message (OS services
-    answering [Alloc_req], [Lookup], ...). *)
+    answering [Alloc_req], [Lookup], ...). Control replies need no
+    reply window, and a control request opens none. *)
 
 (** {1 Statistics} *)
 
@@ -217,6 +218,11 @@ val added_latency : t -> Stats.Histogram.t
     checks) — the E1 overhead metric. *)
 
 val rx_backlog : t -> int
+
+val reply_windows : t -> int
+(** One-shot reply windows open on this tile: data requests delivered
+    here and not yet answered. A control request opens none; its
+    service answers on the control path. *)
 
 val last_progress : t -> int
 (** Last cycle this monitor moved a message (rx delivery or egress

@@ -88,8 +88,9 @@ val request :
     (peer fail-stopped), a local denial, or a timeout. *)
 
 val respond : t -> Message.t -> opcode:int -> ?cls:int -> bytes -> unit
-(** Answer a received request (uses the one-shot reply window the monitor
-    opened at delivery). *)
+(** Answer a received data request (uses the one-shot reply window the
+    monitor opened at delivery). A control request opens no window: OS
+    services answer it with {!Monitor.priv_respond_control}. *)
 
 (** {1 Memory (capability segments, §4.6)} *)
 

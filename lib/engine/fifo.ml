@@ -102,16 +102,14 @@ let push t x =
     true
   end
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let x = t.ring.(t.head) in
-    t.head <- (t.head + 1) land t.mask;
-    t.len <- t.len - 1;
-    Some x
-  end
+let top t =
+  if t.len = 0 then invalid_arg "Fifo.top: empty queue";
+  t.ring.(t.head)
 
-let peek t = if t.len = 0 then None else Some t.ring.(t.head)
+let drop t =
+  if t.len = 0 then invalid_arg "Fifo.drop: empty queue";
+  t.head <- (t.head + 1) land t.mask;
+  t.len <- t.len - 1
 
 let clear t =
   (* A pending dirty entry stays enlisted; its commit finds an empty

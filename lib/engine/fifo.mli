@@ -25,10 +25,15 @@ val push : 'a t -> 'a -> bool
 (** Stage a value for commit at end of cycle. Returns [false] (and drops
     nothing) when the queue, counting staged entries, is full. *)
 
-val pop : 'a t -> 'a option
-(** Take the oldest committed value. *)
+val top : 'a t -> 'a
+(** The oldest committed value, left in place. Like {!drop}, it
+    allocates nothing, so a consumer can test {!is_empty} and read the
+    head.
+    @raise Invalid_argument if no committed value is visible. *)
 
-val peek : 'a t -> 'a option
+val drop : 'a t -> unit
+(** Remove the oldest committed value.
+    @raise Invalid_argument if no committed value is visible. *)
 
 val length : 'a t -> int
 (** Committed entries only (what a consumer can see this cycle). *)

@@ -13,7 +13,9 @@ let create ~fill = { keys = [||]; ties = [||]; vals = [||]; size = 0; fill }
 let length h = h.size
 let is_empty h = h.size = 0
 
-let[@inline] less k t k' t' = k < k' || (k = k' && t < t')
+(* Typed, so each compare is one instruction rather than a call to the
+   runtime's polymorphic compare. *)
+let[@inline] less (k : int) (t : int) k' t' = k < k' || (k = k' && t < t')
 
 let grow h =
   let n = h.size in

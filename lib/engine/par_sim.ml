@@ -99,7 +99,7 @@ let total_par_windows () =
    Member code runs with its index set; coordinator code between windows
    runs with [None]. Replica-owned state (e.g. the cluster directory's
    per-partition route caches) asserts against this to catch
-   cross-domain writes in debug builds. *)
+   cross-domain writes; the asserts run in every build. *)
 let part_key = Domain.DLS.new_key (fun () -> None)
 let current_partition () = Domain.DLS.get part_key
 let set_part v = Domain.DLS.set part_key v

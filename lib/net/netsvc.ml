@@ -116,8 +116,10 @@ let behavior ~mac ~my_mac () =
           ()
     in
     let reply status body =
-      Span.finish ~args:[ ("status", Netproto.status_to_string status) ]
-        ~ts:(Shell.now sh) sid;
+      (* A null id (capture off) closes nothing: build no arguments. *)
+      if sid != Span.null then
+        Span.finish ~args:[ ("status", Netproto.status_to_string status) ]
+          ~ts:(Shell.now sh) sid;
       reply_frame sh req f.Frame.src status body
     in
     with_conn sh req.Netproto.service (fun conn ->
@@ -144,9 +146,10 @@ let behavior ~mac ~my_mac () =
     | None -> st.bad_frames <- st.bad_frames + 1
     | Some (origin, sid) ->
       Hashtbl.remove outbound rsp.Netproto.rsp_id;
-      Span.finish
-        ~args:[ ("status", Netproto.status_to_string rsp.Netproto.status) ]
-        ~ts:(Shell.now sh) sid;
+      if sid != Span.null then
+        Span.finish
+          ~args:[ ("status", Netproto.status_to_string rsp.Netproto.status) ]
+          ~ts:(Shell.now sh) sid;
       Shell.respond sh origin ~opcode:op_remote (Netproto.encode_response rsp)
   in
   let handle_frame sh (f : Frame.t) =

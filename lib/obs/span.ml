@@ -128,12 +128,16 @@ let tail_name = function
   | "fault" | "deny" | "drop" | "timeout" | "failover" | "board_down" -> true
   | _ -> false
 
+(* The first "status" argument, the one [List.assoc_opt] would find, is
+   not "ok": a scan with [String.equal], so a sampled-away span makes no
+   polymorphic compare and no option. *)
+let rec failed_status = function
+  | [] -> false
+  | (k, v) :: rest ->
+    if String.equal k "status" then not (String.equal v "ok") else failed_status rest
+
 let tail_keep ~name ~dur args =
-  dur >= !slow_cycles
-  || tail_name name
-  || (match List.assoc_opt "status" args with
-     | Some s -> s <> "ok"
-     | None -> false)
+  dur >= !slow_cycles || tail_name name || failed_status args
 
 (* Append; caller must hold the lock. False when full. *)
 let push_locked ev =

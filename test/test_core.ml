@@ -102,7 +102,7 @@ let arbitrary_message =
     map
       (fun (src, dst, kind, corr, is_reply, cls, payload, at) ->
         Message.make ~src ~dst ~kind ~corr ~is_reply ~cls
-          ~payload:(Bytes.of_string payload) ~now:at ())
+          ~payload:(Bytes.of_string payload) ~now:at)
       (tup8 addr addr kind (int_bound 100_000) bool (int_bound 3)
          (string_size (int_bound 200)) (int_bound 1_000_000))
   in
@@ -136,7 +136,7 @@ let test_message_size () =
       ~src:{ Message.tile = 0; ep = 1 }
       ~dst:{ Message.tile = 1; ep = 1 }
       ~kind:(Message.Data { opcode = 7 })
-      ~payload:(Bytes.create 100) ~now:0 ()
+      ~corr:0 ~is_reply:false ~cls:0 ~payload:(Bytes.create 100) ~now:0
   in
   Alcotest.(check int) "size" (Message.header_bytes + 100) (Message.size_bytes m)
 
@@ -160,6 +160,115 @@ let test_rate_limiter_burst_cap () =
 let test_rate_limiter_unlimited () =
   let rl = Rate_limiter.unlimited () in
   Alcotest.(check bool) "always admits" true (Rate_limiter.try_take rl 1_000_000)
+
+(* A token bucket written the plain way, its level a boxed float field
+   refilled through [Float.min]: the reference the limiter's unboxed
+   state must match decision for decision. *)
+type ref_bucket = {
+  r_rate : float;
+  r_burst : float;
+  mutable r_level : float;
+  mutable r_last : int;
+  mutable r_stalls : int;
+  r_limited : bool;
+}
+
+let ref_advance r ~now =
+  if r.r_limited && now > r.r_last then begin
+    let dt = float_of_int (now - r.r_last) in
+    r.r_level <- Float.min r.r_burst (r.r_level +. (r.r_rate *. dt));
+    r.r_last <- now
+  end
+
+let ref_would_admit r n = (not r.r_limited) || r.r_level >= float_of_int n
+
+let ref_try_take r n =
+  if not r.r_limited then true
+  else if r.r_level >= float_of_int n then begin
+    r.r_level <- r.r_level -. float_of_int n;
+    true
+  end
+  else begin
+    r.r_stalls <- r.r_stalls + 1;
+    false
+  end
+
+let ref_take r n = if r.r_limited then r.r_level <- r.r_level -. float_of_int n
+
+type rl_op = Advance of int | Try_take of int | Take of int | Would_admit of int
+
+let prop_rate_limiter_model =
+  (* Random traces of refills (the clock mostly moving forward, now and
+     then standing still or stepping back), takes and probes, on limited
+     buckets with fractional rates and on the unlimited one. After every
+     step the limiter and the reference agree on the step's answer, on a
+     probe at a random size, and on the stall count. *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun d -> Advance d) (int_range (-5) 60));
+          (3, map (fun n -> Try_take n) (int_range 0 40));
+          (1, map (fun n -> Take n) (int_range 0 40));
+          (2, map (fun n -> Would_admit n) (int_range 0 40));
+        ])
+  in
+  let bucket =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return None);
+          ( 9,
+            map2
+              (fun rate burst -> Some (rate, burst))
+              (oneof [ float_range 0.001 8.0; oneofl [ 0.1; 1.0 /. 3.0; 0.7; 4.0 ] ])
+              (int_range 1 600) );
+        ])
+  in
+  QCheck.Test.make ~name:"rate limiter matches boxed-float model" ~count:500
+    (QCheck.make
+       ~print:(fun (b, ops) ->
+         Printf.sprintf "%s, %d ops"
+           (match b with
+           | None -> "unlimited"
+           | Some (rate, burst) -> Printf.sprintf "rate %h burst %d" rate burst)
+           (List.length ops))
+       QCheck.Gen.(pair bucket (list_size (int_range 0 80) op)))
+    (fun (b, ops) ->
+      let rl, r =
+        match b with
+        | None ->
+          ( Rate_limiter.unlimited (),
+            { r_rate = 0.0; r_burst = 0.0; r_level = 0.0; r_last = 0; r_stalls = 0;
+              r_limited = false } )
+        | Some (rate, burst) ->
+          let fb = float_of_int burst in
+          ( Rate_limiter.create ~rate ~burst,
+            { r_rate = rate; r_burst = fb; r_level = fb; r_last = 0; r_stalls = 0;
+              r_limited = true } )
+      in
+      let now = ref 0 and probe = ref 0 in
+      List.for_all
+        (fun o ->
+          let same =
+            match o with
+            | Advance d ->
+              now := max 0 (!now + d);
+              Rate_limiter.advance rl ~now:!now;
+              ref_advance r ~now:!now;
+              true
+            | Try_take n -> Rate_limiter.try_take rl n = ref_try_take r n
+            | Take n ->
+              Rate_limiter.take rl n;
+              ref_take r n;
+              true
+            | Would_admit n -> Rate_limiter.would_admit rl n = ref_would_admit r n
+          in
+          probe := (!probe * 7 + 3) mod 41;
+          same
+          && Rate_limiter.would_admit rl !probe = ref_would_admit r !probe
+          && Rate_limiter.stalled_msgs rl = r.r_stalls)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Naming + connection + RPC *)
@@ -272,6 +381,68 @@ let test_reply_window_single_use () =
 
 (* ------------------------------------------------------------------ *)
 (* Memory service *)
+
+let total_denied k =
+  List.fold_left
+    (fun acc i -> acc + Monitor.denied (Kernel.monitor k i))
+    0
+    (List.init (Kernel.n_tiles k) Fun.id)
+
+let test_control_requests_open_no_window () =
+  (* The name and memory services answer control requests on the
+     control path, which needs no reply window: registering, looking up,
+     allocating and N writes must leave no window open on either service
+     tile, and deny nothing. *)
+  let sim, k = mk_kernel () in
+  let n = 24 in
+  let acked = ref 0 and found = ref None in
+  Kernel.install k ~tile:1 (echo_behavior "echo");
+  with_client k ~tile:3 (fun sh ->
+      Shell.lookup sh "echo" (fun r -> found := r);
+      Shell.alloc sh ~bytes:256 (fun r ->
+          match r with
+          | Error e -> Alcotest.failf "alloc: %s" (Shell.rpc_error_to_string e)
+          | Ok h ->
+            for i = 0 to n - 1 do
+              Shell.write_mem sh h ~off:i (b "w") (fun r ->
+                  match r with
+                  | Ok () -> incr acked
+                  | Error e -> Alcotest.failf "write: %s" (Shell.rpc_error_to_string e))
+            done));
+  Sim.run_for sim 20_000;
+  Alcotest.(check bool) "lookup answered" true (!found <> None);
+  Alcotest.(check int) "every write acknowledged" n !acked;
+  Alcotest.(check int) "no window on the memory tile" 0
+    (Monitor.reply_windows (Kernel.monitor k (Kernel.mem_tile k)));
+  Alcotest.(check int) "no window on the name tile" 0
+    (Monitor.reply_windows (Kernel.monitor k (Kernel.name_tile k)));
+  Alcotest.(check int) "nothing denied" 0 (total_denied k)
+
+let test_data_request_holds_window_until_answered () =
+  (* A data request opens one window on the serving tile; the answer
+     consumes it, and an unanswered request keeps it. *)
+  let sim, k = mk_kernel () in
+  Kernel.install k ~tile:1 (echo_behavior "echo");
+  Kernel.install k ~tile:2
+    (Shell.behavior "silent" ~on_boot:(fun sh -> Shell.register_service sh "silent"));
+  let replies = ref 0 in
+  with_client k ~tile:3 (fun sh ->
+      List.iter
+        (fun service ->
+          Shell.connect sh ~service (fun r ->
+              match r with
+              | Error _ -> ()
+              | Ok conn ->
+                Shell.request sh conn ~opcode:0 (b "q") (fun r ->
+                    if Result.is_ok r then incr replies)))
+        [ "echo"; "silent" ]);
+  Sim.run_for sim 5000;
+  Alcotest.(check int) "echo answered" 1 !replies;
+  Alcotest.(check int) "answered window consumed" 0
+    (Monitor.reply_windows (Kernel.monitor k 1));
+  Alcotest.(check int) "unanswered window open" 1
+    (Monitor.reply_windows (Kernel.monitor k 2));
+  Alcotest.(check int) "nothing denied" 0 (total_denied k)
 
 let test_alloc_write_read () =
   let sim, k = mk_kernel () in
@@ -1050,7 +1221,8 @@ let test_flight_drop_sites_and_notes () =
   let msg ~dst ?(is_reply = false) corr =
     Message.make ~src:{ Message.tile = 9; ep = Message.app_ep }
       ~dst:{ Message.tile = dst; ep = Message.app_ep }
-      ~kind:(Message.Data { opcode = 1 }) ~corr ~is_reply ~now:0 ()
+      ~kind:(Message.Data { opcode = 1 }) ~corr ~is_reply ~cls:0 ~payload:Bytes.empty
+      ~now:0
   in
   Monitor.ingress (Kernel.monitor k 3) (msg ~dst:3 ~is_reply:true 71);
   Monitor.fault (Kernel.monitor k 4) "boom";
@@ -1115,6 +1287,7 @@ let () =
           Alcotest.test_case "refill" `Quick test_rate_limiter_refill;
           Alcotest.test_case "burst cap" `Quick test_rate_limiter_burst_cap;
           Alcotest.test_case "unlimited" `Quick test_rate_limiter_unlimited;
+          qc prop_rate_limiter_model;
         ] );
       ( "naming",
         [
@@ -1128,6 +1301,8 @@ let () =
           Alcotest.test_case "connect policy" `Quick test_connect_policy_refusal;
           Alcotest.test_case "latency scales" `Quick test_rpc_latency_positive_and_scales;
           Alcotest.test_case "reply window" `Quick test_reply_window_single_use;
+          Alcotest.test_case "data request holds its window" `Quick
+            test_data_request_holds_window_until_answered;
         ] );
       ( "memory",
         [
@@ -1137,6 +1312,8 @@ let () =
           Alcotest.test_case "oom" `Quick test_alloc_oom;
           Alcotest.test_case "free not owner" `Quick test_free_not_owner;
           Alcotest.test_case "grant shared read" `Quick test_grant_mem_shared_read;
+          Alcotest.test_case "control requests open no window" `Quick
+            test_control_requests_open_no_window;
         ] );
       ( "enforcement",
         [

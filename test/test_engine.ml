@@ -453,14 +453,28 @@ let test_sim_stop () =
   Sim.run_for sim 100;
   Alcotest.(check int) "stopped early" 6 (Sim.now sim)
 
+(* The queue's option-free head, read back as an option for the checks
+   below. *)
+let fifo_pop f =
+  if Fifo.is_empty f then None
+  else begin
+    let x = Fifo.top f in
+    Fifo.drop f;
+    Some x
+  end
+
+let fifo_peek f = if Fifo.is_empty f then None else Some (Fifo.top f)
+
 let test_fifo_two_phase () =
   let sim = Sim.create () in
   let f = Fifo.create sim in
   Alcotest.(check bool) "push ok" true (Fifo.push f 1);
   (* Not yet visible: commit happens at end of cycle. *)
-  Alcotest.(check (option int)) "invisible same cycle" None (Fifo.pop f);
+  Alcotest.check_raises "no head to read" (Invalid_argument "Fifo.top: empty queue")
+    (fun () -> ignore (Fifo.top f));
+  Alcotest.(check (option int)) "invisible same cycle" None (fifo_pop f);
   Sim.step sim;
-  Alcotest.(check (option int)) "visible next cycle" (Some 1) (Fifo.pop f)
+  Alcotest.(check (option int)) "visible next cycle" (Some 1) (fifo_pop f)
 
 let test_fifo_capacity_counts_staged () =
   let sim = Sim.create () in
@@ -470,7 +484,7 @@ let test_fifo_capacity_counts_staged () =
   Alcotest.(check bool) "3 rejected" false (Fifo.push f 3);
   Sim.step sim;
   Alcotest.(check bool) "still full" true (Fifo.is_full f);
-  ignore (Fifo.pop f);
+  ignore (fifo_pop f);
   Alcotest.(check bool) "room again" true (Fifo.push f 3)
 
 let test_fifo_order () =
@@ -479,7 +493,7 @@ let test_fifo_order () =
   List.iter (fun x -> ignore (Fifo.push f x)) [ 1; 2; 3 ];
   Sim.step sim;
   let drain () =
-    let rec go acc = match Fifo.pop f with None -> List.rev acc | Some x -> go (x :: acc) in
+    let rec go acc = match fifo_pop f with None -> List.rev acc | Some x -> go (x :: acc) in
     go []
   in
   Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (drain ())
@@ -540,7 +554,7 @@ let prop_fifo_model =
                 committed := rest;
                 Some x
             in
-            if Fifo.pop f <> want then ok := false
+            if fifo_pop f <> want then ok := false
           | FCommit ->
             Sim.step sim;
             committed := !committed @ !staged;
@@ -549,7 +563,7 @@ let prop_fifo_model =
       !ok
       && Fifo.length f = List.length !committed
       && Fifo.occupancy f = List.length !committed + List.length !staged
-      && Fifo.peek f = (match !committed with [] -> None | x :: _ -> Some x))
+      && fifo_peek f = (match !committed with [] -> None | x :: _ -> Some x))
 
 let prop_fast_forward_equiv =
   (* Fast-forward must be invisible: a run with idle gaps (no tickers, so
@@ -779,7 +793,7 @@ let test_fifo_push_wakes_quiescent_sim () =
   Sim.run_for sim 10;
   Alcotest.(check bool) "push accepted" true (Fifo.push f 7);
   Sim.run_for sim 1;
-  Alcotest.(check (option int)) "committed on next run" (Some 7) (Fifo.pop f)
+  Alcotest.(check (option int)) "committed on next run" (Some 7) (fifo_pop f)
 
 (* ------------------------------------------------------------------ *)
 (* Activity-set scheduler: handles, regions, re-arm timing. *)
@@ -866,7 +880,7 @@ let prop_activity_hints_identical_delivery =
           pushes;
         let tick () =
           let rec drain () =
-            match Fifo.pop f with
+            match fifo_pop f with
             | Some v ->
               log := (Sim.now sim, v) :: !log;
               drain ()
