@@ -202,7 +202,7 @@ let prop_rate_limiter_model =
      then standing still or stepping back), takes and probes, on limited
      buckets with fractional rates and on the unlimited one. After every
      step the limiter and the reference agree on the step's answer, on a
-     probe at a random size, and on the stall count. *)
+     probe whose size steps through 0..40, and on the stall count. *)
   let op =
     QCheck.Gen.(
       frequency
